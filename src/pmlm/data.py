@@ -99,6 +99,16 @@ class Corpus:
         return int(sum(np.count_nonzero(s != PAD_ID) for s in self.sequences))
 
 
+def used_width(batch: np.ndarray) -> int:
+    """Index of the last column of a (B, N) batch holding a non-[PAD] token, plus one.
+
+    The all-[PAD] columns after it change no logit before it, since [PAD]
+    keys get exactly zero attention weight. An all-[PAD] batch keeps one column.
+    """
+    used = np.flatnonzero((batch != PAD_ID).any(axis=0))
+    return int(used[-1]) + 1 if used.size else 1
+
+
 def _chunk(ids: List[int], max_len: int) -> List[np.ndarray]:
     """Split into ceil(len/max_len) chunks, padding the last with [PAD]."""
     out = []
@@ -165,6 +175,8 @@ def synthetic_lines(n_bytes: int, seed: int) -> List[str]:
 
 
 def write_synthetic_corpus(path, n_bytes: int = 100_000, seed: int = 0) -> Path:
+    if n_bytes < 1:
+        raise ValueError(f"corpus size must be at least 1 byte, got {n_bytes}")
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     p.write_text("\n".join(synthetic_lines(n_bytes, seed)) + "\n", encoding="utf-8")

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tensor as T
-from .data import Corpus, MASK_ID, PAD_ID
+from .data import Corpus, MASK_ID, PAD_ID, used_width
 from .generation import GenerationConstraints, GenerationOrder, SamplerSpec, generate, sample_token
 from .model import Transformer
 
@@ -74,13 +74,18 @@ class LatencyReport:
 
 
 def _batched_nll(model: Transformer, inputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per-row NLL of targets under the model, chunked over the batch axis."""
-    out = np.empty(targets.shape)
+    """Per-row NLL of targets under the model, chunked over the batch axis.
+
+    Each chunk runs up to its used width; the rows of its all-[PAD] input
+    tail are left at 0 and must not be read as scores.
+    """
+    out = np.zeros(targets.shape)
     for start in range(0, inputs.shape[0], _EVAL_CHUNK):
         sl = slice(start, start + _EVAL_CHUNK)
-        logits = model.logits(inputs[sl])
+        w = used_width(inputs[sl])
+        logits = model.logits(inputs[sl, :w])
         with T.no_grad():
-            out[sl] = T.cross_entropy_rows(T.Tensor(logits), targets[sl]).data
+            out[sl, :w] = T.cross_entropy_rows(T.Tensor(logits), targets[sl, :w]).data
     return out
 
 

@@ -210,12 +210,13 @@ def uniform_alpha_fraction(n: int, k: int) -> Fraction:
 
 
 def beta_factorial_identity_holds(n: int, k: int) -> bool:
-    """B(n-k+1, k+1) * (n+1)! == (n-k)! k! in exact integer arithmetic.
+    """B(n-k+1, k+1) * (n+1)! == (n-k)! k! in exact arithmetic.
 
-    The Beta value is formed through the integer-argument gamma route
-    (gamma(m) = (m-1)!) as an exact rational, so the product must collapse
-    to an exact integer equal to the factorial pair.
+    The Beta value is the integral of r^k (1-r)^(n-k) over [0, 1], taken
+    term by term on the binomial expansion of (1-r)^(n-k) as an exact
+    rational, without the factorial closed form it is checked against:
+    sum_j C(n-k, j) (-1)^j / (k+j+1).
     """
-    beta = Fraction(math.factorial(n - k) * math.factorial(k), math.factorial(n + 1))
+    beta = sum(Fraction((-1) ** j * math.comb(n - k, j), k + j + 1) for j in range(n - k + 1))
     product = beta * math.factorial(n + 1)
     return product.denominator == 1 and product == math.factorial(n - k) * math.factorial(k)

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tensor as T
-from .data import MASK_ID, PAD_ID
+from .data import MASK_ID, PAD_ID, used_width
 from .masking import MaskingPrior, MaskPattern, enumerate_masks, mask_probability, sample_mask, sample_ratio
 from .model import Transformer
 from .tensor import Tensor
@@ -187,7 +187,9 @@ def pmlm_training_step(
 # ---------------------------------------------------------------------------
 
 
-def _require_unpadded(ids: np.ndarray, op: str) -> None:
+def _require_exact_input(ids: np.ndarray, op: str) -> None:
+    if len(ids) == 0:
+        raise ValueError(f"{op} needs a sequence of at least one token")
     if np.any(ids == PAD_ID):
         raise ValueError(f"{op} does not support padded sequences")
 
@@ -198,7 +200,7 @@ def pmlm_exact_loss(model: Transformer, x, prior: MaskingPrior) -> LossValue:
     The K=0 pattern contributes zero by definition. Requires 2^n forwards.
     """
     ids = _as_ids(x)
-    _require_unpadded(ids, "pmlm_exact_loss")
+    _require_exact_input(ids, "pmlm_exact_loss")
     n = len(ids)
     if n > PMLM_EXACT_LIMIT:
         raise ValueError(f"pmlm_exact_loss enumerates 2^n forwards and is capped at n <= {PMLM_EXACT_LIMIT}")
@@ -234,7 +236,7 @@ def aplm_exact_loss(model: Transformer, x) -> LossValue:
     per order: -(1/(n n!)) sum over orders and steps.
     """
     ids = _as_ids(x)
-    _require_unpadded(ids, "aplm_exact_loss")
+    _require_exact_input(ids, "aplm_exact_loss")
     n = len(ids)
     if n > APLM_LIMIT:
         raise ValueError(f"aplm_exact_loss enumerates n! orders and is capped at n <= {APLM_LIMIT}")
@@ -334,7 +336,7 @@ def verify_equivalence(model: Transformer, x, tolerance: float = 1e-9) -> Equiva
     without the (n+1) factor.
     """
     ids = _as_ids(x)
-    _require_unpadded(ids, "verify_equivalence")
+    _require_exact_input(ids, "verify_equivalence")
     n = len(ids)
     if n > APLM_LIMIT:
         raise ValueError(f"verify_equivalence is capped at n <= {APLM_LIMIT}")
@@ -379,6 +381,23 @@ def verify_equivalence(model: Transformer, x, tolerance: float = 1e-9) -> Equiva
 # ---------------------------------------------------------------------------
 
 
+def _weighted_nll(
+    model: Transformer,
+    inputs: np.ndarray,
+    targets: np.ndarray,
+    weights: np.ndarray,
+    *,
+    train: bool,
+    rng: Optional[np.random.Generator],
+) -> Tensor:
+    """sum(weights * NLL of targets) from one forward over the batch's used
+    width; the all-[PAD] tail carries no loss weight and no attention weight."""
+    w = used_width(inputs)
+    logits = model.forward(inputs[:, :w], train=train, rng=rng)
+    nll = T.cross_entropy_rows(logits, targets[:, :w])
+    return T.sum_(nll * Tensor(weights[:, :w]))
+
+
 def masked_batch_loss(
     model: Transformer,
     batch: np.ndarray,
@@ -390,7 +409,7 @@ def masked_batch_loss(
     """Mean over sequences of the per-sequence masked loss, in one forward.
 
     Sequences whose pattern is empty contribute zero but still count toward
-    the batch mean.
+    the batch mean. The forward stops at the batch's used width.
     """
     if model.is_causal:
         raise ValueError("masked_batch_loss requires a bidirectional model")
@@ -405,9 +424,7 @@ def masked_batch_loss(
         idx = list(pattern.indices)
         inputs[s, idx] = MASK_ID
         weights[s, idx] = 1.0 / (b * pattern.k)
-    logits = model.forward(inputs, train=train, rng=rng)
-    nll = T.cross_entropy_rows(logits, batch)
-    return T.sum_(nll * Tensor(weights))
+    return _weighted_nll(model, inputs, batch, weights, train=train, rng=rng)
 
 
 def causal_batch_loss(
@@ -417,7 +434,8 @@ def causal_batch_loss(
     train: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
-    """Mean over sequences of the per-sequence left-to-right loss."""
+    """Mean over sequences of the per-sequence left-to-right loss, in one
+    forward that stops at the batch's used width."""
     if not model.is_causal:
         raise ValueError("causal_batch_loss requires a causal model")
     b, n = batch.shape
@@ -430,6 +448,4 @@ def causal_batch_loss(
     inputs[:, 1:] = batch[:, :-1]
     inputs[pad] = PAD_ID
     weights = (~pad) / (b * counts[:, None])
-    logits = model.forward(inputs, train=train, rng=rng)
-    nll = T.cross_entropy_rows(logits, batch)
-    return T.sum_(nll * Tensor(weights))
+    return _weighted_nll(model, inputs, batch, weights, train=train, rng=rng)

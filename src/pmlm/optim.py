@@ -14,6 +14,10 @@ import numpy as np
 from .tensor import Tensor
 
 
+class NonFiniteGradient(ValueError):
+    pass
+
+
 class Adam:
     def __init__(
         self,
@@ -38,12 +42,12 @@ class Adam:
         """One Adam update over every parameter with a gradient.
 
         Parameters with ``grad is None`` are treated as zero-gradient.
-        A non-finite gradient rejects the whole update before any parameter
-        is touched.
+        A non-finite gradient raises ``NonFiniteGradient`` before any
+        parameter is touched.
         """
         for name, p in params.items():
             if p.grad is not None and not np.all(np.isfinite(p.grad)):
-                raise ValueError(f"adam: non-finite gradient for parameter '{name}'")
+                raise NonFiniteGradient(f"adam: non-finite gradient for parameter '{name}'")
 
         self.step_count += 1
         t = self.step_count
@@ -63,9 +67,3 @@ class Adam:
             if self.weight_decay:
                 p.data -= self.lr * self.weight_decay * p.data
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-    def state_shapes_match(self, params: Mapping[str, Tensor]) -> bool:
-        return all(
-            name in self.m and self.m[name].shape == p.shape and self.v[name].shape == p.shape
-            for name, p in params.items()
-        )

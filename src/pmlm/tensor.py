@@ -1,15 +1,17 @@
 """Minimal float64 tensor kernel with reverse-mode autodiff.
 
 Every operation builds a node in an implicit computation graph; ``backward``
-walks the graph once and accumulates d(loss)/d(tensor) into ``.grad``.
-All data is float64 and all ops are deterministic for fixed inputs.
+walks the graph once and accumulates d(loss)/d(leaf) into the ``.grad`` of
+each leaf tensor (one built directly, such as a parameter). Intermediate
+nodes keep ``.grad = None``. All data is float64 and all ops are
+deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -34,10 +36,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
-
-
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
 
 
 class Tensor:
@@ -197,7 +195,13 @@ def matmul(a, b) -> Tensor:
 
     def vjp(g):
         ga = g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None
-        gb = np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None
+        gb = None
+        if b.requires_grad and b.data.ndim == 2:
+            # a shared weight: one product over all stacked rows, no batch sum
+            k, m = b.shape
+            gb = a.data.reshape(-1, k).T @ g.reshape(-1, m)
+        elif b.requires_grad:
+            gb = np.swapaxes(a.data, -1, -2) @ g
         return (
             _unbroadcast(ga, a.shape) if ga is not None else None,
             _unbroadcast(gb, b.shape) if gb is not None else None,
@@ -380,7 +384,9 @@ def cross_entropy(logits, targets) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(t) into ``t.grad`` for every tensor in the graph.
+    """Accumulate d(loss)/d(t) into ``t.grad`` for every leaf tensor ``t`` of
+    the graph that requires a gradient; intermediate nodes keep ``.grad``
+    as None.
 
     Repeated calls re-walk the graph and add on top of existing gradients;
     call ``zero_grad`` on the parameters between optimization steps.
@@ -409,11 +415,11 @@ def backward(loss: Tensor) -> None:
     # per-call gradient map so repeated backward() calls accumulate correctly
     local: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
     for node in reversed(order):
-        g = local.get(id(node))
+        g = local.pop(id(node), None)
         if g is None:
             continue
-        node.accumulate_grad(g)
         if node._vjp is None:
+            node.accumulate_grad(g)
             continue
         parent_grads = node._vjp(g)
         for p, pg in zip(node._parents, parent_grads):
@@ -425,7 +431,3 @@ def backward(loss: Tensor) -> None:
             else:
                 local[key] = pg
 
-
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.zero_grad()

@@ -26,7 +26,7 @@ from .data import Corpus, PAD_ID, ingest
 from .masking import MaskPattern, MaskingPrior, sample_mask, sample_ratio
 from .model import Transformer, TransformerConfig, init_parameters
 from .objectives import causal_batch_loss, masked_batch_loss
-from .optim import Adam
+from .optim import Adam, NonFiniteGradient
 from .tensor import backward
 
 PRESET_NAMES = ("upmlm", "bert-like", "gpt-like")
@@ -192,9 +192,9 @@ def _sample_patterns(
 def train(config: RunConfig, log_every: int = 100, quiet: bool = False) -> TrainResult:
     """Run the configured training and write the checkpoint and loss log.
 
-    On a non-finite loss the most recent snapshot of the parameters is
-    written to the checkpoint path before raising, so a usable model is
-    always retained.
+    On a non-finite loss or gradient the most recent snapshot of the
+    parameters is written to the checkpoint path before raising
+    ``TrainingDiverged``, so a usable model is always retained.
     """
     corpus = ingest(
         config.corpus_path,
@@ -217,6 +217,15 @@ def train(config: RunConfig, log_every: int = 100, quiet: bool = False) -> Train
     losses: List[float] = []
     snapshot = {name: p.data.copy() for name, p in model.params.items()}
 
+    def diverged(problem: str, step: int) -> TrainingDiverged:
+        for name, p in model.params.items():
+            p.data = snapshot[name]
+        save_checkpoint(config.checkpoint_path, model, extra)
+        return TrainingDiverged(
+            f"{problem} at step {step}; last good checkpoint "
+            f"(step {max(0, step - step % config.training.snapshot_every)}) retained"
+        )
+
     for step in range(config.training.steps):
         idx = data_rng.integers(0, len(corpus), size=config.training.batch_size)
         batch = np.stack([corpus.sequences[i] for i in idx])
@@ -227,15 +236,12 @@ def train(config: RunConfig, log_every: int = 100, quiet: bool = False) -> Train
             loss_t = masked_batch_loss(model, batch, patterns, train=True, rng=drop_rng)
         loss = loss_t.item()
         if not math.isfinite(loss):
-            for name, p in model.params.items():
-                p.data = snapshot[name]
-            save_checkpoint(config.checkpoint_path, model, extra)
-            raise TrainingDiverged(
-                f"non-finite loss at step {step}; last good checkpoint "
-                f"(step {max(0, step - step % config.training.snapshot_every)}) retained"
-            )
+            raise diverged("non-finite loss", step)
         backward(loss_t)
-        opt.step(model.params)
+        try:
+            opt.step(model.params)
+        except NonFiniteGradient as e:
+            raise diverged(str(e).removeprefix("adam: "), step) from e
         model.zero_grad()
         losses.append(loss)
         if (step + 1) % config.training.snapshot_every == 0:

@@ -190,3 +190,21 @@ def test_bench_latency_emits_two_column_table(workspace, capsys):
 
 def test_unreadable_checkpoint_is_reported(workspace, capsys):
     assert main(["generate", "--checkpoint", str(workspace / "missing.ckpt"), "--length", "4"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-equivalence", "--n", "0"],
+        ["verify-equivalence", "--models", "0"],
+        ["make-corpus", "--out", "{tmp}/c.txt", "--bytes", "-5"],
+    ],
+    ids=["verify_n_0", "verify_models_0", "make_corpus_negative_bytes"],
+)
+def test_bad_flag_is_a_one_line_error(argv, tmp_path, capsys):
+    code = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "PASS" not in captured.out
+    assert not (tmp_path / "c.txt").exists()

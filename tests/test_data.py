@@ -12,6 +12,7 @@ from pmlm.data import (
     ingest,
     synthetic_lines,
     tokenize,
+    used_width,
     write_synthetic_corpus,
 )
 
@@ -116,3 +117,10 @@ def test_synthetic_corpus_is_deterministic_and_sized(tmp_path):
     corpus = ingest(path, "char", max_len=64)
     assert len(corpus.vocab) < 40  # small alphabet
     assert max(len(line) for line in a) <= 64
+
+
+def test_used_width_ends_at_the_last_non_pad_column():
+    P = PAD_ID
+    assert used_width(np.array([[3, P, 4, P, P], [5, P, P, P, P]])) == 3
+    assert used_width(np.array([[3, 4], [5, 6]])) == 2
+    assert used_width(np.array([[P, P, P]])) == 1

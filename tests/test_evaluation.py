@@ -114,6 +114,31 @@ def test_padding_never_changes_ppl():
     )
 
 
+def test_trimming_the_padded_tail_keeps_ppl(monkeypatch):
+    import pmlm.evaluation as evaluation_mod
+
+    seqs = [
+        [3, 4, 5, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID],
+        [6, 7, PAD_ID, 8, 9, PAD_ID, PAD_ID, PAD_ID],
+        [4, 4, 10, 11, PAD_ID, PAD_ID, PAD_ID, PAD_ID],
+    ]
+    corpus = make_corpus(seqs)
+    m = tiny_model(seed=9)
+    mc = tiny_model(seed=9, attention_mode="causal")
+
+    def scores():
+        return [
+            ppl_bidirectional(m, corpus, "sequential", seed=3).ppl,
+            ppl_bidirectional(m, corpus, "random", seed=3).ppl,
+            ppl_causal(mc, corpus).ppl,
+        ]
+
+    trimmed = scores()
+    monkeypatch.setattr(evaluation_mod, "used_width", lambda batch: batch.shape[1])
+    untrimmed = scores()
+    np.testing.assert_allclose(trimmed, untrimmed, rtol=1e-12, atol=0)
+
+
 def test_per_sequence_scores_independent_of_processing_order():
     m = tiny_model(seed=8)
     seqs = [[3, 4, 5], [6, 7, 8, 9], [4, 4]]

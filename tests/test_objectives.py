@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from scipy.special import log_softmax as sp_log_softmax
 
-from pmlm.data import MASK_ID
+from pmlm import tensor as T
+from pmlm.data import MASK_ID, PAD_ID
 from pmlm.masking import MaskingPrior, MaskPattern
 from pmlm.objectives import (
     aplm_exact_loss,
@@ -25,7 +26,7 @@ from pmlm.objectives import (
     pmlm_training_step,
     verify_equivalence,
 )
-from pmlm.tensor import backward
+from pmlm.tensor import Tensor, backward
 
 from helpers import tiny_model, uniform_output_model
 
@@ -418,3 +419,74 @@ def test_conditional_log_probs_matches_oracle():
     got = conditional_log_probs(m, x, positions)
     oracle = oracle_logp(m, x, positions)
     np.testing.assert_allclose(got, [oracle[1], oracle[3]], rtol=0, atol=1e-13)
+
+
+# the batch's all-[PAD] tail is cut before the forward; these pin that the
+# cut changes neither the loss nor any parameter gradient
+TRIM_BATCHES = {
+    "interior_pad": [
+        [3, 4, PAD_ID, 5, 6, PAD_ID, PAD_ID, PAD_ID],
+        [7, PAD_ID, 8, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID],
+        [9, 10, 11, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID],
+    ],
+    "no_padding": [
+        [3, 4, 5, 6, 7, 8, 9, 10],
+        [11, 10, 9, 8, 7, 6, 5, 4],
+    ],
+    "one_row_sets_width": [
+        [3, 4, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID],
+        [5, 6, 7, 8, 9, 10, PAD_ID, PAD_ID],
+        [11, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID],
+    ],
+}
+
+
+def _full_width_reference(m, inputs, targets, weights):
+    """Loss value and parameter gradients from a forward over every column."""
+    m.zero_grad()
+    logits = m.forward(inputs)
+    loss = T.sum_(T.cross_entropy_rows(logits, targets) * Tensor(weights))
+    backward(loss)
+    grads = {name: p.grad.copy() for name, p in m.params.items()}
+    m.zero_grad()
+    return loss.item(), grads
+
+
+def _assert_matches_reference(m, loss, ref_value, ref_grads):
+    backward(loss)
+    np.testing.assert_allclose(loss.item(), ref_value, rtol=1e-12, atol=0)
+    for name, p in m.params.items():
+        np.testing.assert_allclose(p.grad, ref_grads[name], rtol=0, atol=1e-10, err_msg=name)
+
+
+@pytest.mark.parametrize("kind", sorted(TRIM_BATCHES))
+def test_masked_batch_loss_matches_full_width_forward(kind):
+    m = tiny_model(seed=37)
+    batch = np.array(TRIM_BATCHES[kind])
+    b, n = batch.shape
+    rng = np.random.default_rng(12)
+    patterns = []
+    for row in batch:
+        maskable = np.flatnonzero(row != PAD_ID)
+        chosen = rng.choice(maskable, size=max(1, len(maskable) // 2), replace=False)
+        patterns.append(MaskPattern.from_indices(n, sorted(chosen), pad_flags=row == PAD_ID))
+    inputs = batch.copy()
+    weights = np.zeros((b, n))
+    for s, pattern in enumerate(patterns):
+        inputs[s, list(pattern.indices)] = MASK_ID
+        weights[s, list(pattern.indices)] = 1.0 / (b * pattern.k)
+    ref_value, ref_grads = _full_width_reference(m, inputs, batch, weights)
+    _assert_matches_reference(m, masked_batch_loss(m, batch, patterns), ref_value, ref_grads)
+
+
+@pytest.mark.parametrize("kind", sorted(TRIM_BATCHES))
+def test_causal_batch_loss_matches_full_width_forward(kind):
+    m = tiny_model(seed=38, attention_mode="causal")
+    batch = np.array(TRIM_BATCHES[kind])
+    pad = batch == PAD_ID
+    inputs = np.full_like(batch, MASK_ID)
+    inputs[:, 1:] = batch[:, :-1]
+    inputs[pad] = PAD_ID
+    weights = (~pad) / (batch.shape[0] * (~pad).sum(axis=1, keepdims=True))
+    ref_value, ref_grads = _full_width_reference(m, inputs, batch, weights)
+    _assert_matches_reference(m, causal_batch_loss(m, batch), ref_value, ref_grads)

@@ -78,6 +78,18 @@ def test_backward_accumulates_across_calls():
     np.testing.assert_allclose(x.grad, [2.0, 4.0], rtol=0, atol=1e-15)
 
 
+def test_backward_keeps_grad_on_leaves_only():
+    rng = np.random.default_rng(1)
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    hidden = x @ w
+    act = T.gelu(hidden)
+    loss = T.sum_(act)
+    backward(loss)
+    assert hidden.grad is None and act.grad is None and loss.grad is None
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
+
 def _check_grad(build, *tensors, seed_note=""):
     """Backprop through build() and compare every tensor's grad with central
     finite differences (h=1e-5, rel err < 1e-4)."""

@@ -136,6 +136,38 @@ def test_divergence_aborts_and_retains_checkpoint(corpus_file, tmp_path, monkeyp
     assert all(np.all(np.isfinite(p.data)) for p in model.params.values())
 
 
+def test_non_finite_gradient_aborts_and_retains_checkpoint(corpus_file, tmp_path, monkeypatch):
+    import pmlm.training as training_mod
+    from pmlm.training import TrainingDiverged
+
+    params, initial = {}, {}
+    real_init = training_mod.init_parameters
+    real_backward = training_mod.backward
+    calls = {"n": 0}
+
+    def capture_init(*args, **kwargs):
+        params.update(real_init(*args, **kwargs))
+        initial.update({name: p.data.copy() for name, p in params.items()})
+        return params
+
+    def poisoned(loss):
+        real_backward(loss)
+        calls["n"] += 1
+        if calls["n"] == 4:
+            params["out.b"].grad[0] = float("nan")
+
+    monkeypatch.setattr(training_mod, "init_parameters", capture_init)
+    monkeypatch.setattr(training_mod, "backward", poisoned)
+    ckpt = tmp_path / "diverged.ckpt"
+    config = preset("upmlm", str(corpus_file), str(ckpt), **small_overrides(10))
+    with pytest.raises(TrainingDiverged, match="non-finite gradient for parameter 'out.b' at step 3"):
+        train(config, quiet=True)
+    # the snapshot taken before step 0 is restored and written
+    model, _ = load_checkpoint(ckpt)
+    for name, p in model.params.items():
+        np.testing.assert_array_equal(p.data, initial[name], err_msg=name)
+
+
 def test_all_unmasked_prior_trains_at_zero_loss(corpus_file, tmp_path):
     # point mass at r=0 never masks anything; every step contributes zero
     config = preset(
