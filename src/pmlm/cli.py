@@ -211,8 +211,6 @@ def cmd_eval_ppl(args) -> int:
 
 
 def cmd_verify_equivalence(args) -> int:
-    if args.n < 1:
-        raise ValueError(f"--n must be at least 1, got {args.n}")
     if args.models < 1:
         raise ValueError(f"--models must be at least 1, got {args.models}")
     if args.checkpoint:

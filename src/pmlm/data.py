@@ -99,13 +99,17 @@ class Corpus:
         return int(sum(np.count_nonzero(s != PAD_ID) for s in self.sequences))
 
 
-def used_width(batch: np.ndarray) -> int:
-    """Index of the last column of a (B, N) batch holding a non-[PAD] token, plus one.
+def used_width(*batches: np.ndarray) -> int:
+    """Index of the last column in which any of the (B, N) batches holds a
+    non-[PAD] token, plus one.
 
-    The all-[PAD] columns after it change no logit before it, since [PAD]
-    keys get exactly zero attention weight. An all-[PAD] batch keeps one column.
+    Pass the inputs and the targets of one forward: a causal input is the
+    target shifted right, so it can end a column before the last target.
+    The all-[PAD] columns after the width change no logit before it, since
+    [PAD] keys get exactly zero attention weight. All-[PAD] batches keep
+    one column.
     """
-    used = np.flatnonzero((batch != PAD_ID).any(axis=0))
+    used = np.flatnonzero(np.any([(b != PAD_ID).any(axis=0) for b in batches], axis=0))
     return int(used[-1]) + 1 if used.size else 1
 
 

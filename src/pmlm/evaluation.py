@@ -76,13 +76,13 @@ class LatencyReport:
 def _batched_nll(model: Transformer, inputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Per-row NLL of targets under the model, chunked over the batch axis.
 
-    Each chunk runs up to its used width; the rows of its all-[PAD] input
-    tail are left at 0 and must not be read as scores.
+    Each chunk runs up to the used width of its inputs and targets; the
+    rows of its all-[PAD] tail are left at 0 and must not be read as scores.
     """
     out = np.zeros(targets.shape)
     for start in range(0, inputs.shape[0], _EVAL_CHUNK):
         sl = slice(start, start + _EVAL_CHUNK)
-        w = used_width(inputs[sl])
+        w = used_width(inputs[sl], targets[sl])
         logits = model.logits(inputs[sl, :w])
         with T.no_grad():
             out[sl, :w] = T.cross_entropy_rows(T.Tensor(logits), targets[sl, :w]).data

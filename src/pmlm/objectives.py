@@ -392,7 +392,7 @@ def _weighted_nll(
 ) -> Tensor:
     """sum(weights * NLL of targets) from one forward over the batch's used
     width; the all-[PAD] tail carries no loss weight and no attention weight."""
-    w = used_width(inputs)
+    w = used_width(inputs, targets)
     logits = model.forward(inputs[:, :w], train=train, rng=rng)
     nll = T.cross_entropy_rows(logits, targets[:, :w])
     return T.sum_(nll * Tensor(weights[:, :w]))

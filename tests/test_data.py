@@ -124,3 +124,5 @@ def test_used_width_ends_at_the_last_non_pad_column():
     assert used_width(np.array([[3, P, 4, P, P], [5, P, P, P, P]])) == 3
     assert used_width(np.array([[3, 4], [5, 6]])) == 2
     assert used_width(np.array([[P, P, P]])) == 1
+    # inputs [MASK, 3, P, P] end before their targets [3, P, 4, P]
+    assert used_width(np.array([[MASK_ID, 3, P, P]]), np.array([[3, P, 4, P]])) == 3

@@ -121,6 +121,7 @@ def test_trimming_the_padded_tail_keeps_ppl(monkeypatch):
         [3, 4, 5, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID],
         [6, 7, PAD_ID, 8, 9, PAD_ID, PAD_ID, PAD_ID],
         [4, 4, 10, 11, PAD_ID, PAD_ID, PAD_ID, PAD_ID],
+        [5, 3, 6, 7, 8, PAD_ID, 9, PAD_ID],
     ]
     corpus = make_corpus(seqs)
     m = tiny_model(seed=9)
@@ -134,7 +135,7 @@ def test_trimming_the_padded_tail_keeps_ppl(monkeypatch):
         ]
 
     trimmed = scores()
-    monkeypatch.setattr(evaluation_mod, "used_width", lambda batch: batch.shape[1])
+    monkeypatch.setattr(evaluation_mod, "used_width", lambda *batches: batches[0].shape[1])
     untrimmed = scores()
     np.testing.assert_allclose(trimmed, untrimmed, rtol=1e-12, atol=0)
 

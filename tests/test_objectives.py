@@ -438,6 +438,12 @@ TRIM_BATCHES = {
         [5, 6, 7, 8, 9, 10, PAD_ID, PAD_ID],
         [11, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID],
     ],
+    # the shifted causal input of the widest row ends one column before its
+    # last target, so the width must come from the targets too
+    "pad_before_last_token": [
+        [3, PAD_ID, 4, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID],
+        [5, 6, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID],
+    ],
 }
 
 
