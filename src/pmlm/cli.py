@@ -33,7 +33,7 @@ from .generation import (
 )
 from .model import Transformer, TransformerConfig
 from .objectives import verify_equivalence
-from .training import PRESET_NAMES, RunConfig, preset, train
+from .training import PRESET_NAMES, RunConfig, TrainingDiverged, preset, train
 
 
 def _write_json(path: Optional[str], payload: dict) -> None:
@@ -357,10 +357,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ValueError, OSError, TrainingDiverged) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -99,6 +99,17 @@ class Corpus:
         return int(sum(np.count_nonzero(s != PAD_ID) for s in self.sequences))
 
 
+def causal_inputs(batch: np.ndarray) -> np.ndarray:
+    """Teacher-forcing inputs for the (B, N) causal targets ``batch``: each
+    row shifted right by one with [MASK] first, and [PAD] wherever the
+    target is [PAD]."""
+    inputs = np.empty_like(batch)
+    inputs[:, 0] = MASK_ID
+    inputs[:, 1:] = batch[:, :-1]
+    inputs[batch == PAD_ID] = PAD_ID
+    return inputs
+
+
 def used_width(*batches: np.ndarray) -> int:
     """Index of the last column in which any of the (B, N) batches holds a
     non-[PAD] token, plus one.

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tensor as T
-from .data import Corpus, MASK_ID, PAD_ID, used_width
+from .data import Corpus, MASK_ID, PAD_ID, causal_inputs, used_width
 from .generation import GenerationConstraints, GenerationOrder, SamplerSpec, generate, sample_token
 from .model import Transformer
 
@@ -175,11 +175,7 @@ def ppl_causal(model: Transformer, corpus: Corpus, mode: str = "sequential") -> 
         ]
     )
     pad = batch == PAD_ID
-    inputs = np.empty_like(batch)
-    inputs[:, 0] = MASK_ID
-    inputs[:, 1:] = batch[:, :-1]
-    inputs[pad] = PAD_ID
-    nll = _batched_nll(model, inputs, batch)
+    nll = _batched_nll(model, causal_inputs(batch), batch)
     nll[pad] = 0.0
     counts = (~pad).sum(axis=1)
     if counts.sum() == 0:

@@ -9,25 +9,32 @@ Four losses share one convention (negative log-likelihood in nats):
 
 plus the order-averaged autoregressive loss over all n! generation orders
 and a verifier for the identity tying the uniform-prior expectation to it.
+The per-sequence losses are the batch losses on a one-row batch.
 
 Every conditional here is evaluated the same way: reveal a subset of the
 ground-truth tokens, place [MASK] everywhere else, run one bidirectional
 forward, and read the log-probability of the true token at a masked
 position. The causal loss uses [MASK] as the begin-of-sequence filler so
 the first token is predicted from an empty context.
+
+The two sides of the identity share one table of conditionals, one row per
+masked set, and differ only in their weighting: the masked side is an
+alpha-weighted sum over the 2^n sets, the autoregressive side a walk along
+all n! generation orders.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import tensor as T
-from .data import MASK_ID, PAD_ID, used_width
+from .data import MASK_ID, PAD_ID, causal_inputs, used_width
 from .masking import MaskingPrior, MaskPattern, enumerate_masks, mask_probability, sample_mask, sample_ratio
 from .model import Transformer
 from .tensor import Tensor
@@ -52,18 +59,6 @@ def _as_ids(x) -> np.ndarray:
     return ids
 
 
-def _log_softmax_np(rows: np.ndarray) -> np.ndarray:
-    shifted = rows - rows.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def masked_input(x: np.ndarray, positions: Sequence[int]) -> np.ndarray:
-    out = x.copy()
-    if len(positions):
-        out[list(positions)] = MASK_ID
-    return out
-
-
 def conditional_log_probs(model: Transformer, x, positions: Sequence[int]) -> np.ndarray:
     """log p(x_pos | ground truth everywhere outside ``positions``) per position.
 
@@ -71,14 +66,23 @@ def conditional_log_probs(model: Transformer, x, positions: Sequence[int]) -> np
     true tokens elsewhere; one bidirectional forward scores all of them.
     """
     ids = _as_ids(x)
-    logits = model.logits(masked_input(ids, positions))
-    logp = _log_softmax_np(logits[list(positions)])
-    return logp[np.arange(len(positions)), ids[list(positions)]]
+    pos = list(positions)
+    inputs = ids.copy()
+    inputs[pos] = MASK_ID
+    with T.no_grad():
+        return -T.cross_entropy_rows(model.forward(inputs).data[pos], ids[pos]).data
 
 
 # ---------------------------------------------------------------------------
 # per-sequence losses
 # ---------------------------------------------------------------------------
+
+
+def _loss_value(batch_loss: Callable[..., Tensor], count: int, with_grad: bool, *args, **kwargs) -> LossValue:
+    """``batch_loss(*args, **kwargs)``, recording the graph only when ``with_grad`` is set."""
+    with nullcontext() if with_grad else T.no_grad():
+        loss = batch_loss(*args, **kwargs)
+    return LossValue(loss.item(), count, tensor=loss if with_grad else None)
 
 
 def ar_loss(
@@ -98,27 +102,10 @@ def ar_loss(
     if not model.is_causal:
         raise ValueError("ar_loss requires a causal model")
     ids = _as_ids(x)
-    pad = ids == PAD_ID
-    scored = ~pad
-    count = int(scored.sum())
+    count = int(np.count_nonzero(ids != PAD_ID))
     if count == 0:
         raise ValueError("ar_loss: sequence is all padding")
-    inp = np.empty_like(ids)
-    inp[0] = MASK_ID
-    inp[1:] = ids[:-1]
-    inp[pad] = PAD_ID
-
-    def compute() -> Tensor:
-        logits = model.forward(inp, train=train, rng=rng)
-        nll = T.cross_entropy_rows(logits, ids)
-        return T.sum_(nll * Tensor(scored / count))
-
-    if with_grad:
-        loss = compute()
-    else:
-        with T.no_grad():
-            loss = compute()
-    return LossValue(loss.item(), count, tensor=loss if with_grad else None)
+    return _loss_value(causal_batch_loss, count, with_grad, model, ids[None, :], train=train, rng=rng)
 
 
 def mlm_loss(
@@ -138,21 +125,7 @@ def mlm_loss(
         raise ValueError(f"pattern length {pattern.n} does not match sequence length {len(ids)}")
     if pattern.k == 0:
         raise ValueError("mlm_loss is undefined for an empty mask (K=0)")
-
-    weights = np.zeros(len(ids))
-    weights[list(pattern.indices)] = 1.0 / pattern.k
-
-    def compute() -> Tensor:
-        logits = model.forward(masked_input(ids, pattern.indices), train=train, rng=rng)
-        nll = T.cross_entropy_rows(logits, ids)
-        return T.sum_(nll * Tensor(weights))
-
-    if with_grad:
-        loss = compute()
-    else:
-        with T.no_grad():
-            loss = compute()
-    return LossValue(loss.item(), pattern.k, tensor=loss if with_grad else None)
+    return _loss_value(masked_batch_loss, pattern.k, with_grad, model, ids[None, :], [pattern], train=train, rng=rng)
 
 
 def pmlm_training_step(
@@ -187,11 +160,54 @@ def pmlm_training_step(
 # ---------------------------------------------------------------------------
 
 
-def _require_exact_input(ids: np.ndarray, op: str) -> None:
+def _exact_input(x, op: str, limit: int) -> np.ndarray:
+    ids = _as_ids(x)
     if len(ids) == 0:
         raise ValueError(f"{op} needs a sequence of at least one token")
     if np.any(ids == PAD_ID):
         raise ValueError(f"{op} does not support padded sequences")
+    if len(ids) > limit:
+        raise ValueError(f"{op} enumerates every masked set and is capped at n <= {limit}")
+    return ids
+
+
+def _conditional_table(model: Transformer, ids: np.ndarray, patterns: List[MaskPattern]) -> np.ndarray:
+    """(2^n, n) table of conditionals, one row per pattern of
+    ``enumerate_masks(n)``: row ``bits`` holds log p(x_pos | ground truth
+    outside the set) at the set's positions and 0 elsewhere."""
+    table = np.zeros((len(patterns), len(ids)))
+    for bits, pattern in enumerate(patterns):
+        if pattern.k:
+            table[bits, list(pattern.indices)] = conditional_log_probs(model, ids, pattern.indices)
+    return table
+
+
+def _masked_sum(table: np.ndarray, patterns: List[MaskPattern], prior: MaskingPrior) -> float:
+    """sum over masks M of alpha_M (1/K) sum_{pos in M} log p; the K=0 and
+    alpha=0 patterns contribute nothing."""
+    total = 0.0
+    for bits, pattern in enumerate(patterns):
+        if pattern.k == 0:
+            continue
+        alpha = mask_probability(pattern, prior).alpha
+        if alpha == 0.0:
+            continue
+        total += alpha * table[bits, list(pattern.indices)].sum() / pattern.k
+    return total
+
+
+def _order_sum(table: np.ndarray) -> float:
+    """Total log-likelihood summed over all n! generation orders: each step
+    predicts one position with the not-yet-revealed set masked."""
+    n = table.shape[1]
+    rows = table.tolist()
+    total = 0.0
+    for sigma in itertools.permutations(range(n)):
+        bits = (1 << n) - 1
+        for pos in sigma:
+            total += rows[bits][pos]
+            bits &= ~(1 << pos)
+    return total
 
 
 def pmlm_exact_loss(model: Transformer, x, prior: MaskingPrior) -> LossValue:
@@ -199,32 +215,9 @@ def pmlm_exact_loss(model: Transformer, x, prior: MaskingPrior) -> LossValue:
 
     The K=0 pattern contributes zero by definition. Requires 2^n forwards.
     """
-    ids = _as_ids(x)
-    _require_exact_input(ids, "pmlm_exact_loss")
-    n = len(ids)
-    if n > PMLM_EXACT_LIMIT:
-        raise ValueError(f"pmlm_exact_loss enumerates 2^n forwards and is capped at n <= {PMLM_EXACT_LIMIT}")
-    total = 0.0
-    for pattern in enumerate_masks(n):
-        if pattern.k == 0:
-            continue
-        alpha = mask_probability(pattern, prior).alpha
-        if alpha == 0.0:
-            continue
-        logp = conditional_log_probs(model, ids, pattern.indices)
-        total += alpha * logp.sum() / pattern.k
-    return LossValue(-total, n)
-
-
-def _masked_logprob_table(model: Transformer, ids: np.ndarray) -> Dict[int, Dict[int, float]]:
-    """For every nonempty masked set S (as a bitmask): position -> log p(x_pos | rest)."""
-    n = len(ids)
-    table: Dict[int, Dict[int, float]] = {}
-    for bits in range(1, 1 << n):
-        positions = [i for i in range(n) if (bits >> i) & 1]
-        logp = conditional_log_probs(model, ids, positions)
-        table[bits] = {pos: float(lp) for pos, lp in zip(positions, logp)}
-    return table
+    ids = _exact_input(x, "pmlm_exact_loss", PMLM_EXACT_LIMIT)
+    patterns = enumerate_masks(len(ids))
+    return LossValue(-_masked_sum(_conditional_table(model, ids, patterns), patterns, prior), len(ids))
 
 
 def aplm_exact_loss(model: Transformer, x) -> LossValue:
@@ -235,19 +228,10 @@ def aplm_exact_loss(model: Transformer, x) -> LossValue:
     no separate causal model is involved. Value is the mean NLL per token
     per order: -(1/(n n!)) sum over orders and steps.
     """
-    ids = _as_ids(x)
-    _require_exact_input(ids, "aplm_exact_loss")
+    ids = _exact_input(x, "aplm_exact_loss", APLM_LIMIT)
     n = len(ids)
-    if n > APLM_LIMIT:
-        raise ValueError(f"aplm_exact_loss enumerates n! orders and is capped at n <= {APLM_LIMIT}")
-    table = _masked_logprob_table(model, ids)
-    total = 0.0
-    for sigma in itertools.permutations(range(n)):
-        bits = (1 << n) - 1
-        for pos in sigma:
-            total += table[bits][pos]
-            bits &= ~(1 << pos)
-    return LossValue(-total / (n * math.factorial(n)), n)
+    table = _conditional_table(model, ids, enumerate_masks(n))
+    return LossValue(-_order_sum(table) / (n * math.factorial(n)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -328,35 +312,22 @@ def verify_equivalence(model: Transformer, x, tolerance: float = 1e-9) -> Equiva
     """Check (n+1) * sum_M alpha_M (1/K) sum_k log p == mean over all orders
     of the total autoregressive log-likelihood, for this model and sequence.
 
-    Both sides are computed by genuinely different enumerations: the left by
-    summing over the 2^n mask patterns weighted with the analytic alpha, the
-    right by walking all n! generation orders. The report records both
-    normalization conventions: the permutation mean shown here, and the same
-    sum divided by c = (n+1)!, under which the right side equals the left
-    without the (n+1) factor.
+    Both sides read one table of conditionals and weight it differently: the
+    left sums it over the 2^n mask patterns with the analytic alpha, the
+    right walks it along all n! generation orders. The duplication audit
+    counts the conditionals of the orders in integers, without the table.
+    The report records both normalization conventions: the permutation mean
+    shown here, and the same sum divided by c = (n+1)!, under which the
+    right side equals the left without the (n+1) factor.
     """
-    ids = _as_ids(x)
-    _require_exact_input(ids, "verify_equivalence")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"verify_equivalence needs a finite tolerance above 0, got {tolerance}")
+    ids = _exact_input(x, "verify_equivalence", APLM_LIMIT)
     n = len(ids)
-    if n > APLM_LIMIT:
-        raise ValueError(f"verify_equivalence is capped at n <= {APLM_LIMIT}")
-
-    prior = MaskingPrior.uniform()
-    masked_sum = 0.0  # sum_M alpha_M (1/K) sum_k log p
-    for pattern in enumerate_masks(n):
-        if pattern.k == 0:
-            continue
-        alpha = mask_probability(pattern, prior).alpha
-        logp = conditional_log_probs(model, ids, pattern.indices)
-        masked_sum += alpha * logp.sum() / pattern.k
-
-    table = _masked_logprob_table(model, ids)
-    perm_total = 0.0
-    for sigma in itertools.permutations(range(n)):
-        bits = (1 << n) - 1
-        for pos in sigma:
-            perm_total += table[bits][pos]
-            bits &= ~(1 << pos)
+    patterns = enumerate_masks(n)
+    table = _conditional_table(model, ids, patterns)
+    masked_sum = _masked_sum(table, patterns, MaskingPrior.uniform())
+    perm_total = _order_sum(table)
     perm_mean = perm_total / math.factorial(n)
 
     gap = abs((n + 1) * masked_sum - perm_mean)
@@ -443,9 +414,5 @@ def causal_batch_loss(
     counts = (~pad).sum(axis=1)
     if np.any(counts == 0):
         raise ValueError("causal_batch_loss: a sequence is all padding")
-    inputs = np.empty_like(batch)
-    inputs[:, 0] = MASK_ID
-    inputs[:, 1:] = batch[:, :-1]
-    inputs[pad] = PAD_ID
     weights = (~pad) / (b * counts[:, None])
-    return _weighted_nll(model, inputs, batch, weights, train=train, rng=rng)
+    return _weighted_nll(model, causal_inputs(batch), batch, weights, train=train, rng=rng)

@@ -100,6 +100,10 @@ class Tensor:
         return neg(self)
 
 
+class NonFiniteLogits(ValueError):
+    pass
+
+
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -356,7 +360,7 @@ def cross_entropy_rows(logits, targets) -> Tensor:
     if t.shape != logits.shape[:-1]:
         raise _shape_error("cross_entropy", logits.shape, t.shape)
     if not np.all(np.isfinite(logits.data)):
-        raise ValueError("cross_entropy: non-finite logits")
+        raise NonFiniteLogits("cross_entropy: non-finite logits")
     if np.any(t < 0) or np.any(t >= logits.shape[-1]):
         raise ValueError(f"cross_entropy: target id out of range for {logits.shape[-1]} classes")
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)

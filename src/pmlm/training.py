@@ -27,7 +27,7 @@ from .masking import MaskPattern, MaskingPrior, sample_mask, sample_ratio
 from .model import Transformer, TransformerConfig, init_parameters
 from .objectives import causal_batch_loss, masked_batch_loss
 from .optim import Adam, NonFiniteGradient
-from .tensor import backward
+from .tensor import NonFiniteLogits, backward
 
 PRESET_NAMES = ("upmlm", "bert-like", "gpt-like")
 K0_POLICIES = ("resample_once", "accept")
@@ -192,7 +192,7 @@ def _sample_patterns(
 def train(config: RunConfig, log_every: int = 100, quiet: bool = False) -> TrainResult:
     """Run the configured training and write the checkpoint and loss log.
 
-    On a non-finite loss or gradient the most recent snapshot of the
+    On non-finite logits, loss or gradient the most recent snapshot of the
     parameters is written to the checkpoint path before raising
     ``TrainingDiverged``, so a usable model is always retained.
     """
@@ -229,11 +229,14 @@ def train(config: RunConfig, log_every: int = 100, quiet: bool = False) -> Train
     for step in range(config.training.steps):
         idx = data_rng.integers(0, len(corpus), size=config.training.batch_size)
         batch = np.stack([corpus.sequences[i] for i in idx])
-        if model.is_causal:
-            loss_t = causal_batch_loss(model, batch, train=True, rng=drop_rng)
-        else:
-            patterns = _sample_patterns(batch, config.prior, mask_rng, config.training.k0_policy)
-            loss_t = masked_batch_loss(model, batch, patterns, train=True, rng=drop_rng)
+        try:
+            if model.is_causal:
+                loss_t = causal_batch_loss(model, batch, train=True, rng=drop_rng)
+            else:
+                patterns = _sample_patterns(batch, config.prior, mask_rng, config.training.k0_policy)
+                loss_t = masked_batch_loss(model, batch, patterns, train=True, rng=drop_rng)
+        except NonFiniteLogits as e:
+            raise diverged(str(e).removeprefix("cross_entropy: "), step) from e
         loss = loss_t.item()
         if not math.isfinite(loss):
             raise diverged("non-finite loss", step)

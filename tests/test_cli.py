@@ -198,8 +198,14 @@ def test_unreadable_checkpoint_is_reported(workspace, capsys):
         ["verify-equivalence", "--n", "0"],
         ["verify-equivalence", "--models", "0"],
         ["make-corpus", "--out", "{tmp}/c.txt", "--bytes", "-5"],
+        ["verify-equivalence", "--tolerance", "inf"],
+        ["verify-equivalence", "--tolerance", "nan"],
+        ["verify-equivalence", "--tolerance", "-1"],
     ],
-    ids=["verify_n_0", "verify_models_0", "make_corpus_negative_bytes"],
+    ids=[
+        "verify_n_0", "verify_models_0", "make_corpus_negative_bytes",
+        "verify_tolerance_inf", "verify_tolerance_nan", "verify_tolerance_negative",
+    ],
 )
 def test_bad_flag_is_a_one_line_error(argv, tmp_path, capsys):
     code = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
@@ -208,3 +214,24 @@ def test_bad_flag_is_a_one_line_error(argv, tmp_path, capsys):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "PASS" not in captured.out
     assert not (tmp_path / "c.txt").exists()
+
+
+def test_diverging_training_is_a_one_line_error_and_keeps_a_checkpoint(workspace, capsys):
+    import numpy as np
+
+    from pmlm.checkpoint import load_checkpoint
+
+    ckpt = workspace / "diverged.ckpt"
+    code = main([
+        "train", "--preset", "upmlm", "--corpus", str(workspace / "corpus.txt"),
+        "--checkpoint", str(ckpt), "--learning-rate", "1e150",
+        "--steps", "20", "--batch-size", "4", "--max-len", "16", "--quiet",
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: non-finite logits at step 1; last good checkpoint (step 0) retained"
+    ]
+    assert "Traceback" not in err
+    model, _ = load_checkpoint(ckpt)
+    assert all(np.all(np.isfinite(p.data)) for p in model.params.values())

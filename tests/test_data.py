@@ -8,6 +8,7 @@ from pmlm.data import (
     PAD_ID,
     UNK_ID,
     Vocabulary,
+    causal_inputs,
     detokenize,
     ingest,
     synthetic_lines,
@@ -126,3 +127,9 @@ def test_used_width_ends_at_the_last_non_pad_column():
     assert used_width(np.array([[P, P, P]])) == 1
     # inputs [MASK, 3, P, P] end before their targets [3, P, 4, P]
     assert used_width(np.array([[MASK_ID, 3, P, P]]), np.array([[3, P, 4, P]])) == 3
+
+
+def test_causal_inputs_shift_right_and_keep_target_padding():
+    P = PAD_ID
+    got = causal_inputs(np.array([[3, P, 4], [5, 6, P]]))
+    np.testing.assert_array_equal(got, [[MASK_ID, P, P], [MASK_ID, 5, P]])

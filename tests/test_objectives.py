@@ -298,6 +298,8 @@ def test_equivalence_holds_for_every_length(n):
     assert report.max_abs_gap < 1e-9, report.max_abs_gap
     assert report.duplication_ok and report.passed
     assert report.constant_c == math.factorial(n + 1)
+    assert report.pmlm_exact == pmlm_exact_loss(m, x, MaskingPrior.uniform()).value
+    assert report.aplm_mean == aplm_exact_loss(m, x).value
 
 
 def test_equivalence_relates_the_two_loss_values():
