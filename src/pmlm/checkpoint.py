@@ -16,10 +16,12 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from .data import json_object
 from .model import Transformer, TransformerConfig, parameter_shapes
 from .tensor import Tensor
 
 _DTYPE_TAG = "f64"
+_TENSOR_KEYS = ("shape", "dtype", "byte_offset")
 
 
 def checkpoint_bytes(model: Transformer, extra_config: Optional[dict] = None) -> bytes:
@@ -61,9 +63,11 @@ def load_checkpoint(path) -> Tuple[Transformer, dict]:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ValueError(f"checkpoint {path}: malformed header: {e}") from e
     payload = raw[sep + 1 :]
+    json_object(header, f"checkpoint {path}: header", ("config", "tensors"), ("config", "tensors"))
+    json_object(header["config"], f"checkpoint {path}: header config", required=("model",))
     config = TransformerConfig.from_dict(header["config"]["model"])
     expected = parameter_shapes(config)
-    entries = header["tensors"]
+    entries = json_object(header["tensors"], f"checkpoint {path}: header tensors")
     if set(entries) != set(expected):
         raise ValueError(
             f"checkpoint {path}: tensor names do not match the stored config "
@@ -72,6 +76,7 @@ def load_checkpoint(path) -> Tuple[Transformer, dict]:
         )
     params: Dict[str, Tensor] = {}
     for name, meta in entries.items():
+        json_object(meta, f"checkpoint {path}: tensor '{name}'", _TENSOR_KEYS, _TENSOR_KEYS)
         if meta["dtype"] != _DTYPE_TAG:
             raise ValueError(f"checkpoint {path}: tensor '{name}' has dtype {meta['dtype']}, expected {_DTYPE_TAG}")
         shape = tuple(meta["shape"])

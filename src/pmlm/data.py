@@ -6,6 +6,7 @@ Special token ids are fixed so checkpoints stay portable:
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -196,3 +197,24 @@ def write_synthetic_corpus(path, n_bytes: int = 100_000, seed: int = 0) -> Path:
     p.parent.mkdir(parents=True, exist_ok=True)
     p.write_text("\n".join(synthetic_lines(n_bytes, seed)) + "\n", encoding="utf-8")
     return p
+
+
+def json_object(value, what: str, keys=None, required=()) -> dict:
+    """``value`` if it is a JSON object (a dict) that has every key in
+    ``required`` and no key outside ``keys`` (any key if None); otherwise a
+    ValueError naming ``what``. A dataclass as ``keys`` stands for its
+    fields, all of them allowed and those without a default required."""
+    if dataclasses.is_dataclass(keys):
+        fields = dataclasses.fields(keys)
+        keys = [f.name for f in fields]
+        none = dataclasses.MISSING
+        required = [f.name for f in fields if f.default is none and f.default_factory is none]
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    unknown = sorted(set(value) - set(keys)) if keys is not None else []
+    if unknown:
+        raise ValueError(f"{what} has unknown key(s) {unknown}")
+    missing = [k for k in required if k not in value]
+    if missing:
+        raise ValueError(f"{what} lacks key(s) {missing}")
+    return value

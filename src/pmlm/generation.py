@@ -271,22 +271,18 @@ def replay_trace(
     sampler: SamplerSpec = SamplerSpec(),
     rng: Optional[np.random.Generator] = None,
 ) -> np.ndarray:
-    """Re-execute a trace step by step and fail loudly on any divergence.
+    """Re-run a trace's order and anchors and fail loudly on any divergence.
 
     With the greedy sampler this is fully deterministic; for stochastic
     samplers pass an rng seeded identically to the original run.
     """
-    seq = np.full(trace.target_length, MASK_ID, dtype=np.int64)
-    for pos, tok in trace.anchors.items():
-        seq[pos] = tok
-    for s in trace.steps:
-        logits = model.logits(seq)
-        token = sample_token(logits[s.position], sampler, rng)
-        if token != s.token:
+    constraints = GenerationConstraints(trace.target_length, trace.anchors)
+    seq, replayed = generate(model, constraints, GenerationOrder.explicit(trace.order), sampler, rng)
+    for s, r in zip(trace.steps, replayed.steps):
+        if r.token != s.token:
             raise ValueError(
-                f"trace replay diverged at step {s.step}: recorded token {s.token}, replayed {token}"
+                f"trace replay diverged at step {s.step}: recorded token {s.token}, replayed {r.token}"
             )
-        seq[s.position] = token
-        if tuple(int(t) for t in seq) != s.snapshot:
+        if r.snapshot != s.snapshot:
             raise ValueError(f"trace replay snapshot mismatch at step {s.step}")
     return seq

@@ -19,6 +19,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 from scipy import integrate
 
+from .data import json_object
+
 PRIOR_KINDS = ("uniform", "point_mass", "truncated_uniform")
 
 ENUMERATION_LIMIT = 16
@@ -77,7 +79,7 @@ class MaskingPrior:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MaskingPrior":
-        return cls(**d)
+        return cls(**json_object(d, "prior", cls))
 
 
 def sample_ratio(prior: MaskingPrior, rng: np.random.Generator) -> float:

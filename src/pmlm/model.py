@@ -14,10 +14,9 @@ from dataclasses import asdict, dataclass
 from typing import Dict, Optional
 
 import numpy as np
-from scipy.special import erf
 
 from . import tensor as T
-from .data import PAD_ID
+from .data import PAD_ID, json_object
 from .tensor import Tensor
 
 ATTENTION_MODES = ("bidirectional", "causal")
@@ -64,7 +63,7 @@ class TransformerConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TransformerConfig":
-        return cls(**d)
+        return cls(**json_object(d, "model config", cls))
 
 
 def parameter_shapes(cfg: TransformerConfig) -> Dict[str, tuple]:
@@ -109,13 +108,14 @@ def init_parameters(cfg: TransformerConfig, rng: np.random.Generator) -> Dict[st
     return params
 
 
-def relative_attention_bias(distance_table: Tensor, n: int, window: Optional[int] = None) -> Tensor:
+def relative_attention_bias(distance_table, n: int, window: Optional[int] = None, *, start: int = 0, ops=T):
     """Per-head additive attention bias from clamped relative distances.
 
     distance_table (2*window+1, heads); entry [i][j] of the result is
-    table[clamp(j - i, -window, window) + window], so the bias depends only
-    on the clamped offset and is translation invariant away from the clamp.
-    Returns (heads, n, n).
+    table[clamp(j - i, -window, window) + window] for query row i in
+    start..n-1 and key j in 0..n-1, so the bias depends only on the clamped
+    offset and is translation invariant away from the clamp.
+    Returns (heads, n - start, n).
     """
     rows = distance_table.shape[0]
     if window is None:
@@ -124,20 +124,23 @@ def relative_attention_bias(distance_table: Tensor, n: int, window: Optional[int
         raise ValueError(
             f"distance table must have 2*window+1 rows with window >= 1, got {rows} rows"
         )
-    offsets = np.arange(n)[None, :] - np.arange(n)[:, None]
+    offsets = np.arange(n)[None, :] - np.arange(start, n)[:, None]
     idx = np.clip(offsets, -window, window) + window
-    return T.transpose(T.take(distance_table, idx, name="rel_bias"), (2, 0, 1))
+    return ops.transpose(ops.take(distance_table, idx, name="rel_bias"), (2, 0, 1))
 
 
 class DecodeCache:
-    """Per-layer key/value cache for incremental causal decoding."""
+    """Per-layer key/value cache for incremental causal decoding:
+    (1, heads, max_len, head_dim) arrays whose first ``length`` positions
+    hold the keys and values of ``tokens``."""
 
     def __init__(self, cfg: TransformerConfig):
         self.config = cfg
         self.length = 0
         self.tokens: list[int] = []
-        self.k = [np.zeros((cfg.heads, cfg.max_len, cfg.head_dim)) for _ in range(cfg.layers)]
-        self.v = [np.zeros((cfg.heads, cfg.max_len, cfg.head_dim)) for _ in range(cfg.layers)]
+        shape = (1, cfg.heads, cfg.max_len, cfg.head_dim)
+        self.k = [np.zeros(shape) for _ in range(cfg.layers)]
+        self.v = [np.zeros(shape) for _ in range(cfg.layers)]
 
 
 class Transformer:
@@ -163,9 +166,6 @@ class Transformer:
     @property
     def is_causal(self) -> bool:
         return self.config.attention_mode == "causal"
-
-    def parameters(self) -> Dict[str, Tensor]:
-        return self.params
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -210,59 +210,82 @@ class Transformer:
         if single:
             ids = ids[None, :]
         self._validate_tokens(ids)
-        batch, n = ids.shape
-        p = self.params
         drop = cfg.dropout_rate if train else 0.0
         if drop > 0.0 and rng is None:
             raise ValueError("forward: training with dropout requires an rng")
-
-        h = T.take(p["tok_emb"], ids, name="tok_emb")
-        if cfg.positional_kind == "absolute":
-            h = h + T.take(p["pos_emb"], np.arange(n), name="pos_emb")
-        h = T.dropout(h, drop, rng)
-
-        # additive pre-softmax mask: pad keys always, upper triangle if causal
-        mask = np.where(ids == PAD_ID, T.NEG_INF, 0.0)[:, None, None, :]
-        if cfg.attention_mode == "causal":
-            mask = mask + np.triu(np.full((n, n), T.NEG_INF), k=1)[None, None, :, :]
-        mask_t = Tensor(mask)
-
-        rel: Optional[Tensor] = None
-        if cfg.positional_kind == "relative":
-            rel = relative_attention_bias(p["rel_bias"], n, cfg.relative_window)
-
-        scale = 1.0 / math.sqrt(cfg.head_dim)
-        for i in range(cfg.layers):
-            pre = f"layers.{i}."
-            x = T.layer_norm(h) * p[pre + "ln1.gain"] + p[pre + "ln1.bias"]
-            heads = []
-            for w in ("q", "k", "v"):
-                proj = x @ p[pre + f"attn.w{w}"] + p[pre + f"attn.b{w}"]
-                proj = T.reshape(proj, (batch, n, cfg.heads, cfg.head_dim))
-                heads.append(T.transpose(proj, (0, 2, 1, 3)))
-            q, k, v = heads
-            scores = (q @ T.transpose(k, (0, 1, 3, 2))) * scale
-            scores = scores + mask_t
-            if rel is not None:
-                scores = scores + rel
-            attn = T.dropout(T.softmax(scores), drop, rng)
-            ctx = T.reshape(T.transpose(attn @ v, (0, 2, 1, 3)), (batch, n, cfg.hidden_size))
-            h = h + T.dropout(ctx @ p[pre + "attn.wo"] + p[pre + "attn.bo"], drop, rng)
-
-            x = T.layer_norm(h) * p[pre + "ln2.gain"] + p[pre + "ln2.bias"]
-            f = T.gelu(x @ p[pre + "ffn.w_in"] + p[pre + "ffn.b_in"])
-            h = h + T.dropout(f @ p[pre + "ffn.w_out"] + p[pre + "ffn.b_out"], drop, rng)
-
-        x = T.layer_norm(h) * p["ln_f.gain"] + p["ln_f.bias"]
-        logits = x @ p["out.w"] + p["out.b"]
+        logits = self._run(T, self.params, ids, drop=drop, rng=rng)
         if single:
-            logits = T.reshape(logits, (n, cfg.vocab_size))
+            logits = T.reshape(logits, (ids.shape[1], cfg.vocab_size))
         return logits
 
     def logits(self, tokens) -> np.ndarray:
         """Evaluation-mode forward without graph recording."""
         with T.no_grad():
             return self.forward(tokens).data
+
+    def _run(self, ops, p, ids: np.ndarray, *, start: int = 0, drop: float = 0.0, rng=None, cache=None):
+        """Embedding, blocks and head over ``ops``: logits (B, n - start, vocab)
+        for query rows start..n-1 of ``ids`` (B, n).
+
+        ``ops`` is ``pmlm.tensor`` with the parameter Tensors as ``p``, or
+        ``tensor.array_ops`` with their arrays. Without a cache, start is 0.
+        With one, rows start..n-1 write their keys and values into it and
+        attend to the cached keys and values of positions 0..start-1.
+        """
+        cfg = self.config
+        batch, n = ids.shape
+        rows = n - start
+        h = ops.take(p["tok_emb"], ids[:, start:], name="tok_emb")
+        if cfg.positional_kind == "absolute":
+            h = h + ops.take(p["pos_emb"], np.arange(start, n), name="pos_emb")
+        h = ops.dropout(h, drop, rng)
+
+        # additive pre-softmax bias: [PAD] keys, and keys after the query if
+        # causal; a term that would be all zero is left out
+        bias = None
+        pad = ids == PAD_ID
+        if pad.any():
+            bias = np.where(pad, T.NEG_INF, 0.0)[:, None, None, :]
+        if self.is_causal and rows > 1:
+            future = np.triu(np.full((rows, n), T.NEG_INF), k=start + 1)
+            bias = future if bias is None else bias + future
+        rel = None
+        if cfg.positional_kind == "relative":
+            rel = relative_attention_bias(p["rel_bias"], n, cfg.relative_window, start=start, ops=ops)
+
+        scale = 1.0 / math.sqrt(cfg.head_dim)
+        for i in range(cfg.layers):
+            pre = f"layers.{i}."
+            x = ops.layer_norm(h) * p[pre + "ln1.gain"] + p[pre + "ln1.bias"]
+            q, k, v = [
+                ops.transpose(
+                    ops.reshape(
+                        x @ p[pre + f"attn.w{w}"] + p[pre + f"attn.b{w}"],
+                        (batch, rows, cfg.heads, cfg.head_dim),
+                    ),
+                    (0, 2, 1, 3),
+                )
+                for w in "qkv"
+            ]
+            if cache is not None:
+                cache.k[i][:, :, start:n] = k
+                cache.v[i][:, :, start:n] = v
+                k, v = cache.k[i][:, :, :n], cache.v[i][:, :, :n]
+            scores = (q @ ops.transpose(k, (0, 1, 3, 2))) * scale
+            if bias is not None:
+                scores = scores + bias
+            if rel is not None:
+                scores = scores + rel
+            attn = ops.dropout(ops.softmax(scores), drop, rng)
+            ctx = ops.reshape(ops.transpose(attn @ v, (0, 2, 1, 3)), (batch, rows, cfg.hidden_size))
+            h = h + ops.dropout(ctx @ p[pre + "attn.wo"] + p[pre + "attn.bo"], drop, rng)
+
+            x = ops.layer_norm(h) * p[pre + "ln2.gain"] + p[pre + "ln2.bias"]
+            f = ops.gelu(x @ p[pre + "ffn.w_in"] + p[pre + "ffn.b_in"])
+            h = h + ops.dropout(f @ p[pre + "ffn.w_out"] + p[pre + "ffn.b_out"], drop, rng)
+
+        x = ops.layer_norm(h) * p["ln_f.gain"] + p["ln_f.bias"]
+        return x @ p["out.w"] + p["out.b"]
 
     # ------------------------------------------------------------------
     # incremental forward (causal decode path)
@@ -274,9 +297,10 @@ class Transformer:
         """Logit row for the last prefix position, reusing cached keys/values.
 
         Only causal attention admits this: later tokens cannot change the
-        hidden states of earlier ones, so each call processes just the
-        positions the cache has not seen. Bidirectional models must rerun a
-        full forward after every new token and are rejected here.
+        hidden states of earlier ones, so each call runs the block on just
+        the positions the cache has not seen, on plain arrays. Bidirectional
+        models must rerun a full forward after every new token and are
+        rejected here.
         """
         cfg = self.config
         if cfg.attention_mode != "causal":
@@ -297,57 +321,11 @@ class Transformer:
         n = ids.shape[0]
         if n < cache.length or list(ids[: cache.length]) != cache.tokens:
             raise ValueError("forward_incremental: prefix does not extend the cached prefix")
+        if n == cache.length:
+            raise ValueError("forward_incremental: no new positions beyond the cache")
 
-        p = self.params
-        scale = 1.0 / math.sqrt(cfg.head_dim)
-        logits_row: Optional[np.ndarray] = None
-        for t in range(cache.length, n):
-            h = p["tok_emb"].data[ids[t]]
-            if cfg.positional_kind == "absolute":
-                h = h + p["pos_emb"].data[t]
-            for i in range(cfg.layers):
-                pre = f"layers.{i}."
-                x = _ln_affine(h, p[pre + "ln1.gain"].data, p[pre + "ln1.bias"].data)
-                q = (x @ p[pre + "attn.wq"].data + p[pre + "attn.bq"].data).reshape(
-                    cfg.heads, cfg.head_dim
-                )
-                k = (x @ p[pre + "attn.wk"].data + p[pre + "attn.bk"].data).reshape(
-                    cfg.heads, cfg.head_dim
-                )
-                v = (x @ p[pre + "attn.wv"].data + p[pre + "attn.bv"].data).reshape(
-                    cfg.heads, cfg.head_dim
-                )
-                cache.k[i][:, t, :] = k
-                cache.v[i][:, t, :] = v
-                keys = cache.k[i][:, : t + 1, :]
-                vals = cache.v[i][:, : t + 1, :]
-                scores = np.einsum("hd,htd->ht", q, keys) * scale
-                if cfg.positional_kind == "relative":
-                    off = np.clip(np.arange(t + 1) - t, -cfg.relative_window, cfg.relative_window)
-                    scores = scores + p["rel_bias"].data[off + cfg.relative_window].T
-                scores -= scores.max(axis=-1, keepdims=True)
-                attn = np.exp(scores)
-                attn /= attn.sum(axis=-1, keepdims=True)
-                ctx = np.einsum("ht,htd->hd", attn, vals).reshape(cfg.hidden_size)
-                h = h + ctx @ p[pre + "attn.wo"].data + p[pre + "attn.bo"].data
-
-                x = _ln_affine(h, p[pre + "ln2.gain"].data, p[pre + "ln2.bias"].data)
-                f = _gelu_np(x @ p[pre + "ffn.w_in"].data + p[pre + "ffn.b_in"].data)
-                h = h + f @ p[pre + "ffn.w_out"].data + p[pre + "ffn.b_out"].data
-            x = _ln_affine(h, p["ln_f.gain"].data, p["ln_f.bias"].data)
-            logits_row = x @ p["out.w"].data + p["out.b"].data
+        params = {name: t.data for name, t in self.params.items()}
+        logits = self._run(T.array_ops, params, ids[None, :], start=cache.length, cache=cache)
         cache.length = n
         cache.tokens = list(ids)
-        if logits_row is None:
-            raise ValueError("forward_incremental: no new positions beyond the cache")
-        return logits_row, cache
-
-
-def _ln_affine(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * gain + bias
-
-
-def _gelu_np(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+        return logits[0, -1], cache

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .checkpoint import save_checkpoint
-from .data import Corpus, PAD_ID, ingest
+from .data import Corpus, PAD_ID, ingest, json_object
 from .masking import MaskPattern, MaskingPrior, sample_mask, sample_ratio
 from .model import Transformer, TransformerConfig, init_parameters
 from .objectives import causal_batch_loss, masked_batch_loss
@@ -30,7 +30,6 @@ from .optim import Adam, NonFiniteGradient
 from .tensor import NonFiniteLogits, backward
 
 PRESET_NAMES = ("upmlm", "bert-like", "gpt-like")
-K0_POLICIES = ("resample_once", "accept")
 
 _MODEL_FIELDS = (
     "max_len",
@@ -55,7 +54,6 @@ class TrainingSettings:
     batch_size: int = 16
     learning_rate: float = 1e-3
     seed: int = 0
-    k0_policy: str = "resample_once"
     snapshot_every: int = 200
 
     def __post_init__(self):
@@ -63,8 +61,10 @@ class TrainingSettings:
             raise ValueError("a training seed is required")
         if self.steps < 1 or self.batch_size < 1:
             raise ValueError("steps and batch_size must be positive")
-        if self.k0_policy not in K0_POLICIES:
-            raise ValueError(f"k0_policy must be one of {K0_POLICIES}")
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "TrainingSettings":
+        return cls(**json_object(d, "run config training", cls))
 
 
 @dataclass
@@ -80,9 +80,7 @@ class RunConfig:
     loss_log_path: Optional[str] = None
 
     def __post_init__(self):
-        unknown = set(self.model) - set(_MODEL_FIELDS)
-        if unknown:
-            raise ValueError(f"unknown model settings: {sorted(unknown)}")
+        json_object(self.model, "run config model", _MODEL_FIELDS)
         mode = self.model.get("attention_mode", "bidirectional")
         if mode == "causal" and self.prior is not None:
             raise ValueError(
@@ -110,11 +108,10 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(d)
-        prior = d.get("prior")
-        d["prior"] = MaskingPrior.from_dict(prior) if prior else None
-        training = d.get("training") or {}
-        d["training"] = TrainingSettings(**training)
+        d = dict(json_object(d, "run config", cls))
+        prior, training = d.get("prior"), d.get("training")
+        d["prior"] = None if prior is None else MaskingPrior.from_dict(prior)
+        d["training"] = TrainingSettings.from_dict({} if training is None else training)
         return cls(**d)
 
     @classmethod
@@ -176,14 +173,13 @@ class TrainResult:
     corpus: Corpus
 
 
-def _sample_patterns(
-    batch: np.ndarray, prior: MaskingPrior, rng: np.random.Generator, k0_policy: str
-) -> List[MaskPattern]:
+def _sample_patterns(batch: np.ndarray, prior: MaskingPrior, rng: np.random.Generator) -> List[MaskPattern]:
+    """One mask pattern per row; a pattern that masks nothing is redrawn once."""
     patterns = []
     for row in batch:
         pads = row == PAD_ID
         pattern = sample_mask(len(row), sample_ratio(prior, rng), rng, pad_flags=pads)
-        if pattern.k == 0 and k0_policy == "resample_once":
+        if pattern.k == 0:
             pattern = sample_mask(len(row), sample_ratio(prior, rng), rng, pad_flags=pads)
         patterns.append(pattern)
     return patterns
@@ -229,22 +225,25 @@ def train(config: RunConfig, log_every: int = 100, quiet: bool = False) -> Train
     for step in range(config.training.steps):
         idx = data_rng.integers(0, len(corpus), size=config.training.batch_size)
         batch = np.stack([corpus.sequences[i] for i in idx])
-        try:
-            if model.is_causal:
-                loss_t = causal_batch_loss(model, batch, train=True, rng=drop_rng)
-            else:
-                patterns = _sample_patterns(batch, config.prior, mask_rng, config.training.k0_policy)
-                loss_t = masked_batch_loss(model, batch, patterns, train=True, rng=drop_rng)
-        except NonFiniteLogits as e:
-            raise diverged(str(e).removeprefix("cross_entropy: "), step) from e
-        loss = loss_t.item()
-        if not math.isfinite(loss):
-            raise diverged("non-finite loss", step)
-        backward(loss_t)
-        try:
-            opt.step(model.params)
-        except NonFiniteGradient as e:
-            raise diverged(str(e).removeprefix("adam: "), step) from e
+        # a diverging run overflows on the way to its non-finite logits, loss
+        # or gradient; those are caught below, so numpy need not warn first
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                if model.is_causal:
+                    loss_t = causal_batch_loss(model, batch, train=True, rng=drop_rng)
+                else:
+                    patterns = _sample_patterns(batch, config.prior, mask_rng)
+                    loss_t = masked_batch_loss(model, batch, patterns, train=True, rng=drop_rng)
+            except NonFiniteLogits as e:
+                raise diverged(str(e).removeprefix("cross_entropy: "), step) from e
+            loss = loss_t.item()
+            if not math.isfinite(loss):
+                raise diverged("non-finite loss", step)
+            backward(loss_t)
+            try:
+                opt.step(model.params)
+            except NonFiniteGradient as e:
+                raise diverged(str(e).removeprefix("adam: "), step) from e
         model.zero_grad()
         losses.append(loss)
         if (step + 1) % config.training.snapshot_every == 0:

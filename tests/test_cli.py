@@ -216,6 +216,7 @@ def test_bad_flag_is_a_one_line_error(argv, tmp_path, capsys):
     assert not (tmp_path / "c.txt").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_training_is_a_one_line_error_and_keeps_a_checkpoint(workspace, capsys):
     import numpy as np
 
@@ -235,3 +236,32 @@ def test_diverging_training_is_a_one_line_error_and_keeps_a_checkpoint(workspace
     assert "Traceback" not in err
     model, _ = load_checkpoint(ckpt)
     assert all(np.all(np.isfinite(p.data)) for p in model.params.values())
+
+
+_GENERATE = ["generate", "--checkpoint", "{path}", "--length", "4"]
+_TRAIN = ["train", "--config", "{path}"]
+_RUN = '"corpus_path": "c.txt", "checkpoint_path": "o.ckpt", "prior": {"kind": "uniform"'
+
+
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (_GENERATE, '{"config":{}}\0'),
+        (_GENERATE, "[]\0"),
+        (_TRAIN, "{" + _RUN + '}, "training": {"bogus": 1}}'),
+        (_TRAIN, "{" + _RUN + ', "x": 1}}'),
+        (_TRAIN, '{"corpus_path": "c.txt", "prior": {"kind": "uniform"}}'),
+        (_TRAIN, "[1]"),
+    ],
+    ids=[
+        "checkpoint_header_without_model", "checkpoint_header_list", "run_config_training_bogus",
+        "run_config_prior_x", "run_config_without_checkpoint_path", "run_config_list",
+    ],
+)
+def test_bad_json_is_a_one_line_error(argv, content, tmp_path, capsys):
+    path = tmp_path / "input"
+    path.write_text(content, encoding="utf-8")
+    code = main([str(path) if a == "{path}" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1

@@ -116,16 +116,18 @@ def test_incremental_prefix_matches_full_forward(positional):
 
 
 def test_incremental_cache_reuse_over_16_steps():
-    m = tiny_model(seed=9, attention_mode="causal", max_len=16)
-    rng = np.random.default_rng(3)
-    tokens = rng.integers(3, 12, size=16)
-    cache = None
-    worst = 0.0
-    for t in range(1, 17):
-        row, cache = m.forward_incremental(tokens[:t], cache)
-        full = m.logits(tokens[:t])[-1]
-        worst = max(worst, float(np.abs(row - full).max()))
-    assert worst < 1e-9, worst
+    # a first call of five new positions, then calls of one, two and three, so
+    # the new query rows start at 0, at n - 1 and before n - 1
+    for positional in ("absolute", "relative"):
+        m = tiny_model(seed=9, attention_mode="causal", positional_kind=positional, max_len=16)
+        tokens = np.random.default_rng(3).integers(3, 12, size=16)
+        cache = None
+        worst = 0.0
+        for t in (5, 6, 7, 9, 12, 13, 14, 15, 16):
+            row, cache = m.forward_incremental(tokens[:t], cache)
+            full = m.logits(tokens[:t])[-1]
+            worst = max(worst, float(np.abs(row - full).max()))
+        assert worst < 1e-9, (positional, worst)
 
 
 def test_incremental_rejected_for_bidirectional():
