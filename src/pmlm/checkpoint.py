@@ -1,5 +1,5 @@
 """Checkpoint format: UTF-8 JSON header, a single NUL separator, then the
-concatenated little-endian float64 tensor payload.
+little-endian float64 tensors back to back in name order, nothing after.
 
 The header is ``{"config": {...}, "tensors": {name: {shape, dtype, byte_offset}}}``
 serialized with sorted keys and no whitespace, so identical model state
@@ -75,14 +75,27 @@ def load_checkpoint(path) -> Tuple[Transformer, dict]:
             f"extra={sorted(set(entries) - set(expected))})"
         )
     params: Dict[str, Tensor] = {}
-    for name, meta in entries.items():
-        json_object(meta, f"checkpoint {path}: tensor '{name}'", _TENSOR_KEYS, _TENSOR_KEYS)
+    offset = 0  # the tensors lie back to back in name order, as checkpoint_bytes writes them
+    for name in sorted(entries):
+        meta = json_object(entries[name], f"checkpoint {path}: tensor '{name}'", _TENSOR_KEYS, _TENSOR_KEYS)
         if meta["dtype"] != _DTYPE_TAG:
             raise ValueError(f"checkpoint {path}: tensor '{name}' has dtype {meta['dtype']}, expected {_DTYPE_TAG}")
-        shape = tuple(meta["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=meta["byte_offset"])
+        shape = expected[name]
+        if meta["shape"] != list(shape) or not all(type(d) is int for d in meta["shape"]):
+            raise ValueError(f"checkpoint {path}: tensor '{name}' has shape {meta['shape']}, expected {list(shape)}")
+        if meta["byte_offset"] != offset or type(meta["byte_offset"]) is not int:
+            raise ValueError(
+                f"checkpoint {path}: tensor '{name}' starts at byte {meta['byte_offset']}, expected {offset} "
+                "(tensors lie back to back in name order)"
+            )
+        count = int(np.prod(shape))
+        if offset + 8 * count > len(payload):
+            raise ValueError(f"checkpoint {path}: payload ends inside tensor '{name}'")
+        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
+        offset += 8 * count
         params[name] = Tensor(arr.reshape(shape).astype(np.float64), requires_grad=True)
         if not np.all(np.isfinite(params[name].data)):
             raise ValueError(f"checkpoint {path}: tensor '{name}' contains non-finite values")
+    if offset != len(payload):
+        raise ValueError(f"checkpoint {path}: {len(payload) - offset} trailing bytes after the last tensor")
     return Transformer(config, params), header["config"]

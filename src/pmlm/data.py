@@ -199,14 +199,22 @@ def write_synthetic_corpus(path, n_bytes: int = 100_000, seed: int = 0) -> Path:
     return p
 
 
-def json_object(value, what: str, keys=None, required=()) -> dict:
+# the JSON values a field of each annotation takes; fields of any other
+# annotation are checked where their values are read
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "Dict": (dict,)}
+
+
+def json_object(value, what: str, keys=None, required=(), types=None) -> dict:
     """``value`` if it is a JSON object (a dict) that has every key in
-    ``required`` and no key outside ``keys`` (any key if None); otherwise a
+    ``required``, no key outside ``keys`` (any key if None) and, for each
+    field of the dataclass ``types``, a value of the field's type (true and
+    false are not numbers; an Optional field may be null); otherwise a
     ValueError naming ``what``. A dataclass as ``keys`` stands for its
-    fields, all of them allowed and those without a default required."""
+    fields, all of them allowed, those without a default required, and
+    their types checked."""
     if dataclasses.is_dataclass(keys):
         fields = dataclasses.fields(keys)
-        keys = [f.name for f in fields]
+        keys, types = [f.name for f in fields], keys
         none = dataclasses.MISSING
         required = [f.name for f in fields if f.default is none and f.default_factory is none]
     if not isinstance(value, dict):
@@ -217,4 +225,11 @@ def json_object(value, what: str, keys=None, required=()) -> dict:
     missing = [k for k in required if k not in value]
     if missing:
         raise ValueError(f"{what} lacks key(s) {missing}")
+    for f in dataclasses.fields(types) if types is not None else ():
+        kind = f.type.removeprefix("Optional[").removesuffix("]")
+        item = value.get(f.name)
+        if f.name not in value or kind not in _JSON_TYPES or (item is None and kind != f.type):
+            continue
+        if isinstance(item, bool) or not isinstance(item, _JSON_TYPES[kind]):
+            raise ValueError(f"{what}: '{f.name}' must be {f.type}, got {item!r}")
     return value

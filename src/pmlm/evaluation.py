@@ -73,19 +73,27 @@ class LatencyReport:
         }
 
 
-def _batched_nll(model: Transformer, inputs: np.ndarray, targets: np.ndarray) -> np.ndarray:
+def _batched_nll(
+    model: Transformer, inputs: np.ndarray, targets: np.ndarray, rows: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Per-row NLL of targets under the model, chunked over the batch axis.
 
     Each chunk runs up to the used width of its inputs and targets; the
     rows of its all-[PAD] tail are left at 0 and must not be read as scores.
+    With ``rows`` (B,), one position per input row, only those logit rows
+    are computed and the result is the (B,) NLL of ``targets[b, rows[b]]``.
     """
-    out = np.zeros(targets.shape)
+    out = np.zeros(targets.shape if rows is None else len(rows))
     for start in range(0, inputs.shape[0], _EVAL_CHUNK):
         sl = slice(start, start + _EVAL_CHUNK)
         w = used_width(inputs[sl], targets[sl])
-        logits = model.logits(inputs[sl, :w])
-        with T.no_grad():
+        if rows is None:
+            logits = model.logits(inputs[sl, :w])
             out[sl, :w] = T.cross_entropy_rows(T.Tensor(logits), targets[sl, :w]).data
+        else:
+            r = rows[sl]
+            logits = model.logits(inputs[sl, :w], rows=r)
+            out[sl] = T.cross_entropy_rows(T.Tensor(logits), targets[sl][np.arange(len(r)), r]).data
     return out
 
 
@@ -104,7 +112,8 @@ def score_sequence_bidirectional(
 
     Builds the per-step snapshots (revealed prefix of the order, [MASK] at
     the unrevealed non-pad positions) as one batch and scores them in a
-    single forward.
+    single forward that computes one logit row per snapshot, at the
+    position it predicts.
     """
     order = np.asarray(order, dtype=np.int64)
     steps = len(order)
@@ -113,8 +122,8 @@ def score_sequence_bidirectional(
         snapshots[t, order[t:]] = MASK_ID
     pad = ids == PAD_ID
     snapshots[:, pad] = PAD_ID
-    nll = _batched_nll(model, snapshots, np.tile(ids, (steps, 1)))
-    total = float(nll[np.arange(steps), order].sum())
+    nll = _batched_nll(model, snapshots, np.tile(ids, (steps, 1)), rows=order)
+    total = float(nll.sum())
     return total, steps
 
 

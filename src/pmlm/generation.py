@@ -212,10 +212,10 @@ def generate(
 ) -> Tuple[np.ndarray, GenerationTrace]:
     """Fill every non-anchor position in the given order.
 
-    Starts from all-[MASK] plus anchors; each step runs one full forward on
-    the current snapshot (every hidden state is recomputed), samples the row
-    at the next position in the order, and reveals it. The order must cover
-    exactly the non-anchor positions.
+    Starts from all-[MASK] plus anchors; each step runs one forward on the
+    current snapshot (every hidden state is recomputed; the last block and
+    the head only at the next position in the order), samples that row,
+    and reveals it. The order must cover exactly the non-anchor positions.
     """
     if model.is_causal:
         raise ValueError("generate requires a bidirectional model")
@@ -237,8 +237,7 @@ def generate(
         seq[pos] = tok
     trace = GenerationTrace(target_length=n, anchors=dict(constraints.anchors), order_mode=order.mode)
     for step, pos in enumerate(order.sigma):
-        logits = model.logits(seq)
-        token = sample_token(logits[pos], sampler, rng)
+        token = sample_token(model.logits(seq, rows=[pos])[0], sampler, rng)
         seq[pos] = token
         trace.steps.append(TraceStep(step=step, position=pos, token=token, snapshot=tuple(int(t) for t in seq)))
     return seq, trace

@@ -108,14 +108,15 @@ def init_parameters(cfg: TransformerConfig, rng: np.random.Generator) -> Dict[st
     return params
 
 
-def relative_attention_bias(distance_table, n: int, window: Optional[int] = None, *, start: int = 0, ops=T):
+def relative_attention_bias(distance_table, n: int, window: Optional[int] = None, *, queries=None, ops=T):
     """Per-head additive attention bias from clamped relative distances.
 
     distance_table (2*window+1, heads); entry [i][j] of the result is
-    table[clamp(j - i, -window, window) + window] for query row i in
-    start..n-1 and key j in 0..n-1, so the bias depends only on the clamped
-    offset and is translation invariant away from the clamp.
-    Returns (heads, n - start, n).
+    table[clamp(j - queries[i], -window, window) + window] for key j in
+    0..n-1, so the bias depends only on the clamped offset and is
+    translation invariant away from the clamp. ``queries`` holds the query
+    positions, (r,) or (B, r), and defaults to 0..n-1.
+    Returns (heads, r, n) or (B, heads, r, n).
     """
     rows = distance_table.shape[0]
     if window is None:
@@ -124,9 +125,16 @@ def relative_attention_bias(distance_table, n: int, window: Optional[int] = None
         raise ValueError(
             f"distance table must have 2*window+1 rows with window >= 1, got {rows} rows"
         )
-    offsets = np.arange(n)[None, :] - np.arange(start, n)[:, None]
-    idx = np.clip(offsets, -window, window) + window
-    return ops.transpose(ops.take(distance_table, idx, name="rel_bias"), (2, 0, 1))
+    queries = np.arange(n) if queries is None else np.asarray(queries)
+    idx = np.clip(np.arange(n) - queries[..., None], -window, window) + window
+    d = idx.ndim + 1  # heads move from the last axis to just before the query axis
+    return ops.transpose(ops.take(distance_table, idx, name="rel_bias"), (*range(d - 3), d - 1, d - 3, d - 2))
+
+
+def _split_heads(ops, y, heads: int):
+    """(B, r, hidden) -> (B, heads, r, hidden / heads)."""
+    batch, rows, hidden = y.shape
+    return ops.transpose(ops.reshape(y, (batch, rows, heads, hidden // heads)), (0, 2, 1, 3))
 
 
 class DecodeCache:
@@ -195,6 +203,7 @@ class Transformer:
         self,
         tokens,
         *,
+        rows=None,
         train: bool = False,
         rng: Optional[np.random.Generator] = None,
     ) -> Tensor:
@@ -203,9 +212,15 @@ class Transformer:
         Bidirectional mode lets every position see every non-pad position;
         causal mode restricts attention to positions <= the query. [PAD]
         keys are masked out of attention in both modes.
+
+        ``rows`` limits the logits to the positions it names, per sequence:
+        (r,) for one sequence, (B,) or (B, r) for a batch. The result has
+        shape ``rows.shape + (vocab,)`` and equals those rows of the full
+        forward up to rounding.
         """
         cfg = self.config
         ids = np.asarray(tokens, dtype=np.int64)
+        shape = ids.shape
         single = ids.ndim == 1
         if single:
             ids = ids[None, :]
@@ -213,71 +228,87 @@ class Transformer:
         drop = cfg.dropout_rate if train else 0.0
         if drop > 0.0 and rng is None:
             raise ValueError("forward: training with dropout requires an rng")
-        logits = self._run(T, self.params, ids, drop=drop, rng=rng)
-        if single:
-            logits = T.reshape(logits, (ids.shape[1], cfg.vocab_size))
+        if rows is not None:
+            rows = np.asarray(rows, dtype=np.int64)
+            if rows.ndim > len(shape) or (not single and rows.shape[:1] != shape[:1]):
+                raise ValueError(f"forward: rows of shape {rows.shape} do not fit tokens of shape {shape}")
+            if np.any((rows < 0) | (rows >= ids.shape[1])):
+                raise ValueError(f"forward: a row lies outside a sequence of length {ids.shape[1]}")
+            shape, rows = rows.shape, rows.reshape(ids.shape[0], -1)
+        logits = self._run(T, self.params, ids, rows=rows, drop=drop, rng=rng)
+        if logits.shape != shape + (cfg.vocab_size,):
+            logits = T.reshape(logits, shape + (cfg.vocab_size,))
         return logits
 
-    def logits(self, tokens) -> np.ndarray:
+    def logits(self, tokens, *, rows=None) -> np.ndarray:
         """Evaluation-mode forward without graph recording."""
         with T.no_grad():
-            return self.forward(tokens).data
+            return self.forward(tokens, rows=rows).data
 
-    def _run(self, ops, p, ids: np.ndarray, *, start: int = 0, drop: float = 0.0, rng=None, cache=None):
-        """Embedding, blocks and head over ``ops``: logits (B, n - start, vocab)
-        for query rows start..n-1 of ``ids`` (B, n).
-
-        ``ops`` is ``pmlm.tensor`` with the parameter Tensors as ``p``, or
-        ``tensor.array_ops`` with their arrays. Without a cache, start is 0.
-        With one, rows start..n-1 write their keys and values into it and
-        attend to the cached keys and values of positions 0..start-1.
-        """
-        cfg = self.config
-        batch, n = ids.shape
-        rows = n - start
-        h = ops.take(p["tok_emb"], ids[:, start:], name="tok_emb")
-        if cfg.positional_kind == "absolute":
-            h = h + ops.take(p["pos_emb"], np.arange(start, n), name="pos_emb")
-        h = ops.dropout(h, drop, rng)
-
-        # additive pre-softmax bias: [PAD] keys, and keys after the query if
-        # causal; a term that would be all zero is left out
+    def _attention_bias(self, ids: np.ndarray, queries: np.ndarray):
+        """Additive pre-softmax bias of query positions ``queries``, (r,) or
+        (B, r), over the keys of ``ids`` (B, n): [PAD] keys, and keys after
+        the query if causal. The [PAD] term is left out when no key is
+        [PAD], the causal one when the only query is the last position (a
+        cached decode step), and None stands for no bias at all."""
         bias = None
         pad = ids == PAD_ID
         if pad.any():
             bias = np.where(pad, T.NEG_INF, 0.0)[:, None, None, :]
-        if self.is_causal and rows > 1:
-            future = np.triu(np.full((rows, n), T.NEG_INF), k=start + 1)
+        n = ids.shape[1]
+        if self.is_causal and (queries.size != 1 or queries.item() < n - 1):
+            future = np.expand_dims(np.where(np.arange(n) > queries[..., None], T.NEG_INF, 0.0), -3)
             bias = future if bias is None else bias + future
+        return bias
+
+    def _run(self, ops, p, ids: np.ndarray, *, start: int = 0, rows=None, drop: float = 0.0, rng=None, cache=None):
+        """Embedding, blocks and head over ``ops``: logits (B, n - start, vocab)
+        for positions start..n-1 of ``ids`` (B, n), or (B, r, vocab) for
+        the positions ``rows`` (B, r) only.
+
+        ``ops`` is ``pmlm.tensor`` with the parameter Tensors as ``p``, or
+        ``tensor.array_ops`` with their arrays. Without a cache, start is 0.
+        With one, positions start..n-1 write their keys and values into it
+        and attend to the cached keys and values of positions 0..start-1.
+        """
+        cfg = self.config
+        batch, n = ids.shape
+        queries = np.arange(start, n)
+        h = ops.take(p["tok_emb"], ids[:, start:], name="tok_emb")
+        if cfg.positional_kind == "absolute":
+            h = h + ops.take(p["pos_emb"], queries, name="pos_emb")
+        h = ops.dropout(h, drop, rng)
+        bias = self._attention_bias(ids, queries)
         rel = None
         if cfg.positional_kind == "relative":
-            rel = relative_attention_bias(p["rel_bias"], n, cfg.relative_window, start=start, ops=ops)
+            rel = relative_attention_bias(p["rel_bias"], n, cfg.relative_window, queries=queries, ops=ops)
 
         scale = 1.0 / math.sqrt(cfg.head_dim)
         for i in range(cfg.layers):
             pre = f"layers.{i}."
             x = ops.layer_norm(h) * p[pre + "ln1.gain"] + p[pre + "ln1.bias"]
-            q, k, v = [
-                ops.transpose(
-                    ops.reshape(
-                        x @ p[pre + f"attn.w{w}"] + p[pre + f"attn.b{w}"],
-                        (batch, rows, cfg.heads, cfg.head_dim),
-                    ),
-                    (0, 2, 1, 3),
-                )
-                for w in "qkv"
-            ]
+            k, v = [_split_heads(ops, x @ p[pre + f"attn.w{w}"] + p[pre + f"attn.b{w}"], cfg.heads) for w in "kv"]
             if cache is not None:
                 cache.k[i][:, :, start:n] = k
                 cache.v[i][:, :, start:n] = v
                 k, v = cache.k[i][:, :, :n], cache.v[i][:, :, :n]
+            if rows is not None and i == cfg.layers - 1:
+                # past the keys and values, the last block reads a position's
+                # own residual only: run the rest of it on the selected rows
+                flat = rows + n * np.arange(batch)[:, None]
+                h = ops.take(ops.reshape(h, (batch * n, cfg.hidden_size)), flat, name="rows")
+                x = ops.take(ops.reshape(x, (batch * n, cfg.hidden_size)), flat, name="rows")
+                bias = self._attention_bias(ids, rows)
+                if rel is not None:
+                    rel = relative_attention_bias(p["rel_bias"], n, cfg.relative_window, queries=rows, ops=ops)
+            q = _split_heads(ops, x @ p[pre + "attn.wq"] + p[pre + "attn.bq"], cfg.heads)
             scores = (q @ ops.transpose(k, (0, 1, 3, 2))) * scale
             if bias is not None:
                 scores = scores + bias
             if rel is not None:
                 scores = scores + rel
             attn = ops.dropout(ops.softmax(scores), drop, rng)
-            ctx = ops.reshape(ops.transpose(attn @ v, (0, 2, 1, 3)), (batch, rows, cfg.hidden_size))
+            ctx = ops.reshape(ops.transpose(attn @ v, (0, 2, 1, 3)), (batch, q.shape[2], cfg.hidden_size))
             h = h + ops.dropout(ctx @ p[pre + "attn.wo"] + p[pre + "attn.bo"], drop, rng)
 
             x = ops.layer_norm(h) * p[pre + "ln2.gain"] + p[pre + "ln2.bias"]

@@ -78,12 +78,6 @@ class Tensor:
     def __radd__(self, other):
         return add(other, self)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -92,9 +86,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 class NonFiniteLogits(ValueError):
@@ -150,22 +141,6 @@ def add(a, b) -> Tensor:
     return _node(data, (a, b), vjp)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise _shape_error("sub", a.shape, b.shape) from None
-
-    def vjp(g):
-        return (
-            _unbroadcast(g, a.shape) if a.requires_grad else None,
-            _unbroadcast(-g, b.shape) if b.requires_grad else None,
-        )
-
-    return _node(data, (a, b), vjp)
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     try:
@@ -180,11 +155,6 @@ def mul(a, b) -> Tensor:
         )
 
     return _node(data, (a, b), vjp)
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    return _node(-a.data, (a,), lambda g: (-g,))
 
 
 def matmul(a, b) -> Tensor:
@@ -363,18 +333,20 @@ def cross_entropy_rows(logits, targets) -> Tensor:
         raise _shape_error("cross_entropy", logits.shape, t.shape)
     if not np.all(np.isfinite(logits.data)):
         raise NonFiniteLogits("cross_entropy: non-finite logits")
-    if np.any(t < 0) or np.any(t >= logits.shape[-1]):
-        raise ValueError(f"cross_entropy: target id out of range for {logits.shape[-1]} classes")
+    classes = logits.shape[-1]
+    if t.size and (t.min() < 0 or t.max() >= classes):
+        raise ValueError(f"cross_entropy: target id out of range for {classes} classes")
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     logp = shifted - lse
-    data = -np.take_along_axis(logp, t[..., None], axis=-1)[..., 0]
+    # the target entry of each row, as flat (row, class) index pairs
+    flat = (np.arange(t.size), t.reshape(-1))
+    data = -logp.reshape(-1, classes)[flat].reshape(t.shape)
 
     def vjp(g):
-        p = np.exp(logp)
-        onehot = np.zeros_like(p)
-        np.put_along_axis(onehot, t[..., None], 1.0, axis=-1)
-        return ((p - onehot) * g[..., None],)
+        grad = np.exp(logp)
+        grad.reshape(-1, classes)[flat] -= 1.0
+        return (grad * g[..., None],)
 
     return _node(data, (logits,), vjp)
 

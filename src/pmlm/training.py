@@ -80,7 +80,7 @@ class RunConfig:
     loss_log_path: Optional[str] = None
 
     def __post_init__(self):
-        json_object(self.model, "run config model", _MODEL_FIELDS)
+        json_object(self.model, "run config model", _MODEL_FIELDS, types=TransformerConfig)
         mode = self.model.get("attention_mode", "bidirectional")
         if mode == "causal" and self.prior is not None:
             raise ValueError(

@@ -252,10 +252,12 @@ _RUN = '"corpus_path": "c.txt", "checkpoint_path": "o.ckpt", "prior": {"kind": "
         (_TRAIN, "{" + _RUN + ', "x": 1}}'),
         (_TRAIN, '{"corpus_path": "c.txt", "prior": {"kind": "uniform"}}'),
         (_TRAIN, "[1]"),
+        (_GENERATE, '{"config":{"model":{"vocab_size":"12"}},"tensors":{}}\0'),
     ],
     ids=[
         "checkpoint_header_without_model", "checkpoint_header_list", "run_config_training_bogus",
         "run_config_prior_x", "run_config_without_checkpoint_path", "run_config_list",
+        "checkpoint_vocab_size_string",
     ],
 )
 def test_bad_json_is_a_one_line_error(argv, content, tmp_path, capsys):
@@ -265,3 +267,60 @@ def test_bad_json_is_a_one_line_error(argv, content, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("training", "steps", "5"),
+        ("training", "learning_rate", True),
+        ("model", "layers", "2"),
+        ("prior", "r0", "0.15"),
+        (None, "loss_log_path", 5),
+    ],
+    ids=["training_steps_string", "learning_rate_bool", "model_layers_string", "prior_r0_string", "log_path_number"],
+)
+def test_run_config_value_of_a_wrong_type_is_a_one_line_error(section, key, value, workspace, tmp_path, capsys):
+    from pmlm.training import preset
+
+    config = preset(
+        "upmlm", str(workspace / "corpus.txt"), str(tmp_path / "o.ckpt"),
+        layers=1, heads=2, hidden_size=16, intermediate_size=32, max_len=16, steps=2, batch_size=2,
+    ).to_dict()
+    if section == "prior":
+        config["prior"] = {"kind": "point_mass", key: value}
+    elif section is None:
+        config[key] = value
+    else:
+        config[section][key] = value
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = main(["train", "--config", str(path), "--quiet"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert f"'{key}' must be" in captured.err
+    assert not (tmp_path / "o.ckpt").exists()
+
+
+@pytest.mark.parametrize("tamper", ["trailing_bytes", "overlapping_offset", "gap_before_last_tensor"])
+def test_checkpoint_payload_out_of_place_is_a_one_line_error(tamper, workspace, tmp_path, capsys):
+    raw = (workspace / "upmlm.ckpt").read_bytes()
+    sep = raw.find(b"\0")
+    header, payload = json.loads(raw[:sep]), raw[sep + 1 :]
+    last = header["tensors"][max(header["tensors"])]
+    if tamper == "trailing_bytes":
+        payload += bytes(8)
+    elif tamper == "overlapping_offset":
+        last["byte_offset"] -= 8
+        payload = payload[:-8]
+    else:
+        last["byte_offset"] += 8
+        payload += bytes(8)
+    path = tmp_path / "tampered.ckpt"
+    path.write_bytes(json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\0" + payload)
+    code = main(["generate", "--checkpoint", str(path), "--length", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert ("trailing bytes" if tamper == "trailing_bytes" else "back to back") in captured.err

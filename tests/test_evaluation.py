@@ -114,6 +114,27 @@ def test_padding_never_changes_ppl():
     )
 
 
+@pytest.mark.parametrize("chunk", [128, 4])
+@pytest.mark.parametrize("positional", ["absolute", "relative"])
+def test_one_row_per_snapshot_matches_the_full_forward(positional, chunk, monkeypatch):
+    """Scoring reads one logit row per snapshot; a full forward of every
+    snapshot gives the same total, whether or not the snapshots are chunked."""
+    import pmlm.evaluation as evaluation_mod
+
+    monkeypatch.setattr(evaluation_mod, "_EVAL_CHUNK", chunk)
+    m = tiny_model(seed=10, positional_kind=positional)
+    ids = np.array([3, 8, 5, 11, 4, PAD_ID, 7, PAD_ID])
+    order = np.array([6, 2, 0, 4, 1, 3])
+    total, count = score_sequence_bidirectional(m, ids, order)
+    snapshots = np.tile(ids, (6, 1))
+    for t in range(6):
+        snapshots[t, order[t:]] = MASK_ID
+    logits = m.logits(snapshots)
+    expected = -sum(sp_log_softmax(logits[t, order[t]])[ids[order[t]]] for t in range(6))
+    assert count == 6
+    np.testing.assert_allclose(total, expected, rtol=1e-12, atol=0)
+
+
 def test_trimming_the_padded_tail_keeps_ppl(monkeypatch):
     import pmlm.evaluation as evaluation_mod
 

@@ -44,6 +44,18 @@ def test_single_position_greedy_is_argmax_of_blank_forward():
     assert seq[0] == int(np.argmax(logits))
 
 
+@pytest.mark.parametrize("positional", ["absolute", "relative"])
+def test_greedy_generation_matches_a_full_forward_loop(positional):
+    m = tiny_model(seed=5, positional_kind=positional)
+    constraints = GenerationConstraints(target_length=8, anchors={2: 7, 5: 4})
+    order = GenerationOrder.explicit([6, 0, 7, 3, 1, 4])
+    seq, _ = generate(m, constraints, order, GREEDY)
+    expected = np.array([MASK_ID, MASK_ID, 7, MASK_ID, MASK_ID, 4, MASK_ID, MASK_ID])
+    for pos in order.sigma:
+        expected[pos] = sample_token(m.logits(expected)[pos], GREEDY)
+    np.testing.assert_array_equal(seq, expected)
+
+
 def test_generation_is_deterministic_for_fixed_seed():
     m = tiny_model(seed=2)
     def run():

@@ -144,6 +144,53 @@ def test_incremental_rejects_non_extending_prefix():
 
 
 # ---------------------------------------------------------------------------
+# row-selected forward
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["bidirectional", "causal"])
+@pytest.mark.parametrize("positional", ["absolute", "relative"])
+def test_selected_rows_match_the_full_forward(mode, positional):
+    m = tiny_model(seed=12, attention_mode=mode, positional_kind=positional)
+    if positional == "relative":
+        # a large distance table, so a bias taken at the wrong query rows shows
+        m.params["rel_bias"].data *= 50.0
+    rng = np.random.default_rng(4)
+    ids = rng.integers(3, 12, size=(3, 8))
+    ids[1, 5:] = PAD_ID
+    full = m.logits(ids)
+    batch = np.arange(3)[:, None]
+    cases = [
+        np.array([[0, 7, 3], [4, 1, 1], [2, 6, 5]]),
+        np.stack([rng.permutation(8) for _ in range(3)]),
+        np.array([[6], [0], [7]]),
+    ]
+    for rows in cases:
+        selected = m.logits(ids, rows=rows)
+        assert selected.shape == rows.shape + (12,)
+        np.testing.assert_allclose(selected, full[batch, rows], rtol=0, atol=1e-12)
+    one_per_sequence = m.logits(ids, rows=[5, 2, 0])
+    assert one_per_sequence.shape == (3, 12)
+    np.testing.assert_allclose(one_per_sequence, full[batch[:, 0], [5, 2, 0]], rtol=0, atol=1e-12)
+    single = m.logits(ids[0])
+    for rows in ([6], [5, 0, 5], list(range(8))[::-1]):
+        np.testing.assert_allclose(m.logits(ids[0], rows=rows), single[rows], rtol=0, atol=1e-12)
+
+
+def test_rows_must_fit_the_tokens():
+    m = tiny_model(seed=13)
+    ids = np.full((2, 4), 3)
+    with pytest.raises(ValueError, match="outside a sequence of length 4"):
+        m.logits(ids, rows=[[0], [4]])
+    with pytest.raises(ValueError, match="outside"):
+        m.logits(ids[0], rows=[-1])
+    with pytest.raises(ValueError, match="do not fit"):
+        m.logits(ids, rows=[0, 1, 2])
+    with pytest.raises(ValueError, match="do not fit"):
+        m.logits(ids[0], rows=[[0]])
+
+
+# ---------------------------------------------------------------------------
 # relative positional bias
 # ---------------------------------------------------------------------------
 

@@ -191,6 +191,9 @@ def test_backward_rejects_non_scalar():
 def test_cross_entropy_rejects_bad_targets():
     with pytest.raises(ValueError, match="out of range"):
         T.cross_entropy_rows(Tensor(np.zeros((2, 3))), np.array([0, 3]))
+    with pytest.raises(ValueError, match="out of range"):
+        T.cross_entropy_rows(Tensor(np.zeros((2, 3))), np.array([-1, 0]))
+    assert T.cross_entropy_rows(Tensor(np.zeros((0, 3))), np.zeros(0, dtype=np.int64)).shape == (0,)
     with pytest.raises(ValueError, match="non-finite"):
         T.cross_entropy_rows(Tensor(np.array([[np.inf, 0.0]])), np.array([0]))
 
