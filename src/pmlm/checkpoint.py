@@ -11,6 +11,7 @@ byte-for-byte. ``config`` always carries the model configuration under
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -46,9 +47,16 @@ def checkpoint_bytes(model: Transformer, extra_config: Optional[dict] = None) ->
 
 
 def save_checkpoint(path, model: Transformer, extra_config: Optional[dict] = None) -> Path:
+    """Write the checkpoint to a temporary file beside ``path``, then move it
+    into place, so a write that fails part-way leaves an earlier file whole."""
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_bytes(checkpoint_bytes(model, extra_config))
+    tmp = p.with_name(f"{p.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(checkpoint_bytes(model, extra_config))
+        os.replace(tmp, p)
+    finally:
+        tmp.unlink(missing_ok=True)
     return p
 
 

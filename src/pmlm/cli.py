@@ -92,8 +92,14 @@ def parse_order_file(path: str) -> list[int]:
 
 def _load_model(path: str):
     model, config = load_checkpoint(path)
-    vocab = Vocabulary(config["vocab"]) if config.get("vocab") else None
-    tokenizer_kind = config.get("tokenizer", "char")
+    vocab, tokenizer_kind = config.get("vocab"), config.get("tokenizer", "char")
+    if vocab is not None:
+        size = model.config.vocab_size
+        if not (isinstance(vocab, list) and len(vocab) == size and all(isinstance(t, str) for t in vocab)):
+            raise ValueError(f"checkpoint {path}: vocab must be a list of {size} strings, one per token id")
+        vocab = Vocabulary(vocab)
+    if not isinstance(tokenizer_kind, str):
+        raise ValueError(f"checkpoint {path}: tokenizer must be a string, got {type(tokenizer_kind).__name__}")
     return model, vocab, tokenizer_kind
 
 

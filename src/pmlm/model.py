@@ -204,6 +204,7 @@ class Transformer:
         tokens,
         *,
         rows=None,
+        flat_rows=None,
         train: bool = False,
         rng: Optional[np.random.Generator] = None,
     ) -> Tensor:
@@ -216,7 +217,9 @@ class Transformer:
         ``rows`` limits the logits to the positions it names, per sequence:
         (r,) for one sequence, (B,) or (B, r) for a batch. The result has
         shape ``rows.shape + (vocab,)`` and equals those rows of the full
-        forward up to rounding.
+        forward up to rounding. ``flat_rows`` (R,) instead names positions
+        of the flattened (B·n) batch, any number per sequence, and gives
+        (R, vocab); training reads its loss rows this way.
         """
         cfg = self.config
         ids = np.asarray(tokens, dtype=np.int64)
@@ -235,7 +238,16 @@ class Transformer:
             if np.any((rows < 0) | (rows >= ids.shape[1])):
                 raise ValueError(f"forward: a row lies outside a sequence of length {ids.shape[1]}")
             shape, rows = rows.shape, rows.reshape(ids.shape[0], -1)
-        logits = self._run(T, self.params, ids, rows=rows, drop=drop, rng=rng)
+        if flat_rows is not None:
+            if rows is not None:
+                raise ValueError("forward: pass rows or flat_rows, not both")
+            flat_rows = np.asarray(flat_rows, dtype=np.int64)
+            if flat_rows.ndim != 1:
+                raise ValueError(f"forward: flat_rows must be one-dimensional, got shape {flat_rows.shape}")
+            if np.any((flat_rows < 0) | (flat_rows >= ids.size)):
+                raise ValueError(f"forward: a flat row lies outside the {ids.size} positions of the batch")
+            shape = flat_rows.shape
+        logits = self._run(T, self.params, ids, rows=rows, flat_rows=flat_rows, drop=drop, rng=rng)
         if logits.shape != shape + (cfg.vocab_size,):
             logits = T.reshape(logits, shape + (cfg.vocab_size,))
         return logits
@@ -261,10 +273,19 @@ class Transformer:
             bias = future if bias is None else bias + future
         return bias
 
-    def _run(self, ops, p, ids: np.ndarray, *, start: int = 0, rows=None, drop: float = 0.0, rng=None, cache=None):
+    def _run(
+        self, ops, p, ids: np.ndarray, *, start: int = 0, rows=None, flat_rows=None,
+        drop: float = 0.0, rng=None, cache=None,
+    ):
         """Embedding, blocks and head over ``ops``: logits (B, n - start, vocab)
-        for positions start..n-1 of ``ids`` (B, n), or (B, r, vocab) for
-        the positions ``rows`` (B, r) only.
+        for positions start..n-1 of ``ids`` (B, n), (B, r, vocab) for the
+        positions ``rows`` (B, r) only, or (R, vocab) for the positions
+        ``flat_rows`` (R,) of the flattened (B·n) batch only.
+
+        Past the keys and values, the last block reads a position's own
+        residual only, so the rest of it runs on the selected rows: ``rows``
+        are gathered before the queries, ``flat_rows``, which may hold a
+        different count per sequence, after the attention context.
 
         ``ops`` is ``pmlm.tensor`` with the parameter Tensors as ``p``, or
         ``tensor.array_ops`` with their arrays. Without a cache, start is 0.
@@ -283,21 +304,23 @@ class Transformer:
         if cfg.positional_kind == "relative":
             rel = relative_attention_bias(p["rel_bias"], n, cfg.relative_window, queries=queries, ops=ops)
 
+        flat = flat_rows if rows is None else rows + n * np.arange(batch)[:, None]
+
+        def gather(t):
+            return ops.take(ops.reshape(t, (batch * n, cfg.hidden_size)), flat, name="rows")
+
         scale = 1.0 / math.sqrt(cfg.head_dim)
         for i in range(cfg.layers):
             pre = f"layers.{i}."
+            last = i == cfg.layers - 1
             x = ops.layer_norm(h) * p[pre + "ln1.gain"] + p[pre + "ln1.bias"]
             k, v = [_split_heads(ops, x @ p[pre + f"attn.w{w}"] + p[pre + f"attn.b{w}"], cfg.heads) for w in "kv"]
             if cache is not None:
                 cache.k[i][:, :, start:n] = k
                 cache.v[i][:, :, start:n] = v
                 k, v = cache.k[i][:, :, :n], cache.v[i][:, :, :n]
-            if rows is not None and i == cfg.layers - 1:
-                # past the keys and values, the last block reads a position's
-                # own residual only: run the rest of it on the selected rows
-                flat = rows + n * np.arange(batch)[:, None]
-                h = ops.take(ops.reshape(h, (batch * n, cfg.hidden_size)), flat, name="rows")
-                x = ops.take(ops.reshape(x, (batch * n, cfg.hidden_size)), flat, name="rows")
+            if rows is not None and last:
+                h, x = gather(h), gather(x)
                 bias = self._attention_bias(ids, rows)
                 if rel is not None:
                     rel = relative_attention_bias(p["rel_bias"], n, cfg.relative_window, queries=rows, ops=ops)
@@ -309,6 +332,8 @@ class Transformer:
                 scores = scores + rel
             attn = ops.dropout(ops.softmax(scores), drop, rng)
             ctx = ops.reshape(ops.transpose(attn @ v, (0, 2, 1, 3)), (batch, q.shape[2], cfg.hidden_size))
+            if flat_rows is not None and last:
+                h, ctx = gather(h), gather(ctx)
             h = h + ops.dropout(ctx @ p[pre + "attn.wo"] + p[pre + "attn.bo"], drop, rng)
 
             x = ops.layer_norm(h) * p[pre + "ln2.gain"] + p[pre + "ln2.bias"]

@@ -362,11 +362,15 @@ def _weighted_nll(
     rng: Optional[np.random.Generator],
 ) -> Tensor:
     """sum(weights * NLL of targets) from one forward over the batch's used
-    width; the all-[PAD] tail carries no loss weight and no attention weight."""
+    width; the all-[PAD] tail carries no loss weight and no attention weight.
+    Past its attention, the last block and the head run only on the rows
+    with loss weight."""
     w = used_width(inputs, targets)
-    logits = model.forward(inputs[:, :w], train=train, rng=rng)
-    nll = T.cross_entropy_rows(logits, targets[:, :w])
-    return T.sum_(nll * Tensor(weights[:, :w]))
+    weights = weights[:, :w].reshape(-1)
+    rows = np.flatnonzero(weights)
+    logits = model.forward(inputs[:, :w], flat_rows=rows, train=train, rng=rng)
+    nll = T.cross_entropy_rows(logits, targets[:, :w].reshape(-1)[rows])
+    return T.sum_(nll * Tensor(weights[rows]))
 
 
 def masked_batch_loss(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -186,7 +187,8 @@ def _sample_patterns(batch: np.ndarray, prior: MaskingPrior, rng: np.random.Gene
 
 
 def train(config: RunConfig, log_every: int = 100, quiet: bool = False) -> TrainResult:
-    """Run the configured training and write the checkpoint and loss log.
+    """Run the configured training, streaming the loss log (one JSON line
+    per step, flushed as the step ends) and writing the checkpoint.
 
     On non-finite logits, loss or gradient the most recent snapshot of the
     parameters is written to the checkpoint path before raising
@@ -222,43 +224,45 @@ def train(config: RunConfig, log_every: int = 100, quiet: bool = False) -> Train
             f"(step {max(0, step - step % config.training.snapshot_every)}) retained"
         )
 
-    for step in range(config.training.steps):
-        idx = data_rng.integers(0, len(corpus), size=config.training.batch_size)
-        batch = np.stack([corpus.sequences[i] for i in idx])
-        # a diverging run overflows on the way to its non-finite logits, loss
-        # or gradient; those are caught below, so numpy need not warn first
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                if model.is_causal:
-                    loss_t = causal_batch_loss(model, batch, train=True, rng=drop_rng)
-                else:
-                    patterns = _sample_patterns(batch, config.prior, mask_rng)
-                    loss_t = masked_batch_loss(model, batch, patterns, train=True, rng=drop_rng)
-            except NonFiniteLogits as e:
-                raise diverged(str(e).removeprefix("cross_entropy: "), step) from e
-            loss = loss_t.item()
-            if not math.isfinite(loss):
-                raise diverged("non-finite loss", step)
-            backward(loss_t)
-            try:
-                opt.step(model.params)
-            except NonFiniteGradient as e:
-                raise diverged(str(e).removeprefix("adam: "), step) from e
-        model.zero_grad()
-        losses.append(loss)
-        if (step + 1) % config.training.snapshot_every == 0:
-            snapshot = {name: p.data.copy() for name, p in model.params.items()}
-        if not quiet and (step % log_every == 0 or step == config.training.steps - 1):
-            print(f"step {step:>6}  loss {loss:.6f}", flush=True)
+    loss_log_path = Path(config.loss_log_path) if config.loss_log_path else None
+    if loss_log_path:
+        loss_log_path.parent.mkdir(parents=True, exist_ok=True)
+    # each step's line is flushed as the step ends, so a run that stops early
+    # keeps the log of the steps it finished
+    with loss_log_path.open("w", encoding="utf-8") if loss_log_path else nullcontext() as log:
+        for step in range(config.training.steps):
+            idx = data_rng.integers(0, len(corpus), size=config.training.batch_size)
+            batch = np.stack([corpus.sequences[i] for i in idx])
+            # a diverging run overflows on the way to its non-finite logits, loss
+            # or gradient; those are caught below, so numpy need not warn first
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    if model.is_causal:
+                        loss_t = causal_batch_loss(model, batch, train=True, rng=drop_rng)
+                    else:
+                        patterns = _sample_patterns(batch, config.prior, mask_rng)
+                        loss_t = masked_batch_loss(model, batch, patterns, train=True, rng=drop_rng)
+                except NonFiniteLogits as e:
+                    raise diverged(str(e).removeprefix("cross_entropy: "), step) from e
+                loss = loss_t.item()
+                if not math.isfinite(loss):
+                    raise diverged("non-finite loss", step)
+                backward(loss_t)
+                try:
+                    opt.step(model.params)
+                except NonFiniteGradient as e:
+                    raise diverged(str(e).removeprefix("adam: "), step) from e
+            model.zero_grad()
+            losses.append(loss)
+            if log:
+                log.write(json.dumps({"step": step, "loss": loss}) + "\n")
+                log.flush()
+            if (step + 1) % config.training.snapshot_every == 0:
+                snapshot = {name: p.data.copy() for name, p in model.params.items()}
+            if not quiet and (step % log_every == 0 or step == config.training.steps - 1):
+                print(f"step {step:>6}  loss {loss:.6f}", flush=True)
 
     checkpoint_path = save_checkpoint(config.checkpoint_path, model, extra)
-    loss_log_path = None
-    if config.loss_log_path:
-        loss_log_path = Path(config.loss_log_path)
-        loss_log_path.parent.mkdir(parents=True, exist_ok=True)
-        with loss_log_path.open("w", encoding="utf-8") as fh:
-            for step, loss in enumerate(losses):
-                fh.write(json.dumps({"step": step, "loss": loss}) + "\n")
     return TrainResult(
         checkpoint_path=checkpoint_path,
         loss_log_path=loss_log_path,

@@ -1,6 +1,7 @@
 """Checkpoint format: byte-exact round trips and header validation."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,3 +73,20 @@ def test_missing_separator_rejected(tmp_path):
     path.write_bytes(b"{}")
     with pytest.raises(ValueError, match="separator"):
         load_checkpoint(path)
+
+
+def test_failed_write_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    path = save_checkpoint(tmp_path / "m.ckpt", tiny_model(seed=5))
+    before = path.read_bytes()
+    write_bytes = Path.write_bytes
+
+    def fail_part_way(self, data):
+        write_bytes(self, data[: len(data) // 2])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", fail_part_way)
+    with pytest.raises(OSError, match="no space left"):
+        save_checkpoint(path, tiny_model(seed=6))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]

@@ -2,10 +2,15 @@
 seeded determinism of the emitted artifacts."""
 
 import json
+import math
 
 import pytest
 
+from pmlm.checkpoint import checkpoint_bytes
 from pmlm.cli import main
+from pmlm.data import SPECIAL_TOKENS
+
+from helpers import tiny_model
 
 
 @pytest.fixture(scope="module")
@@ -238,9 +243,28 @@ def test_diverging_training_is_a_one_line_error_and_keeps_a_checkpoint(workspace
     assert all(np.all(np.isfinite(p.data)) for p in model.params.values())
 
 
+def test_diverging_training_keeps_the_loss_log_of_the_steps_before(workspace, tmp_path, capsys):
+    log = tmp_path / "loss.jsonl"
+    code = main([
+        "train", "--preset", "upmlm", "--corpus", str(workspace / "corpus.txt"),
+        "--checkpoint", str(tmp_path / "d.ckpt"), "--learning-rate", "1e150", "--loss-log", str(log),
+        "--steps", "20", "--batch-size", "4", "--max-len", "16", "--quiet",
+    ])
+    assert code == 2
+    assert "non-finite logits at step 1" in capsys.readouterr().err
+    records = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+    assert [r["step"] for r in records] == [0]
+    assert math.isfinite(records[0]["loss"])
+
+
 _GENERATE = ["generate", "--checkpoint", "{path}", "--length", "4"]
 _TRAIN = ["train", "--config", "{path}"]
 _RUN = '"corpus_path": "c.txt", "checkpoint_path": "o.ckpt", "prior": {"kind": "uniform"'
+_VOCAB = [*SPECIAL_TOKENS, *"abcdefghi"]  # one token per id of the 12-token tiny model
+
+
+def _checkpoint(**extra) -> bytes:
+    return checkpoint_bytes(tiny_model(), extra)
 
 
 @pytest.mark.parametrize(
@@ -253,16 +277,24 @@ _RUN = '"corpus_path": "c.txt", "checkpoint_path": "o.ckpt", "prior": {"kind": "
         (_TRAIN, '{"corpus_path": "c.txt", "prior": {"kind": "uniform"}}'),
         (_TRAIN, "[1]"),
         (_GENERATE, '{"config":{"model":{"vocab_size":"12"}},"tensors":{}}\0'),
+        (_GENERATE, _checkpoint(vocab=5)),
+        (_GENERATE, _checkpoint(vocab=[*SPECIAL_TOKENS, *range(9)])),
+        (_GENERATE, _checkpoint(vocab=_VOCAB[:4])),
+        (_GENERATE, _checkpoint(vocab=_VOCAB, tokenizer=3)),
     ],
     ids=[
         "checkpoint_header_without_model", "checkpoint_header_list", "run_config_training_bogus",
         "run_config_prior_x", "run_config_without_checkpoint_path", "run_config_list",
-        "checkpoint_vocab_size_string",
+        "checkpoint_vocab_size_string", "checkpoint_vocab_number", "checkpoint_vocab_of_ints",
+        "checkpoint_vocab_shorter_than_vocab_size", "checkpoint_tokenizer_number",
     ],
 )
 def test_bad_json_is_a_one_line_error(argv, content, tmp_path, capsys):
     path = tmp_path / "input"
-    path.write_text(content, encoding="utf-8")
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
     code = main([str(path) if a == "{path}" else a for a in argv])
     captured = capsys.readouterr()
     assert code == 2

@@ -175,6 +175,13 @@ def test_selected_rows_match_the_full_forward(mode, positional):
     single = m.logits(ids[0])
     for rows in ([6], [5, 0, 5], list(range(8))[::-1]):
         np.testing.assert_allclose(m.logits(ids[0], rows=rows), single[rows], rtol=0, atol=1e-12)
+    # flat rows of the (3 * 8) batch: ragged across sequences, every
+    # non-[PAD] row (skipping the tail of sequence 1), sequence 0 alone, none
+    for flat_rows in ([0, 7, 9, 12, 23], np.flatnonzero(ids != PAD_ID), np.arange(8), np.array([], dtype=int)):
+        with T.no_grad():
+            selected = m.forward(ids, flat_rows=flat_rows).data
+        assert selected.shape == (len(flat_rows), 12)
+        np.testing.assert_allclose(selected, full.reshape(-1, 12)[flat_rows], rtol=0, atol=1e-12)
 
 
 def test_rows_must_fit_the_tokens():
@@ -188,6 +195,12 @@ def test_rows_must_fit_the_tokens():
         m.logits(ids, rows=[0, 1, 2])
     with pytest.raises(ValueError, match="do not fit"):
         m.logits(ids[0], rows=[[0]])
+    with pytest.raises(ValueError, match="rows or flat_rows, not both"):
+        m.forward(ids, rows=[0, 1], flat_rows=[0, 5])
+    with pytest.raises(ValueError, match="outside the 8 positions"):
+        m.forward(ids, flat_rows=[8])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        m.forward(ids, flat_rows=[[0], [4]])
 
 
 # ---------------------------------------------------------------------------

@@ -446,7 +446,20 @@ TRIM_BATCHES = {
         [3, PAD_ID, 4, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID],
         [5, 6, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID],
     ],
+    "one_empty_pattern": [
+        [3, 4, 5, 6, PAD_ID, PAD_ID, PAD_ID, PAD_ID],
+        [7, 8, 9, 10, 11, PAD_ID, PAD_ID, PAD_ID],
+        [4, 5, 6, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID],
+    ],
+    "all_patterns_empty": [
+        [3, 4, 5, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID],
+        [6, 7, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID],
+    ],
 }
+
+# rows whose mask pattern is empty in the masked-loss test: their sequence
+# has no loss row, so the gather after attention skips it entirely
+EMPTY_PATTERN_ROWS = {"one_empty_pattern": (1,), "all_patterns_empty": (0, 1)}
 
 
 def _full_width_reference(m, inputs, targets, weights):
@@ -474,17 +487,24 @@ def test_masked_batch_loss_matches_full_width_forward(kind):
     b, n = batch.shape
     rng = np.random.default_rng(12)
     patterns = []
-    for row in batch:
+    for s, row in enumerate(batch):
         maskable = np.flatnonzero(row != PAD_ID)
         chosen = rng.choice(maskable, size=max(1, len(maskable) // 2), replace=False)
+        if s in EMPTY_PATTERN_ROWS.get(kind, ()):
+            chosen = []
         patterns.append(MaskPattern.from_indices(n, sorted(chosen), pad_flags=row == PAD_ID))
     inputs = batch.copy()
     weights = np.zeros((b, n))
     for s, pattern in enumerate(patterns):
-        inputs[s, list(pattern.indices)] = MASK_ID
-        weights[s, list(pattern.indices)] = 1.0 / (b * pattern.k)
+        if pattern.k:
+            inputs[s, list(pattern.indices)] = MASK_ID
+            weights[s, list(pattern.indices)] = 1.0 / (b * pattern.k)
     ref_value, ref_grads = _full_width_reference(m, inputs, batch, weights)
-    _assert_matches_reference(m, masked_batch_loss(m, batch, patterns), ref_value, ref_grads)
+    loss = masked_batch_loss(m, batch, patterns)
+    _assert_matches_reference(m, loss, ref_value, ref_grads)
+    if all(pattern.k == 0 for pattern in patterns):
+        assert loss.item() == 0.0
+        assert all(p.grad is None or not p.grad.any() for p in m.params.values())
 
 
 @pytest.mark.parametrize("kind", sorted(TRIM_BATCHES))
