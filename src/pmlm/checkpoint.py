@@ -46,18 +46,22 @@ def checkpoint_bytes(model: Transformer, extra_config: Optional[dict] = None) ->
     return header.encode("utf-8") + b"\x00" + b"".join(chunks)
 
 
-def save_checkpoint(path, model: Transformer, extra_config: Optional[dict] = None) -> Path:
-    """Write the checkpoint to a temporary file beside ``path``, then move it
+def write_atomic(path, content: bytes) -> Path:
+    """Write ``content`` to a temporary file beside ``path``, then move it
     into place, so a write that fails part-way leaves an earlier file whole."""
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     tmp = p.with_name(f"{p.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(checkpoint_bytes(model, extra_config))
+        tmp.write_bytes(content)
         os.replace(tmp, p)
     finally:
         tmp.unlink(missing_ok=True)
     return p
+
+
+def save_checkpoint(path, model: Transformer, extra_config: Optional[dict] = None) -> Path:
+    return write_atomic(path, checkpoint_bytes(model, extra_config))
 
 
 def load_checkpoint(path) -> Tuple[Transformer, dict]:

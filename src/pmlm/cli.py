@@ -15,7 +15,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .checkpoint import load_checkpoint
+from .checkpoint import load_checkpoint, write_atomic
 from .data import Vocabulary, detokenize, ingest, write_synthetic_corpus
 from .evaluation import (
     bench_latency,
@@ -38,9 +38,7 @@ from .training import PRESET_NAMES, RunConfig, TrainingDiverged, preset, train
 
 def _write_json(path: Optional[str], payload: dict) -> None:
     if path:
-        p = Path(path)
-        p.parent.mkdir(parents=True, exist_ok=True)
-        p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        write_atomic(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def parse_anchor_file(path: str, vocab: Vocabulary, tokenizer_kind: str) -> Dict[int, int]:
@@ -177,8 +175,7 @@ def cmd_generate(args) -> int:
         if args.show_trace:
             print(table)
     if args.trace:
-        Path(args.trace).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.trace).write_text(trace.to_jsonl(vocab, tokenizer_kind), encoding="utf-8")
+        write_atomic(args.trace, trace.to_jsonl(vocab, tokenizer_kind).encode("utf-8"))
         print(f"trace written to {args.trace}")
     _write_json(
         args.out,

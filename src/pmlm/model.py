@@ -257,12 +257,12 @@ class Transformer:
         with T.no_grad():
             return self.forward(tokens, rows=rows).data
 
-    def _attention_bias(self, ids: np.ndarray, queries: np.ndarray):
-        """Additive pre-softmax bias of query positions ``queries``, (r,) or
-        (B, r), over the keys of ``ids`` (B, n): [PAD] keys, and keys after
-        the query if causal. The [PAD] term is left out when no key is
-        [PAD], the causal one when the only query is the last position (a
-        cached decode step), and None stands for no bias at all."""
+    def _attention_bias(self, ops, p, ids: np.ndarray, queries: np.ndarray):
+        """Additive pre-softmax term of queries ``queries`` (r,) or (B, r) over
+        the keys of ``ids`` (B, n): -1e30 at [PAD] keys and, if causal, at keys
+        after the query, plus the relative-position bias. The [PAD] term is left
+        out when no key is [PAD], the causal one when the only query is the last
+        position (a cached decode step); None stands for no term at all."""
         bias = None
         pad = ids == PAD_ID
         if pad.any():
@@ -271,6 +271,11 @@ class Transformer:
         if self.is_causal and (queries.size != 1 or queries.item() < n - 1):
             future = np.expand_dims(np.where(np.arange(n) > queries[..., None], T.NEG_INF, 0.0), -3)
             bias = future if bias is None else bias + future
+        if self.config.positional_kind == "relative":
+            rel = relative_attention_bias(p["rel_bias"], n, self.config.relative_window, queries=queries, ops=ops)
+            # a mask entry (0 or -1e30) absorbs rel, so rel + mask gives the
+            # scores the same bits as adding the mask first, then rel
+            bias = rel if bias is None else rel + bias
         return bias
 
     def _run(
@@ -299,10 +304,7 @@ class Transformer:
         if cfg.positional_kind == "absolute":
             h = h + ops.take(p["pos_emb"], queries, name="pos_emb")
         h = ops.dropout(h, drop, rng)
-        bias = self._attention_bias(ids, queries)
-        rel = None
-        if cfg.positional_kind == "relative":
-            rel = relative_attention_bias(p["rel_bias"], n, cfg.relative_window, queries=queries, ops=ops)
+        bias = self._attention_bias(ops, p, ids, queries)
 
         flat = flat_rows if rows is None else rows + n * np.arange(batch)[:, None]
 
@@ -313,35 +315,29 @@ class Transformer:
         for i in range(cfg.layers):
             pre = f"layers.{i}."
             last = i == cfg.layers - 1
-            x = ops.layer_norm(h) * p[pre + "ln1.gain"] + p[pre + "ln1.bias"]
-            k, v = [_split_heads(ops, x @ p[pre + f"attn.w{w}"] + p[pre + f"attn.b{w}"], cfg.heads) for w in "kv"]
+            x = ops.layer_norm(h, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
+            k, v = [_split_heads(ops, ops.matmul(x, p[pre + f"attn.w{w}"], bias=p[pre + f"attn.b{w}"]), cfg.heads)
+                    for w in "kv"]
             if cache is not None:
                 cache.k[i][:, :, start:n] = k
                 cache.v[i][:, :, start:n] = v
                 k, v = cache.k[i][:, :, :n], cache.v[i][:, :, :n]
             if rows is not None and last:
                 h, x = gather(h), gather(x)
-                bias = self._attention_bias(ids, rows)
-                if rel is not None:
-                    rel = relative_attention_bias(p["rel_bias"], n, cfg.relative_window, queries=rows, ops=ops)
-            q = _split_heads(ops, x @ p[pre + "attn.wq"] + p[pre + "attn.bq"], cfg.heads)
-            scores = (q @ ops.transpose(k, (0, 1, 3, 2))) * scale
-            if bias is not None:
-                scores = scores + bias
-            if rel is not None:
-                scores = scores + rel
-            attn = ops.dropout(ops.softmax(scores), drop, rng)
+                bias = self._attention_bias(ops, p, ids, rows)
+            q = _split_heads(ops, ops.matmul(x, p[pre + "attn.wq"], bias=p[pre + "attn.bq"]), cfg.heads)
+            attn = ops.dropout(ops.softmax(q @ ops.transpose(k, (0, 1, 3, 2)), scale, bias), drop, rng)
             ctx = ops.reshape(ops.transpose(attn @ v, (0, 2, 1, 3)), (batch, q.shape[2], cfg.hidden_size))
             if flat_rows is not None and last:
                 h, ctx = gather(h), gather(ctx)
-            h = h + ops.dropout(ctx @ p[pre + "attn.wo"] + p[pre + "attn.bo"], drop, rng)
+            h = h + ops.dropout(ops.matmul(ctx, p[pre + "attn.wo"], bias=p[pre + "attn.bo"]), drop, rng)
 
-            x = ops.layer_norm(h) * p[pre + "ln2.gain"] + p[pre + "ln2.bias"]
-            f = ops.gelu(x @ p[pre + "ffn.w_in"] + p[pre + "ffn.b_in"])
-            h = h + ops.dropout(f @ p[pre + "ffn.w_out"] + p[pre + "ffn.b_out"], drop, rng)
+            x = ops.layer_norm(h, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
+            f = ops.gelu(ops.matmul(x, p[pre + "ffn.w_in"], bias=p[pre + "ffn.b_in"]))
+            h = h + ops.dropout(ops.matmul(f, p[pre + "ffn.w_out"], bias=p[pre + "ffn.b_out"]), drop, rng)
 
-        x = ops.layer_norm(h) * p["ln_f.gain"] + p["ln_f.bias"]
-        return x @ p["out.w"] + p["out.b"]
+        x = ops.layer_norm(h, p["ln_f.gain"], p["ln_f.bias"])
+        return ops.matmul(x, p["out.w"], bias=p["out.b"])
 
     # ------------------------------------------------------------------
     # incremental forward (causal decode path)

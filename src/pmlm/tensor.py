@@ -103,17 +103,27 @@ def _shape_error(op: str, *shapes) -> ValueError:
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a broadcasted gradient back to ``shape``."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
+    if g.ndim > len(shape):
+        g = g.sum(axis=tuple(range(g.ndim - len(shape))))
     for ax, n in enumerate(shape):
         if n == 1 and g.shape[ax] != 1:
             g = g.sum(axis=ax, keepdims=True)
     return g
 
 
-def _node(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
+def _tracked(t) -> bool:
+    return isinstance(t, Tensor) and t.requires_grad
+
+
+def _array(t):
+    """The data of a Tensor operand; a plain array or None as it is."""
+    return t.data if isinstance(t, Tensor) else t
+
+
+def _node(data: np.ndarray, parents: Sequence, vjp: Callable) -> Tensor:
+    """A node over ``parents``; an operand that is not a Tensor gets no gradient."""
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _GRAD_ENABLED and any(_tracked(p) for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._vjp = vjp
@@ -157,12 +167,15 @@ def mul(a, b) -> Tensor:
     return _node(data, (a, b), vjp)
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product with numpy stacking semantics (batch dims broadcast)."""
+def matmul(a, b, bias=None) -> Tensor:
+    """Matrix product with numpy stacking semantics (batch dims broadcast),
+    plus ``bias`` broadcast over it when given: a linear layer."""
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise _shape_error("matmul", a.shape, b.shape)
     data = a.data @ b.data
+    if bias is not None:
+        data += _array(bias)
 
     def vjp(g):
         ga = g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None
@@ -176,9 +189,10 @@ def matmul(a, b) -> Tensor:
         return (
             _unbroadcast(ga, a.shape) if ga is not None else None,
             _unbroadcast(gb, b.shape) if gb is not None else None,
+            _unbroadcast(g, bias.shape) if _tracked(bias) else None,
         )
 
-    return _node(data, (a, b), vjp)
+    return _node(data, (a, b, bias), vjp)
 
 
 def reshape(a, shape) -> Tensor:
@@ -206,8 +220,14 @@ def take(a, indices, *, name: str = "take") -> Tensor:
     data = a.data[idx]
 
     def vjp(g):
+        # sort the indices once; each run of equal ones sums into its table row
+        flat = idx.reshape(-1)
+        order = np.argsort(flat, kind="stable")
+        starts = np.flatnonzero(np.diff(flat[order], prepend=-1))
+        rows = g.reshape((flat.size,) + a.shape[1:])[order]
         ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
+        if starts.size:  # reduceat rejects an empty set of segments
+            ga[flat[order[starts]]] = rows if starts.size == flat.size else np.add.reduceat(rows, starts, axis=0)
         return (ga,)
 
     return _node(data, (a,), vjp)
@@ -231,51 +251,73 @@ def sum_(a, axis=None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    """Stable softmax over the last axis. Rows sum to 1."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
+def _softmax(x: np.ndarray, scale: float = 1.0, bias=None) -> np.ndarray:
+    """Stable softmax over the last axis of x * scale + bias. Rows sum to 1."""
+    e = x * scale
+    if bias is not None:
+        e += bias
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
     # out of place on purpose: normalising in place made the reference kernel
     # that perfbench times next to each operation run about 20 % faster after
     # a batched forward, so infer.ppl_causal read 20 % slower at equal wall time
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _normalize(x: np.ndarray, eps: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """The last axis at mean 0 / variance 1, and 1 / sqrt(var + eps)."""
+def _layer_norm(x: np.ndarray, gain=None, bias=None, eps: float = 1e-12):
+    """(xhat * gain + bias, xhat, inv): xhat is the last axis at mean 0 /
+    variance 1, and inv is 1 / sqrt(var + eps)."""
     # the mean and variance as np.mean and np.var compute them (sum, then
     # divide by the count), bit for bit, without their per-call overhead
     count = x.shape[-1]
     centred = x - x.sum(axis=-1, keepdims=True) / count
     inv = 1.0 / np.sqrt((centred * centred).sum(axis=-1, keepdims=True) / count + eps)
-    return centred * inv, inv
+    xhat = centred * inv
+    out = xhat * (1.0 if gain is None else gain)
+    if bias is not None:
+        out += bias
+    return out, xhat, inv
 
 
 def _gelu_cdf(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + erf(x * _INV_SQRT2))
 
 
-def softmax(a) -> Tensor:
+def softmax(a, scale: float = 1.0, bias=None) -> Tensor:
+    """Softmax over the last axis of a * scale + bias (scores, scale, mask)."""
     a = as_tensor(a)
-    data = _softmax(a.data)
+    data = _softmax(a.data, scale, _array(bias))
 
     def vjp(g):
         dot = (g * data).sum(axis=-1, keepdims=True)
-        return (data * (g - dot),)
+        gx = data * (g - dot)
+        return (gx * scale, _unbroadcast(gx, bias.shape) if _tracked(bias) else None)
 
-    return _node(data, (a,), vjp)
+    return _node(data, (a, bias), vjp)
 
 
-def layer_norm(a, eps: float = 1e-12) -> Tensor:
-    """Normalize the last axis to mean 0 / variance 1 (no affine)."""
+def layer_norm(a, gain=None, bias=None, eps: float = 1e-12) -> Tensor:
+    """Normalize the last axis to mean 0 / variance 1, then scale by ``gain``
+    and shift by ``bias`` (each (a.shape[-1],)) when given."""
     a = as_tensor(a)
-    xhat, inv = _normalize(a.data, eps)
+    data, xhat, inv = _layer_norm(a.data, _array(gain), _array(bias), eps)
 
     def vjp(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gx = (g * xhat).mean(axis=-1, keepdims=True)
-        return (inv * (g - gm - xhat * gx),)
+        # the row means of g * w and g * xhat * w, as products with w
+        count = a.shape[-1]
+        w = np.ones(count) if gain is None else _array(gain)
+        gx = g * xhat
+        ga = g * w
+        ga -= (g @ w)[..., None] / count
+        ga -= xhat * ((gx @ w)[..., None] / count)
+        ga *= inv
+        return (
+            ga,
+            _unbroadcast(gx, gain.shape) if _tracked(gain) else None,
+            _unbroadcast(g, bias.shape) if _tracked(bias) else None,
+        )
 
-    return _node(xhat, (a,), vjp)
+    return _node(data, (a, gain, bias), vjp)
 
 
 def gelu(a) -> Tensor:
@@ -306,8 +348,9 @@ def dropout(a, rate: float, rng: np.random.Generator) -> Tensor:
 # op, for the cached decode step (one row per call, where a wrapper per op
 # would double its cost). Inputs are trusted: there are no checks.
 array_ops = SimpleNamespace(
+    matmul=lambda a, b, bias=None: a @ b if bias is None else a @ b + bias,
     softmax=_softmax,
-    layer_norm=lambda x: _normalize(x)[0],
+    layer_norm=lambda x, gain=None, bias=None: _layer_norm(x, gain, bias)[0],
     gelu=lambda x: x * _gelu_cdf(x),
     dropout=lambda x, rate, rng: x,
     take=lambda a, indices, name="take": a[indices],
@@ -382,7 +425,7 @@ def backward(loss: Tensor) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
+            if _tracked(p) and id(p) not in seen:
                 stack.append((p, False))
 
     # per-call gradient map so repeated backward() calls accumulate correctly
@@ -396,7 +439,7 @@ def backward(loss: Tensor) -> None:
             continue
         parent_grads = node._vjp(g)
         for p, pg in zip(node._parents, parent_grads):
-            if not p.requires_grad or pg is None:
+            if pg is None or not p.requires_grad:
                 continue
             key = id(p)
             if key in local:

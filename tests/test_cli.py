@@ -3,6 +3,7 @@ seeded determinism of the emitted artifacts."""
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -255,6 +256,28 @@ def test_diverging_training_keeps_the_loss_log_of_the_steps_before(workspace, tm
     records = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
     assert [r["step"] for r in records] == [0]
     assert math.isfinite(records[0]["loss"])
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+def test_failed_write_keeps_the_previous_output(flag, workspace, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "output"
+    path.write_text("previous\n", encoding="utf-8")
+    write_bytes = Path.write_bytes
+
+    def fail_part_way(self, data):
+        write_bytes(self, data[: len(data) // 2])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", fail_part_way)
+    code = main([
+        "generate", "--checkpoint", str(workspace / "upmlm.ckpt"), "--length", "4", "--seed", "2",
+        flag, str(path),
+    ])
+    monkeypatch.undo()
+    assert code == 2
+    assert capsys.readouterr().err == "error: no space left on device\n"
+    assert path.read_text(encoding="utf-8") == "previous\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 _GENERATE = ["generate", "--checkpoint", "{path}", "--length", "4"]

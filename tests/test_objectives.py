@@ -4,6 +4,7 @@ mask/permutation recombination identity."""
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from scipy.special import log_softmax as sp_log_softmax
 from pmlm import tensor as T
 from pmlm.data import MASK_ID, PAD_ID
 from pmlm.masking import MaskingPrior, MaskPattern
+from pmlm.model import Transformer, TransformerConfig
 from pmlm.objectives import (
     aplm_exact_loss,
     ar_loss,
@@ -27,6 +29,7 @@ from pmlm.objectives import (
     verify_equivalence,
 )
 from pmlm.tensor import Tensor, backward
+from pmlm.training import preset
 
 from helpers import tiny_model, uniform_output_model
 
@@ -402,6 +405,30 @@ def test_masked_batch_loss_empty_pattern_contributes_zero():
     got = masked_batch_loss(m, batch, patterns).item()
     expected = mlm_loss(m, batch[0], patterns[0]).value / 2
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+def test_masked_batch_loss_graph_nodes_per_primitive():
+    # each bias, layer-norm gain and bias, attention scale and mask is fused
+    # into the matmul, layer_norm or softmax node that produces its input;
+    # splitting one out again adds an add or mul node here
+    cfg = TransformerConfig(vocab_size=20, **preset("upmlm", "corpus.txt", "m.ckpt").model)
+    m = Transformer.init(cfg, seed=0)
+    batch = np.random.default_rng(13).integers(3, 20, size=(4, 12))
+    batch[2, 9:] = PAD_ID
+    patterns = [MaskPattern.from_indices(12, idx) for idx in ([1, 5], [], [0, 8], [11])]
+    loss = masked_batch_loss(m, batch, patterns, train=True, rng=np.random.default_rng(1))
+    nodes, seen, stack = Counter(), set(), [loss]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Tensor) and t._vjp is not None and id(t) not in seen:
+            seen.add(id(t))
+            nodes[t._vjp.__qualname__.split(".")[0]] += 1
+            stack.extend(t._parents)
+    assert dict(nodes) == {
+        "matmul": 17, "layer_norm": 5, "softmax": 2, "add": 5, "mul": 1, "gelu": 2, "dropout": 7,
+        "take": 4, "reshape": 10, "transpose": 10, "cross_entropy_rows": 1, "sum_": 1,
+    }
+    assert sum(nodes.values()) == 65
 
 
 def test_causal_batch_loss_averages_ar_losses():

@@ -56,6 +56,25 @@ def test_array_ops_match_tensor_ops_bit_for_bit():
         np.testing.assert_array_equal(T.layer_norm(Tensor(x)).data, expected)
         for op in ("layer_norm", "softmax", "gelu"):
             np.testing.assert_array_equal(getattr(T.array_ops, op)(x), getattr(T, op)(Tensor(x)).data)
+        w, gain, bias = rng.normal(size=(shape[-1], 24)), rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+        mask = np.where(rng.random(shape) < 0.2, T.NEG_INF, 0.0)
+        np.testing.assert_array_equal(T.array_ops.matmul(x, w, w[0]), T.matmul(x, w, bias=w[0]).data)
+        np.testing.assert_array_equal(T.array_ops.layer_norm(x, gain, bias), T.layer_norm(x, gain, bias).data)
+        np.testing.assert_array_equal(T.array_ops.softmax(x, 0.125, mask), T.softmax(x, 0.125, mask).data)
+
+
+def test_fused_forwards_equal_the_unfused_composition_bit_for_bit():
+    rng = np.random.default_rng(15)
+    x = rng.normal(size=(3, 4, 8, 16))
+    w, b, gain = rng.normal(size=(16, 24)), rng.normal(size=24), rng.normal(size=16)
+    np.testing.assert_array_equal(T.matmul(x, w, bias=b).data, (T.matmul(x, w) + b).data)
+    np.testing.assert_array_equal(T.layer_norm(x, gain, b[:16]).data, (T.layer_norm(x) * gain + b[:16]).data)
+    # attention: scale, then a [PAD]/causal mask (0 or -1e30), then a relative bias
+    mask = np.where(rng.random((3, 1, 8, 16)) < 0.3, T.NEG_INF, 0.0)
+    rel = rng.normal(size=(4, 8, 16))
+    unfused = T.softmax(x * 0.25 + mask + rel).data
+    np.testing.assert_array_equal(T.softmax(x, 0.25, mask).data, T.softmax(x * 0.25 + mask).data)
+    np.testing.assert_array_equal(T.softmax(x, 0.25, T.add(rel, mask)).data, unfused)
 
 
 def test_gelu_reference_points():
@@ -141,6 +160,50 @@ def test_grad_layer_norm():
     x = Tensor(rng.normal(1.0, 2.0, size=(4, 6)), requires_grad=True)
     w = Tensor(rng.normal(size=(6,)), requires_grad=True)
     _check_grad(lambda: T.sum_(T.layer_norm(x) * w), x, w)
+
+
+def test_grad_matmul_bias():
+    rng = np.random.default_rng(16)
+    a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    b = Tensor(rng.normal(size=(5,)), requires_grad=True)
+    _check_grad(lambda: T.sum_(T.gelu(T.matmul(a, w, bias=b))), a, w, b)
+
+
+def test_grad_layer_norm_gain_bias():
+    rng = np.random.default_rng(17)
+    x = Tensor(rng.normal(1.0, 2.0, size=(2, 4, 6)), requires_grad=True)
+    gain = Tensor(rng.normal(size=(6,)), requires_grad=True)
+    bias = Tensor(rng.normal(size=(6,)), requires_grad=True)
+    w = Tensor(rng.normal(size=(6,)))
+    _check_grad(lambda: T.sum_(T.gelu(T.layer_norm(x, gain, bias)) * w), x, gain, bias)
+
+
+def test_grad_softmax_scale_mask_and_bias():
+    rng = np.random.default_rng(18)
+    a = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+    rel = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    mask = np.zeros((2, 1, 5))
+    mask[0, 0, 3] = mask[1, 0, 0] = T.NEG_INF
+    w = Tensor(rng.normal(size=(2, 3, 5)))
+    _check_grad(lambda: T.sum_(T.softmax(a, 0.7, mask) * w), a)
+    _check_grad(lambda: T.sum_(T.softmax(a, 0.7, rel + mask) * w), a, rel)
+    assert not a.grad[0, :, 3].any() and not a.grad[1, :, 0].any()
+
+
+@pytest.mark.parametrize(
+    "idx", [[5, 2, 0, 2, 5, 5], [[4, 1], [0, 3]], np.zeros((0,), dtype=np.int64)],
+    ids=["repeated", "unique", "empty"],
+)
+def test_grad_take_indices(idx):
+    rng = np.random.default_rng(19)
+    table = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+    _check_grad(lambda: T.sum_(T.gelu(T.take(table, idx))), table)
+    # the gradient of a plain sum counts the reads of each row
+    table.zero_grad()
+    backward(T.sum_(T.take(table, idx)))
+    reads = np.bincount(np.asarray(idx).reshape(-1), minlength=6)
+    np.testing.assert_array_equal(table.grad, np.broadcast_to(reads[:, None], (6, 4)))
 
 
 def test_grad_take():
