@@ -148,6 +148,8 @@ def ingest(
     When ``vocab`` is None a new vocabulary is built from this file;
     otherwise tokens missing from the supplied vocabulary map to [UNK].
     """
+    if max_len < 1:
+        raise ValueError(f"max_len must be positive, got {max_len}")
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")

@@ -340,8 +340,14 @@ def dropout(a, rate: float, rng: np.random.Generator) -> Tensor:
         return a
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout: rate {rate} outside [0, 1)")
-    keep = (rng.random(a.shape) >= rate) / (1.0 - rate)
-    return _node(a.data * keep, (a,), lambda g: (g * keep,))
+    keep = rng.random(a.shape) >= rate
+
+    def apply(x):
+        out = x * keep
+        out *= 1.0 / (1.0 - rate)
+        return out
+
+    return _node(apply(a.data), (a,), lambda g: (apply(g),))
 
 
 # The forward ops above on plain arrays, with no Tensor and no graph node per

@@ -62,6 +62,8 @@ class TrainingSettings:
             raise ValueError("a training seed is required")
         if self.steps < 1 or self.batch_size < 1:
             raise ValueError("steps and batch_size must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainingSettings":

@@ -222,6 +222,44 @@ def test_bad_flag_is_a_one_line_error(argv, tmp_path, capsys):
     assert not (tmp_path / "c.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--learning-rate", "nan"], ["--learning-rate", "inf"], ["--learning-rate", "0"],
+        ["--learning-rate", "-0.1"], ["--max-len", "0"],
+    ],
+    ids=["lr_nan", "lr_inf", "lr_zero", "lr_negative", "max_len_0"],
+)
+def test_bad_training_flag_is_a_one_line_error_and_writes_no_checkpoint(flags, workspace, tmp_path, capsys):
+    ckpt = tmp_path / "bad.ckpt"
+    code = main([
+        "train", "--preset", "upmlm", "--corpus", str(workspace / "corpus.txt"), "--checkpoint", str(ckpt),
+        "--steps", "1", "--batch-size", "2", "--max-len", "16", *flags, "--quiet",
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert flags[0].lstrip("-").replace("-", "_") in err
+    assert not ckpt.exists()
+
+
+def test_run_config_with_a_nan_learning_rate_is_a_one_line_error(workspace, tmp_path, capsys):
+    from pmlm.training import preset
+
+    config = preset(
+        "upmlm", str(workspace / "corpus.txt"), str(tmp_path / "o.ckpt"),
+        layers=1, heads=2, hidden_size=16, intermediate_size=32, max_len=16, steps=1, batch_size=2,
+    ).to_dict()
+    config["training"]["learning_rate"] = math.nan
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config), encoding="utf-8")  # json writes the bare NaN that it also reads
+    code = main(["train", "--config", str(path), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: learning_rate must be finite and positive, got nan\n"
+    assert not (tmp_path / "o.ckpt").exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_training_is_a_one_line_error_and_keeps_a_checkpoint(workspace, capsys):
     import numpy as np

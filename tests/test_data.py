@@ -97,6 +97,14 @@ def test_ingest_rejects_missing_and_empty(tmp_path):
         ingest(empty, "char")
 
 
+@pytest.mark.parametrize("max_len", [0, -1])
+def test_ingest_rejects_a_max_len_below_one(max_len, tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("abc\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="max_len"):
+        ingest(path, "char", max_len=max_len)
+
+
 def test_unknown_tokens_map_to_unk(tmp_path):
     train = tmp_path / "train.txt"
     train.write_text("aaa\n", encoding="utf-8")

@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 from scipy.special import log_softmax as sp_log_softmax
 
+import pmlm.evaluation as evaluation_mod
+from pmlm import tensor as T
 from pmlm.data import Corpus, MASK_ID, PAD_ID, Vocabulary
 from pmlm.evaluation import (
+    _batched_nll,
+    _slice_size,
     bench_latency,
     ppl_bidirectional,
     ppl_causal,
@@ -16,7 +20,9 @@ from pmlm.evaluation import (
     render_ppl_table,
     score_sequence_bidirectional,
 )
+from pmlm.model import Transformer
 from pmlm.objectives import ar_loss, conditional_log_probs
+from pmlm.training import preset
 
 from helpers import tiny_model, uniform_output_model
 
@@ -118,10 +124,8 @@ def test_padding_never_changes_ppl():
 @pytest.mark.parametrize("positional", ["absolute", "relative"])
 def test_one_row_per_snapshot_matches_the_full_forward(positional, chunk, monkeypatch):
     """Scoring reads one logit row per snapshot; a full forward of every
-    snapshot gives the same total, whether or not the snapshots are chunked."""
-    import pmlm.evaluation as evaluation_mod
-
-    monkeypatch.setattr(evaluation_mod, "_EVAL_CHUNK", chunk)
+    snapshot gives the same total, whether or not the snapshots are sliced."""
+    monkeypatch.setattr(evaluation_mod, "_slice_size", lambda cfg, width: chunk)
     m = tiny_model(seed=10, positional_kind=positional)
     ids = np.array([3, 8, 5, 11, 4, PAD_ID, 7, PAD_ID])
     order = np.array([6, 2, 0, 4, 1, 3])
@@ -136,8 +140,6 @@ def test_one_row_per_snapshot_matches_the_full_forward(positional, chunk, monkey
 
 
 def test_trimming_the_padded_tail_keeps_ppl(monkeypatch):
-    import pmlm.evaluation as evaluation_mod
-
     seqs = [
         [3, 4, 5, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID],
         [6, 7, PAD_ID, 8, 9, PAD_ID, PAD_ID, PAD_ID],
@@ -159,6 +161,75 @@ def test_trimming_the_padded_tail_keeps_ppl(monkeypatch):
     monkeypatch.setattr(evaluation_mod, "used_width", lambda *batches: batches[0].shape[1])
     untrimmed = scores()
     np.testing.assert_allclose(trimmed, untrimmed, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("attention", ["bidirectional", "causal"])
+@pytest.mark.parametrize("positional", ["absolute", "relative"])
+def test_sliced_nll_equals_one_unsliced_forward_bit_for_bit(positional, attention, monkeypatch):
+    """Slices of 1, 2 and 3 sequences give the bits of one forward of the
+    whole batch, on the full-row and the rows= path, though the slices'
+    own used widths differ from the batch's."""
+    m = tiny_model(seed=11, positional_kind=positional, attention_mode=attention)
+    rng = np.random.default_rng(4)
+    targets = rng.integers(3, 12, size=(7, 8))
+    for b, width in enumerate([3, 8, 2, 5, 1, 6, 4]):
+        targets[b, width:] = PAD_ID
+    inputs = np.where(rng.random(targets.shape) < 0.3, MASK_ID, targets)
+    inputs[targets == PAD_ID] = PAD_ID
+    rows = np.array([0, 5, 1, 2, 0, 3, 2])
+    full = T.cross_entropy_rows(T.Tensor(m.logits(inputs)), targets).data
+    picked = T.cross_entropy_rows(T.Tensor(m.logits(inputs, rows=rows)), targets[np.arange(7), rows]).data
+    scored = targets != PAD_ID
+    for size in (1, 2, 3):
+        monkeypatch.setattr(evaluation_mod, "_slice_size", lambda cfg, width: size)
+        np.testing.assert_array_equal(_batched_nll(m, inputs, targets)[scored], full[scored])
+        np.testing.assert_array_equal(_batched_nll(m, inputs, targets, rows=rows), picked)
+
+
+def test_reports_are_unchanged_at_one_sequence_per_slice(monkeypatch):
+    seqs = [[3, 4, 5, 6, 7, 8, 9, 10], [6, 7, 8, 9, 3], [4, 4, 10, 11, 5, 3, 9, 8], [11, 3], [5, 3, 6]]
+    corpus = make_corpus(seqs, max_len=8)
+    m = tiny_model(seed=12)
+    mc = tiny_model(seed=12, attention_mode="causal")
+
+    def reports():
+        return [ppl_bidirectional(m, corpus, "random", seed=4).to_dict(), ppl_causal(mc, corpus).to_dict()]
+
+    whole = reports()
+    monkeypatch.setattr(evaluation_mod, "_SLICE_BYTES", 1)
+    assert _slice_size(m.config, 1) == 1
+    assert reports() == whole
+
+
+@pytest.mark.parametrize("name, sequences, forwards", [("upmlm", 1, 8), ("gpt-like", 32, 4)])
+def test_preset_size_evaluation_runs_at_most_8_sequences_per_forward(name, sequences, forwards, monkeypatch):
+    """At preset size the rule gives 8 sequences of width 64, so the 64
+    snapshots of a random-order score and a 32-sequence causal batch both
+    run in forwards of 8."""
+    vocab_size = 40
+    vocab = Vocabulary(["[PAD]", "[MASK]", "[UNK]"] + [f"t{i}" for i in range(3, vocab_size)])
+    seqs = list(np.random.default_rng(5).integers(3, vocab_size, size=(sequences, 64)))
+    corpus = Corpus(sequences=seqs, vocab=vocab, tokenizer_kind="char", split="test", max_len=64)
+    model = Transformer.init(preset(name, "", "").model_config(vocab_size), seed=0)
+    assert _slice_size(model.config, 64) == 8
+    forward, sizes = model.logits, []
+
+    def spy(tokens, **kwargs):
+        sizes.append(len(tokens))
+        return forward(tokens, **kwargs)
+
+    monkeypatch.setattr(model, "logits", spy)
+    if model.is_causal:
+        ppl_causal(model, corpus)
+    else:
+        ppl_bidirectional(model, corpus, "random", seed=0)
+    assert sizes == [8] * forwards
+
+
+def test_slice_size_is_at_least_one_sequence():
+    cfg = preset("upmlm", "", "").model_config(1 << 16)
+    assert 8 * 64 * cfg.vocab_size > evaluation_mod._SLICE_BYTES
+    assert _slice_size(cfg, 64) == 1
 
 
 def test_per_sequence_scores_independent_of_processing_order():

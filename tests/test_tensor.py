@@ -238,6 +238,19 @@ def test_dropout_scales_surviving_entries():
     assert T.dropout(x, 0.0, rng) is x
 
 
+def test_dropout_equals_the_float_mask_formula_bit_for_bit():
+    """The bool keep mask draws the same stream and gives the same bits as
+    x * ((r >= rate) / (1 - rate)), forward and gradient."""
+    rate = 0.1
+    x = Tensor(np.random.default_rng(1).normal(size=(16, 64)), requires_grad=True)
+    g = np.random.default_rng(2).normal(size=(16, 64))
+    out = T.dropout(x, rate, np.random.default_rng(3))
+    backward(T.sum_(out * Tensor(g)))
+    mask = (np.random.default_rng(3).random(x.shape) >= rate) / (1.0 - rate)
+    np.testing.assert_array_equal(out.data, x.data * mask)
+    np.testing.assert_array_equal(x.grad, g * mask)
+
+
 def test_shape_mismatch_names_primitive_and_shapes():
     with pytest.raises(ValueError, match=r"matmul.*\(3, 4\).*\(3, 4\)"):
         T.matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 4))))
