@@ -33,8 +33,8 @@ class SamplerSpec:
     def __post_init__(self):
         if self.kind not in SAMPLER_KINDS:
             raise ValueError(f"sampler kind must be one of {SAMPLER_KINDS}, got '{self.kind}'")
-        if self.temperature <= 0.0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if not (np.isfinite(self.temperature) and self.temperature > 0.0):
+            raise ValueError(f"temperature must be finite and positive, got {self.temperature}")
         if self.k < 1:
             raise ValueError(f"top-k width must be >= 1, got {self.k}")
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
+from scipy.special import betainc, betaln
 
 from .data import json_object
 
@@ -169,7 +169,8 @@ def mask_probability(pattern: MaskPattern, prior: MaskingPrior) -> MaskWeight:
 
     uniform         lgamma(n-k+1) + lgamma(k+1) - lgamma(n+2)
     point_mass(r0)  k log r0 + (n-k) log(1-r0); -inf when impossible
-    truncated(a,b)  log of the numeric integral of r^k (1-r)^(n-k) / (b-a)
+    truncated(a,b)  B(k+1, n-k+1) (I_b - I_a) / (b-a), I the regularised incomplete
+                    Beta, differenced on its tail below 1/2 so r near 1 does not cancel
     """
     n, k = pattern.n_maskable, pattern.k
     if prior.kind == "uniform":
@@ -181,24 +182,27 @@ def mask_probability(pattern: MaskPattern, prior: MaskingPrior) -> MaskWeight:
         if r0 == 1.0:
             return MaskWeight(0.0 if k == n else -math.inf)
         return MaskWeight(k * math.log(r0) + (n - k) * math.log1p(-r0))
-    value, _ = integrate.quad(
-        lambda r: r**k * (1.0 - r) ** (n - k), prior.a, prior.b, epsabs=1e-14, epsrel=1e-12
-    )
-    value /= prior.b - prior.a
-    return MaskWeight(math.log(value) if value > 0.0 else -math.inf)
+    a, b, p, q = prior.a, prior.b, k + 1, n - k + 1
+    lower = betainc(p, q, a)
+    if lower < 0.5:
+        mass = betainc(p, q, b) - lower
+    else:
+        mass = betainc(q, p, 1.0 - a) - betainc(q, p, 1.0 - b)
+    return MaskWeight(float(betaln(p, q)) + math.log(mass) - math.log(b - a) if mass > 0.0 else -math.inf)
 
 
-def enumerate_masks(n: int) -> List[MaskPattern]:
-    """All 2^n patterns over n positions, ordered by bitmask value."""
+def mask_matrix(n: int) -> np.ndarray:
+    """All 2^n masked sets as a (2^n, n) bool matrix: row ``bits`` masks i iff bit i is set."""
     if n > ENUMERATION_LIMIT:
         raise ValueError(f"enumerate_masks supports n <= {ENUMERATION_LIMIT}, got {n}")
     if n < 0:
         raise ValueError("n must be non-negative")
-    patterns = []
-    for bits in range(1 << n):
-        m = np.array([(bits >> i) & 1 for i in range(n)], dtype=bool)
-        patterns.append(MaskPattern.from_indicator(m))
-    return patterns
+    return (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
+
+
+def enumerate_masks(n: int) -> List[MaskPattern]:
+    """All 2^n patterns over n positions, ordered by bitmask value."""
+    return [MaskPattern.from_indicator(m) for m in mask_matrix(n)]
 
 
 # ---------------------------------------------------------------------------

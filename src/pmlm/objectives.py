@@ -18,9 +18,9 @@ position. The causal loss uses [MASK] as the begin-of-sequence filler so
 the first token is predicted from an empty context.
 
 The two sides of the identity share one table of conditionals, one row per
-masked set, and differ only in their weighting: the masked side is an
-alpha-weighted sum over the 2^n sets, the autoregressive side a walk along
-all n! generation orders.
+masked set, and differ only in their weighting: the masked side is a sum
+over the 2^n sets weighted by one alpha per set size, the autoregressive
+side a recursion over the sets that averages all n! generation orders.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ import numpy as np
 
 from . import tensor as T
 from .data import MASK_ID, PAD_ID, causal_inputs, used_width
-from .masking import MaskingPrior, MaskPattern, enumerate_masks, mask_probability, sample_mask, sample_ratio
+from .masking import MaskingPrior, MaskPattern, mask_matrix, mask_probability, sample_mask, sample_ratio
+from .masking import enumerate_masks  # noqa: F401  (perfbench/tracer.py patches it on this module)
 from .model import Transformer
 from .tensor import Tensor
 
@@ -171,43 +172,39 @@ def _exact_input(x, op: str, limit: int) -> np.ndarray:
     return ids
 
 
-def _conditional_table(model: Transformer, ids: np.ndarray, patterns: List[MaskPattern]) -> np.ndarray:
-    """(2^n, n) table of conditionals, one row per pattern of
-    ``enumerate_masks(n)``: row ``bits`` holds log p(x_pos | ground truth
-    outside the set) at the set's positions and 0 elsewhere."""
-    table = np.zeros((len(patterns), len(ids)))
-    for bits, pattern in enumerate(patterns):
-        if pattern.k:
-            table[bits, list(pattern.indices)] = conditional_log_probs(model, ids, pattern.indices)
-    return table
+def _conditional_table(model: Transformer, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``mask_matrix(n)`` and the (2^n, n) table of conditionals read through
+    it: row ``bits`` holds log p(x_pos | ground truth outside the set) at the
+    set's positions and 0 elsewhere."""
+    masks = mask_matrix(len(ids))
+    table = np.zeros(masks.shape)
+    for bits, m in enumerate(masks[1:], 1):
+        table[bits, m] = conditional_log_probs(model, ids, np.flatnonzero(m))
+    return masks, table
 
 
-def _masked_sum(table: np.ndarray, patterns: List[MaskPattern], prior: MaskingPrior) -> float:
-    """sum over masks M of alpha_M (1/K) sum_{pos in M} log p; the K=0 and
-    alpha=0 patterns contribute nothing."""
-    total = 0.0
-    for bits, pattern in enumerate(patterns):
-        if pattern.k == 0:
-            continue
-        alpha = mask_probability(pattern, prior).alpha
-        if alpha == 0.0:
-            continue
-        total += alpha * table[bits, list(pattern.indices)].sum() / pattern.k
-    return total
+def _masked_sum(masks: np.ndarray, table: np.ndarray, prior: MaskingPrior) -> float:
+    """sum over masks M of alpha_M (1/K) sum_{pos in M} log p, with alpha
+    computed once per size K; the K=0 and alpha=0 sets contribute nothing."""
+    n = masks.shape[1]
+    alpha = np.array([mask_probability(MaskPattern.from_indices(n, range(k)), prior).alpha for k in range(n + 1)])
+    sizes = masks.sum(axis=1)
+    rows = (sizes > 0) & (alpha[sizes] > 0.0)
+    return float(np.sum(alpha[sizes[rows]] * table[rows].sum(axis=1) / sizes[rows]))
 
 
-def _order_sum(table: np.ndarray) -> float:
-    """Total log-likelihood summed over all n! generation orders: each step
-    predicts one position with the not-yet-revealed set masked."""
+def _order_mean(table: np.ndarray) -> float:
+    """Mean total log-likelihood over all n! generation orders, each step
+    predicting one position with the not-yet-revealed set S masked. A random
+    order's first step over S predicts each pos in S with probability 1/|S|, so
+    H(S) = (1/|S|) sum_{pos in S} [table[S, pos] + H(S - pos)], H(empty) = 0."""
     n = table.shape[1]
     rows = table.tolist()
-    total = 0.0
-    for sigma in itertools.permutations(range(n)):
-        bits = (1 << n) - 1
-        for pos in sigma:
-            total += rows[bits][pos]
-            bits &= ~(1 << pos)
-    return total
+    h = [0.0] * len(rows)
+    for bits in range(1, len(rows)):
+        members = [pos for pos in range(n) if bits >> pos & 1]
+        h[bits] = sum(rows[bits][pos] + h[bits & ~(1 << pos)] for pos in members) / len(members)
+    return h[-1]
 
 
 def pmlm_exact_loss(model: Transformer, x, prior: MaskingPrior) -> LossValue:
@@ -216,8 +213,7 @@ def pmlm_exact_loss(model: Transformer, x, prior: MaskingPrior) -> LossValue:
     The K=0 pattern contributes zero by definition. Requires 2^n forwards.
     """
     ids = _exact_input(x, "pmlm_exact_loss", PMLM_EXACT_LIMIT)
-    patterns = enumerate_masks(len(ids))
-    return LossValue(-_masked_sum(_conditional_table(model, ids, patterns), patterns, prior), len(ids))
+    return LossValue(-_masked_sum(*_conditional_table(model, ids), prior), len(ids))
 
 
 def aplm_exact_loss(model: Transformer, x) -> LossValue:
@@ -229,9 +225,8 @@ def aplm_exact_loss(model: Transformer, x) -> LossValue:
     per order: -(1/(n n!)) sum over orders and steps.
     """
     ids = _exact_input(x, "aplm_exact_loss", APLM_LIMIT)
-    n = len(ids)
-    table = _conditional_table(model, ids, enumerate_masks(n))
-    return LossValue(-_order_sum(table) / (n * math.factorial(n)), n)
+    _, table = _conditional_table(model, ids)
+    return LossValue(-_order_mean(table) / len(ids), len(ids))
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +308,9 @@ def verify_equivalence(model: Transformer, x, tolerance: float = 1e-9) -> Equiva
     of the total autoregressive log-likelihood, for this model and sequence.
 
     Both sides read one table of conditionals and weight it differently: the
-    left sums it over the 2^n mask patterns with the analytic alpha, the
-    right walks it along all n! generation orders. The duplication audit
-    counts the conditionals of the orders in integers, without the table.
+    left sums it over the 2^n mask patterns with the analytic alpha, the right
+    averages it over all n! orders by a recursion over the masked sets. The
+    duplication audit counts the orders' conditionals in integers, without it.
     The report records both normalization conventions: the permutation mean
     shown here, and the same sum divided by c = (n+1)!, under which the
     right side equals the left without the (n+1) factor.
@@ -324,18 +319,16 @@ def verify_equivalence(model: Transformer, x, tolerance: float = 1e-9) -> Equiva
         raise ValueError(f"verify_equivalence needs a finite tolerance above 0, got {tolerance}")
     ids = _exact_input(x, "verify_equivalence", APLM_LIMIT)
     n = len(ids)
-    patterns = enumerate_masks(n)
-    table = _conditional_table(model, ids, patterns)
-    masked_sum = _masked_sum(table, patterns, MaskingPrior.uniform())
-    perm_total = _order_sum(table)
-    perm_mean = perm_total / math.factorial(n)
+    masks, table = _conditional_table(model, ids)
+    masked_sum = _masked_sum(masks, table, MaskingPrior.uniform())
+    perm_mean = _order_mean(table)
 
     gap = abs((n + 1) * masked_sum - perm_mean)
     audit, audit_ok = audit_duplication_factors(n)
     return EquivalenceReport(
         n=n,
         pmlm_exact=-masked_sum,
-        aplm_mean=-perm_total / (n * math.factorial(n)),
+        aplm_mean=-perm_mean / n,
         constant_c=math.factorial(n + 1),
         masked_side=(n + 1) * masked_sum,
         permutation_side=perm_mean,

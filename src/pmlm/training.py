@@ -64,6 +64,8 @@ class TrainingSettings:
             raise ValueError("steps and batch_size must be positive")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if self.snapshot_every < 1:
+            raise ValueError(f"snapshot_every must be at least 1, got {self.snapshot_every}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainingSettings":

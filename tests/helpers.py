@@ -1,4 +1,8 @@
-"""Shared test utilities: tiny model factories and finite-difference checks."""
+"""Shared test utilities: tiny model factories, finite-difference checks and
+the exact-rational pattern probability of the truncated prior."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -61,3 +65,15 @@ def sampled_coords(shape, rng: np.random.Generator, per_tensor: int = 6):
     count = min(per_tensor, total)
     flat = rng.choice(total, size=count, replace=False)
     return [np.unravel_index(i, shape) if shape else () for i in flat]
+
+
+def truncated_alpha_fraction(n: int, k: int, a: float, b: float) -> Fraction:
+    """(1/(b-a)) * integral of r^k (1-r)^(n-k) over [a, b] as an exact
+    rational, integrated term by term on the binomial expansion of (1-r)^(n-k):
+    sum_j C(n-k, j) (-1)^j (b^e - a^e) / e with e = k+j+1."""
+    a, b = Fraction(a), Fraction(b)
+    total = Fraction(0)
+    for j in range(n - k + 1):
+        e = k + j + 1
+        total += math.comb(n - k, j) * (-1) ** j * (b**e - a**e) / e
+    return total / (b - a)

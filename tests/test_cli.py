@@ -3,6 +3,9 @@ seeded determinism of the emitted artifacts."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,6 +44,18 @@ def workspace(tmp_path_factory):
         == 0
     )
     return root
+
+
+def test_importing_the_cli_does_not_load_scipy_integrate():
+    import pmlm
+
+    env = {**os.environ, "PYTHONPATH": str(Path(pmlm.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, pmlm.cli; print('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_train_requires_config_or_preset():
@@ -258,6 +273,36 @@ def test_run_config_with_a_nan_learning_rate_is_a_one_line_error(workspace, tmp_
     assert code == 2
     assert err == "error: learning_rate must be finite and positive, got nan\n"
     assert not (tmp_path / "o.ckpt").exists()
+
+
+def test_run_config_with_snapshot_every_zero_is_a_one_line_error(workspace, tmp_path, capsys):
+    from pmlm.training import preset
+
+    config = preset(
+        "upmlm", str(workspace / "corpus.txt"), str(tmp_path / "o.ckpt"),
+        layers=1, heads=2, hidden_size=16, intermediate_size=32, max_len=16, steps=1, batch_size=2,
+    ).to_dict()
+    config["training"]["snapshot_every"] = 0
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = main(["train", "--config", str(path), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: snapshot_every must be at least 1, got 0\n"
+    assert not (tmp_path / "o.ckpt").exists()
+
+
+@pytest.mark.parametrize("temperature", ["nan", "inf"])
+def test_non_finite_temperature_is_a_one_line_error(temperature, workspace, tmp_path, capsys):
+    out = tmp_path / "gen.json"
+    code = main([
+        "generate", "--checkpoint", str(workspace / "upmlm.ckpt"), "--length", "4", "--seed", "1",
+        "--sampler", "temperature", "--temperature", temperature, "--out", str(out),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: temperature must be finite and positive, got {temperature}\n"
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

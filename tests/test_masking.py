@@ -19,6 +19,8 @@ from pmlm.masking import (
     uniform_alpha_fraction,
 )
 
+from helpers import truncated_alpha_fraction
+
 
 def quad_alpha(n: int, k: int, a: float = 0.0, b: float = 1.0) -> float:
     """Independent quadrature oracle for the integrated pattern probability."""
@@ -151,6 +153,15 @@ def test_uniform_alpha_matches_exact_rational():
             pattern = MaskPattern.from_indices(n, list(range(k)))
             alpha = mask_probability(pattern, MaskingPrior.uniform()).alpha
             np.testing.assert_allclose(alpha, float(uniform_alpha_fraction(n, k)), rtol=1e-12)
+
+
+@pytest.mark.parametrize("a, b", [(0.2, 0.7), (0.0, 0.3), (0.6, 1.0), (0.98, 0.99)])
+def test_truncated_alpha_matches_exact_rational(a, b):
+    prior = MaskingPrior.truncated(a, b)
+    for n in range(17):
+        for k in range(n + 1):
+            alpha = mask_probability(MaskPattern.from_indices(n, list(range(k))), prior).alpha
+            np.testing.assert_allclose(alpha, float(truncated_alpha_fraction(n, k, a, b)), rtol=1e-13, atol=0)
 
 
 # ---------------------------------------------------------------------------

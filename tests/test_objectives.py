@@ -31,7 +31,7 @@ from pmlm.objectives import (
 from pmlm.tensor import Tensor, backward
 from pmlm.training import preset
 
-from helpers import tiny_model, uniform_output_model
+from helpers import tiny_model, truncated_alpha_fraction, uniform_output_model
 
 
 def oracle_logp(model, x, masked_positions):
@@ -171,8 +171,8 @@ def test_training_step_fixed_ratio_matches_replayed_pattern():
 
 
 def exact_pmlm_oracle(model, x, prior):
-    """Independent expectation: Fraction alphas (uniform) or direct powers
-    (point mass), conditionals via the scipy oracle, full 2^n walk."""
+    """Independent expectation: Fraction alphas (uniform, truncated) or direct
+    powers (point mass), conditionals via the scipy oracle, full 2^n walk."""
     n = len(x)
     total = 0.0
     for subset_size in range(1, n + 1):
@@ -184,6 +184,8 @@ def exact_pmlm_oracle(model, x, prior):
                         math.factorial(n + 1),
                     )
                 )
+            elif prior.kind == "truncated_uniform":
+                alpha = float(truncated_alpha_fraction(n, subset_size, prior.a, prior.b))
             else:
                 alpha = prior.r0**subset_size * (1 - prior.r0) ** (n - subset_size)
             logp = oracle_logp(model, x, positions)
@@ -207,7 +209,9 @@ def test_pmlm_exact_point_mass_one_reduces_to_mlm():
     np.testing.assert_allclose(exact.value, full.value, rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("prior", [MaskingPrior.uniform(), MaskingPrior.point_mass(0.3)])
+@pytest.mark.parametrize(
+    "prior", [MaskingPrior.uniform(), MaskingPrior.point_mass(0.3), MaskingPrior.truncated(0.2, 0.7)]
+)
 def test_pmlm_exact_matches_independent_enumeration(prior):
     m = tiny_model(seed=12)
     x = np.array([3, 7, 9, 4])
