@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,13 +48,7 @@ class PplReport:
     per_sequence: List[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "ppl": self.ppl,
-            "token_count": self.token_count,
-            "seed": self.seed,
-            "per_sequence": self.per_sequence,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -66,13 +60,7 @@ class LatencyReport:
     ratio_vs_baseline: float
 
     def to_dict(self) -> dict:
-        return {
-            "model_kind": self.model_kind,
-            "sequence_count": self.sequence_count,
-            "sequence_length": self.sequence_length,
-            "seconds": self.seconds,
-            "ratio_vs_baseline": self.ratio_vs_baseline,
-        }
+        return asdict(self)
 
 
 def _slice_size(cfg: TransformerConfig, width: int) -> int:
@@ -99,11 +87,11 @@ def _batched_nll(
         sl = slice(start, start + size)
         if rows is None:
             logits = model.logits(inputs[sl, :w])
-            out[sl, :w] = T.cross_entropy_rows(T.Tensor(logits), targets[sl, :w]).data
+            out[sl, :w] = T.array_ops.cross_entropy_rows(logits, targets[sl, :w])
         else:
             r = rows[sl]
             logits = model.logits(inputs[sl, :w], rows=r)
-            out[sl] = T.cross_entropy_rows(T.Tensor(logits), targets[sl][np.arange(len(r)), r]).data
+            out[sl] = T.array_ops.cross_entropy_rows(logits, targets[sl][np.arange(len(r)), r])
     return out
 
 

@@ -185,7 +185,7 @@ def sample_token(
     scaled = logits / sampler.temperature
     if sampler.kind == "top_k":
         # rank by logit descending, ties by lower id, keep the k best
-        ranked = np.lexsort((np.arange(logits.shape[0]), -scaled))
+        ranked = np.argsort(-scaled, kind="stable")
         cutoff = min(sampler.k, int(keep.sum()))
         drop = ranked[cutoff:]
         scaled[drop] = -np.inf
@@ -239,7 +239,7 @@ def generate(
     for step, pos in enumerate(order.sigma):
         token = sample_token(model.logits(seq, rows=[pos])[0], sampler, rng)
         seq[pos] = token
-        trace.steps.append(TraceStep(step=step, position=pos, token=token, snapshot=tuple(int(t) for t in seq)))
+        trace.steps.append(TraceStep(step=step, position=pos, token=token, snapshot=tuple(seq.tolist())))
     return seq, trace
 
 

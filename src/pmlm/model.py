@@ -179,6 +179,11 @@ class Transformer:
         for p in self.params.values():
             p.zero_grad()
 
+    def _arrays(self) -> Dict[str, np.ndarray]:
+        """The parameters' current arrays, for ``tensor.array_ops``; built per
+        call, since restoring a training snapshot rebinds ``.data``."""
+        return {name: t.data for name, t in self.params.items()}
+
     # ------------------------------------------------------------------
     # full forward
     # ------------------------------------------------------------------
@@ -220,6 +225,11 @@ class Transformer:
         forward up to rounding. ``flat_rows`` (R,) instead names positions
         of the flattened (B·n) batch, any number per sequence, and gives
         (R, vocab); training reads its loss rows this way.
+
+        Only a forward with gradients enabled records a graph. Under
+        ``no_grad`` the block runs on ``tensor.array_ops`` over the parameter
+        arrays, as the cached decode does, and just the logits come back in a
+        Tensor, with the bits of the recording forward.
         """
         cfg = self.config
         ids = np.asarray(tokens, dtype=np.int64)
@@ -247,13 +257,16 @@ class Transformer:
             if np.any((flat_rows < 0) | (flat_rows >= ids.size)):
                 raise ValueError(f"forward: a flat row lies outside the {ids.size} positions of the batch")
             shape = flat_rows.shape
-        logits = self._run(T, self.params, ids, rows=rows, flat_rows=flat_rows, drop=drop, rng=rng)
+        recording = T.grad_enabled()
+        ops, p = (T, self.params) if recording else (T.array_ops, self._arrays())
+        logits = self._run(ops, p, ids, rows=rows, flat_rows=flat_rows, drop=drop, rng=rng)
         if logits.shape != shape + (cfg.vocab_size,):
-            logits = T.reshape(logits, shape + (cfg.vocab_size,))
-        return logits
+            logits = ops.reshape(logits, shape + (cfg.vocab_size,))
+        return logits if recording else Tensor(logits)
 
     def logits(self, tokens, *, rows=None) -> np.ndarray:
-        """Evaluation-mode forward without graph recording."""
+        """Evaluation-mode forward on plain arrays, recording no graph: the
+        logits array of ``forward(tokens, rows=rows)`` under ``no_grad``."""
         with T.no_grad():
             return self.forward(tokens, rows=rows).data
 
@@ -376,8 +389,7 @@ class Transformer:
         if n == cache.length:
             raise ValueError("forward_incremental: no new positions beyond the cache")
 
-        params = {name: t.data for name, t in self.params.items()}
-        logits = self._run(T.array_ops, params, ids[None, :], start=cache.length, cache=cache)
+        logits = self._run(T.array_ops, self._arrays(), ids[None, :], start=cache.length, cache=cache)
         cache.length = n
         cache.tokens = list(ids)
         return logits[0, -1], cache

@@ -70,8 +70,7 @@ def conditional_log_probs(model: Transformer, x, positions: Sequence[int]) -> np
     pos = list(positions)
     inputs = ids.copy()
     inputs[pos] = MASK_ID
-    with T.no_grad():
-        return -T.cross_entropy_rows(model.forward(inputs).data[pos], ids[pos]).data
+    return -T.array_ops.cross_entropy_rows(model.logits(inputs)[pos], ids[pos])
 
 
 # ---------------------------------------------------------------------------
@@ -256,18 +255,9 @@ def audit_duplication_factors(n: int) -> Tuple[Dict[int, int], bool]:
     """
     counts = count_permutation_conditionals(n)
     expected = {k: math.factorial(n - k) * math.factorial(k - 1) for k in range(1, n + 1)}
-    ok = True
-    seen_keys = 0
-    for (bits, _pos), count in counts.items():
-        k = bin(bits).count("1")
-        seen_keys += 1
-        if count != expected[k]:
-            ok = False
+    ok = all(count == expected[bin(bits).count("1")] for (bits, _pos), count in counts.items())
     # every (masked set of size k, member position) pair must appear
-    total_expected = sum(math.comb(n, k) * k for k in range(1, n + 1))
-    if seen_keys != total_expected:
-        ok = False
-    return expected, ok
+    return expected, ok and len(counts) == sum(math.comb(n, k) * k for k in range(1, n + 1))
 
 
 @dataclass

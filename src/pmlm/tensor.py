@@ -39,6 +39,11 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
+def grad_enabled() -> bool:
+    """Whether ops record graph nodes: False inside ``no_grad``."""
+    return _GRAD_ENABLED
+
+
 class Tensor:
     """A float64 array plus an optional gradient of the same shape."""
 
@@ -173,9 +178,7 @@ def matmul(a, b, bias=None) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise _shape_error("matmul", a.shape, b.shape)
-    data = a.data @ b.data
-    if bias is not None:
-        data += _array(bias)
+    data = _matmul(a.data, b.data, _array(bias))
 
     def vjp(g):
         ga = g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None
@@ -238,9 +241,7 @@ def sum_(a, axis=None) -> Tensor:
     data = a.data.sum(axis=axis)
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        g = np.expand_dims(g, axis)
+        g = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)
 
     return _node(data, (a,), vjp)
@@ -280,7 +281,27 @@ def _layer_norm(x: np.ndarray, gain=None, bias=None, eps: float = 1e-12):
 
 
 def _gelu_cdf(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    """0.5 * (1 + erf(x / sqrt(2))), in one buffer."""
+    t = x * _INV_SQRT2
+    erf(t, out=t)
+    t += 1.0
+    t *= 0.5
+    return t
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, bias=None) -> np.ndarray:
+    """a @ b, plus bias added in place when given."""
+    out = a @ b
+    if bias is not None:
+        out += bias
+    return out
+
+
+def _dropout(x: np.ndarray, keep: np.ndarray, rate: float) -> np.ndarray:
+    """x at the kept entries, scaled by 1 / (1 - rate); 0 elsewhere."""
+    out = x * keep
+    out *= 1.0 / (1.0 - rate)
+    return out
 
 
 def softmax(a, scale: float = 1.0, bias=None) -> Tensor:
@@ -341,33 +362,31 @@ def dropout(a, rate: float, rng: np.random.Generator) -> Tensor:
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout: rate {rate} outside [0, 1)")
     keep = rng.random(a.shape) >= rate
-
-    def apply(x):
-        out = x * keep
-        out *= 1.0 / (1.0 - rate)
-        return out
-
-    return _node(apply(a.data), (a,), lambda g: (apply(g),))
-
-
-# The forward ops above on plain arrays, with no Tensor and no graph node per
-# op, for the cached decode step (one row per call, where a wrapper per op
-# would double its cost). Inputs are trusted: there are no checks.
-array_ops = SimpleNamespace(
-    matmul=lambda a, b, bias=None: a @ b if bias is None else a @ b + bias,
-    softmax=_softmax,
-    layer_norm=lambda x, gain=None, bias=None: _layer_norm(x, gain, bias)[0],
-    gelu=lambda x: x * _gelu_cdf(x),
-    dropout=lambda x, rate, rng: x,
-    take=lambda a, indices, name="take": a[indices],
-    reshape=lambda a, shape: a.reshape(shape),
-    transpose=lambda a, axes: a.transpose(axes),
-)
+    return _node(_dropout(a.data, keep, rate), (a,), lambda g: (_dropout(g, keep, rate),))
 
 
 # ---------------------------------------------------------------------------
 # losses
 # ---------------------------------------------------------------------------
+
+
+def _nll_rows(logits: np.ndarray, targets) -> tuple:
+    """(nll, logp, flat) for logits (..., V) and integer targets (...,):
+    nll_i = -log softmax(logits_i)[targets_i], logp the log-softmax of the
+    logits, and flat the targets as (row, class) index pairs."""
+    t = np.asarray(targets)
+    if t.shape != logits.shape[:-1]:
+        raise _shape_error("cross_entropy", logits.shape, t.shape)
+    if not np.all(np.isfinite(logits)):
+        raise NonFiniteLogits("cross_entropy: non-finite logits")
+    classes = logits.shape[-1]
+    if t.size and (t.min() < 0 or t.max() >= classes):
+        raise ValueError(f"cross_entropy: target id out of range for {classes} classes")
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    logp = shifted - lse
+    flat = (np.arange(t.size), t.reshape(-1))
+    return -logp.reshape(-1, classes)[flat].reshape(t.shape), logp, flat
 
 
 def cross_entropy_rows(logits, targets) -> Tensor:
@@ -377,27 +396,32 @@ def cross_entropy_rows(logits, targets) -> Tensor:
     nll_i = -log softmax(logits_i)[targets_i].
     """
     logits = as_tensor(logits)
-    t = np.asarray(targets)
-    if t.shape != logits.shape[:-1]:
-        raise _shape_error("cross_entropy", logits.shape, t.shape)
-    if not np.all(np.isfinite(logits.data)):
-        raise NonFiniteLogits("cross_entropy: non-finite logits")
-    classes = logits.shape[-1]
-    if t.size and (t.min() < 0 or t.max() >= classes):
-        raise ValueError(f"cross_entropy: target id out of range for {classes} classes")
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    logp = shifted - lse
-    # the target entry of each row, as flat (row, class) index pairs
-    flat = (np.arange(t.size), t.reshape(-1))
-    data = -logp.reshape(-1, classes)[flat].reshape(t.shape)
+    data, logp, flat = _nll_rows(logits.data, targets)
 
     def vjp(g):
         grad = np.exp(logp)
-        grad.reshape(-1, classes)[flat] -= 1.0
+        grad.reshape(-1, logp.shape[-1])[flat] -= 1.0
         return (grad * g[..., None],)
 
     return _node(data, (logits,), vjp)
+
+
+# The forward ops and the loss above on plain arrays, with no Tensor and no
+# graph node per op. ``Transformer.forward`` runs on them whenever no graph is
+# recorded, and the cached decode always. Each shares its kernel with its
+# Tensor op and gives the same bits; dropout draws the same mask from the same
+# rng. Inputs are trusted: only the loss checks them.
+array_ops = SimpleNamespace(
+    matmul=_matmul,
+    softmax=_softmax,
+    layer_norm=lambda x, gain=None, bias=None: _layer_norm(x, gain, bias)[0],
+    gelu=lambda x: x * _gelu_cdf(x),
+    dropout=lambda x, rate, rng: x if rate <= 0.0 else _dropout(x, rng.random(x.shape) >= rate, rate),
+    take=lambda a, indices, name="take": a[indices],
+    reshape=lambda a, shape: a.reshape(shape),
+    transpose=lambda a, axes: a.transpose(axes),
+    cross_entropy_rows=lambda logits, targets: _nll_rows(logits, targets)[0],
+)
 
 
 # ---------------------------------------------------------------------------

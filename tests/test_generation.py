@@ -206,6 +206,32 @@ def test_top_k_restricts_support():
     assert draws == {3, 4}
 
 
+def _top_k_by_lexsort(logits, k, temperature, rng):
+    """The top-k draw with the ranking sample_token used before: np.lexsort
+    on (id, -logit), then the same renormalised draw."""
+    scaled = np.where(np.isin(np.arange(len(logits)), (PAD_ID, MASK_ID, UNK_ID)), -np.inf, logits) / temperature
+    ranked = np.lexsort((np.arange(len(logits)), -scaled))
+    scaled[ranked[min(k, len(logits) - 3):]] = -np.inf
+    candidates = np.flatnonzero(np.isfinite(scaled))
+    weights = np.exp(scaled[candidates] - scaled[candidates].max())
+    cdf = np.cumsum(weights / weights.sum())
+    return int(candidates[min(int(np.searchsorted(cdf, rng.random(), side="right")), len(candidates) - 1)])
+
+
+def test_top_k_ties_go_to_the_lower_ids():
+    spec = SamplerSpec(kind="top_k", k=3, temperature=0.7)
+    rng = np.random.default_rng(4)
+    assert {sample_token(np.zeros(12), spec, rng) for _ in range(200)} == {3, 4, 5}
+    row = np.array([0.0, 0.0, 0.0, 1.0, 2.0, 1.0, 2.0, 1.0, 0.5, 2.0, 1.0, 1.0])
+    assert {sample_token(row, SamplerSpec(kind="top_k", k=4), rng) for _ in range(200)} == {4, 6, 9, 3}
+    # rounded random rows tie often; the draw matches the lexsort ranking's
+    rows = np.round(np.random.default_rng(5).normal(size=(200, 12)), 1)
+    for seed, logits in enumerate(rows):
+        k = 1 + seed % 6
+        got = sample_token(logits, SamplerSpec(kind="top_k", k=k, temperature=0.8), np.random.default_rng(seed))
+        assert got == _top_k_by_lexsort(logits, k, 0.8, np.random.default_rng(seed)), seed
+
+
 def test_special_tokens_never_sampled():
     # rig the row so the raw argmax is [MASK]
     row = np.zeros(12)

@@ -95,6 +95,62 @@ def test_dropout_off_is_deterministic_and_on_differs():
         m.forward(x, train=True)
 
 
+@pytest.mark.parametrize("mode", ["bidirectional", "causal"])
+@pytest.mark.parametrize("positional", ["absolute", "relative"])
+def test_no_grad_forward_has_the_bits_of_the_recording_forward(mode, positional):
+    m = tiny_model(seed=14, attention_mode=mode, positional_kind=positional)
+    rng = np.random.default_rng(5)
+    ids = rng.integers(3, 12, size=(3, 8))
+    ids[2, 6:] = PAD_ID
+    for kwargs in ({}, {"rows": [[1, 6], [0, 0], [7, 3]]}, {"flat_rows": [0, 5, 9, 17, 23]}):
+        recorded = m.forward(ids, **kwargs)
+        assert recorded.requires_grad
+        with T.no_grad():
+            plain = m.forward(ids, **kwargs)
+        np.testing.assert_array_equal(plain.data, recorded.data)
+    for kwargs in ({}, {"rows": [4, 0]}):
+        np.testing.assert_array_equal(m.logits(ids[0], **kwargs), m.forward(ids[0], **kwargs).data)
+    if mode == "causal":
+        # the cached decode over a fresh cache runs the same block on arrays
+        row, _ = m.forward_incremental(ids[0])
+        np.testing.assert_array_equal(row, m.forward(ids[0]).data[-1])
+
+
+def test_no_grad_forward_builds_no_graph_node(monkeypatch):
+    m = tiny_model(seed=15, positional_kind="relative", dropout_rate=0.2)
+    calls = []
+    node = T._node
+
+    def counted(*args):
+        calls.append(args)
+        return node(*args)
+
+    monkeypatch.setattr(T, "_node", counted)
+    ids = np.array([[3, 4, 5, 6], [7, 8, PAD_ID, PAD_ID]])
+    with T.no_grad():
+        for kwargs in ({}, {"rows": [1, 0]}, {"flat_rows": [2, 4]}, {"train": True, "rng": np.random.default_rng(0)}):
+            out = m.forward(ids, **kwargs)
+            assert out._parents == () and out._vjp is None and not out.requires_grad
+    assert calls == []
+    m.forward(ids)
+    assert calls  # the recording forward goes through the graph
+
+
+def test_no_grad_dropout_draws_the_recording_forwards_mask():
+    m = tiny_model(seed=16, dropout_rate=0.3)
+    ids = np.array([[3, 4, 5, 6, 7], [8, 9, 10, PAD_ID, PAD_ID]])
+    for kwargs in ({}, {"flat_rows": [0, 3, 6]}):
+        recorded = m.forward(ids, train=True, rng=np.random.default_rng(7), **kwargs).data
+        with T.no_grad():
+            plain = m.forward(ids, train=True, rng=np.random.default_rng(7), **kwargs).data
+        np.testing.assert_array_equal(plain, recorded)
+    assert not np.array_equal(recorded, m.logits(ids).reshape(-1, 12)[[0, 3, 6]])
+    x = np.random.default_rng(8).normal(size=(6, 5))
+    expected = T.dropout(Tensor(x), 0.3, np.random.default_rng(9)).data
+    np.testing.assert_array_equal(T.array_ops.dropout(x, 0.3, np.random.default_rng(9)), expected)
+    assert T.array_ops.dropout(x, 0.0, None) is x
+
+
 # ---------------------------------------------------------------------------
 # incremental decoding
 # ---------------------------------------------------------------------------
