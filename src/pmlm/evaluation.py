@@ -20,7 +20,7 @@ import numpy as np
 from . import tensor as T
 from .data import Corpus, MASK_ID, PAD_ID, causal_inputs, used_width
 from .generation import GenerationConstraints, GenerationOrder, SamplerSpec, generate, sample_token
-from .model import Transformer, TransformerConfig
+from .model import Transformer
 
 PPL_MODES = ("sequential", "random")
 
@@ -33,11 +33,6 @@ COST_NOTE = (
     "each bidirectional step recomputes the hidden states of every position; "
     "each causal step updates only the newly generated position via cached keys/values"
 )
-
-#: Bytes the largest float64 array of one evaluation slice may hold: half the 2 MiB
-#: per-core L2. Preset-size ppl_random ran 57.1 ms at 8 sequences, 64.8 at 16, 84.6 at 64.
-_SLICE_BYTES = 1 << 20
-
 
 @dataclass
 class PplReport:
@@ -63,35 +58,21 @@ class LatencyReport:
         return asdict(self)
 
 
-def _slice_size(cfg: TransformerConfig, width: int) -> int:
-    """Sequences per evaluation slice: as many as fit ``_SLICE_BYTES`` with
-    width * max(heads * width, intermediate_size, vocab_size) float64 values
-    each, the largest array one sequence makes in a forward; at least one."""
-    return max(1, _SLICE_BYTES // (8 * width * max(cfg.heads * width, cfg.intermediate_size, cfg.vocab_size)))
-
-
 def _batched_nll(
     model: Transformer, inputs: np.ndarray, targets: np.ndarray, rows: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Per-row NLL of targets under the model, in slices of ``_slice_size``
-    sequences, each run up to the used width of the whole batch, so every NLL
-    has the bits of one unsliced forward. Rows of the all-[PAD] tail past that
+    """Per-row NLL of targets under the model, from one ``logits`` call on
+    the batch cut at its used width. Rows of the all-[PAD] tail past that
     width are left at 0 and must not be read as scores. With ``rows`` (B,),
     one position per input row, only those logit rows are computed and the
     result is the (B,) NLL of ``targets[b, rows[b]]``.
     """
     w = used_width(inputs, targets)
-    size = _slice_size(model.config, w)
-    out = np.zeros(targets.shape if rows is None else len(rows))
-    for start in range(0, inputs.shape[0], size):
-        sl = slice(start, start + size)
-        if rows is None:
-            logits = model.logits(inputs[sl, :w])
-            out[sl, :w] = T.array_ops.cross_entropy_rows(logits, targets[sl, :w])
-        else:
-            r = rows[sl]
-            logits = model.logits(inputs[sl, :w], rows=r)
-            out[sl] = T.array_ops.cross_entropy_rows(logits, targets[sl][np.arange(len(r)), r])
+    logits = model.logits(inputs[:, :w], rows=rows)
+    if rows is not None:
+        return T.array_ops.cross_entropy_rows(logits, targets[np.arange(len(rows)), rows])
+    out = np.zeros(targets.shape)
+    out[:, :w] = T.array_ops.cross_entropy_rows(logits, targets[:, :w])
     return out
 
 

@@ -222,10 +222,13 @@ def test_unreadable_checkpoint_is_reported(workspace, capsys):
         ["verify-equivalence", "--tolerance", "inf"],
         ["verify-equivalence", "--tolerance", "nan"],
         ["verify-equivalence", "--tolerance", "-1"],
+        ["bench-latency", "--count", "1", "--length", "4", "--heads", "0"],
+        ["bench-latency", "--count", "1", "--length", "4", "--hidden-size", "0"],
     ],
     ids=[
         "verify_n_0", "verify_models_0", "make_corpus_negative_bytes",
         "verify_tolerance_inf", "verify_tolerance_nan", "verify_tolerance_negative",
+        "bench_latency_heads_0", "bench_latency_hidden_size_0",
     ],
 )
 def test_bad_flag_is_a_one_line_error(argv, tmp_path, capsys):
@@ -383,6 +386,7 @@ def _checkpoint(**extra) -> bytes:
         (_TRAIN, '{"corpus_path": "c.txt", "prior": {"kind": "uniform"}}'),
         (_TRAIN, "[1]"),
         (_GENERATE, '{"config":{"model":{"vocab_size":"12"}},"tensors":{}}\0'),
+        (_GENERATE, '{"config":{"model":{"vocab_size":12,"heads":0}},"tensors":{}}\0'),
         (_GENERATE, _checkpoint(vocab=5)),
         (_GENERATE, _checkpoint(vocab=[*SPECIAL_TOKENS, *range(9)])),
         (_GENERATE, _checkpoint(vocab=_VOCAB[:4])),
@@ -391,7 +395,7 @@ def _checkpoint(**extra) -> bytes:
     ids=[
         "checkpoint_header_without_model", "checkpoint_header_list", "run_config_training_bogus",
         "run_config_prior_x", "run_config_without_checkpoint_path", "run_config_list",
-        "checkpoint_vocab_size_string", "checkpoint_vocab_number", "checkpoint_vocab_of_ints",
+        "checkpoint_vocab_size_string", "checkpoint_heads_0", "checkpoint_vocab_number", "checkpoint_vocab_of_ints",
         "checkpoint_vocab_shorter_than_vocab_size", "checkpoint_tokenizer_number",
     ],
 )

@@ -8,11 +8,11 @@ import pytest
 from scipy.special import log_softmax as sp_log_softmax
 
 import pmlm.evaluation as evaluation_mod
+import pmlm.model as model_mod
 from pmlm import tensor as T
 from pmlm.data import Corpus, MASK_ID, PAD_ID, Vocabulary
 from pmlm.evaluation import (
     _batched_nll,
-    _slice_size,
     bench_latency,
     ppl_bidirectional,
     ppl_causal,
@@ -20,7 +20,7 @@ from pmlm.evaluation import (
     render_ppl_table,
     score_sequence_bidirectional,
 )
-from pmlm.model import Transformer
+from pmlm.model import Transformer, _slice_size
 from pmlm.objectives import ar_loss, conditional_log_probs
 from pmlm.training import preset
 
@@ -125,7 +125,7 @@ def test_padding_never_changes_ppl():
 def test_one_row_per_snapshot_matches_the_full_forward(positional, chunk, monkeypatch):
     """Scoring reads one logit row per snapshot; a full forward of every
     snapshot gives the same total, whether or not the snapshots are sliced."""
-    monkeypatch.setattr(evaluation_mod, "_slice_size", lambda cfg, width: chunk)
+    monkeypatch.setattr(model_mod, "_slice_size", lambda cfg, width: chunk)
     m = tiny_model(seed=10, positional_kind=positional)
     ids = np.array([3, 8, 5, 11, 4, PAD_ID, 7, PAD_ID])
     order = np.array([6, 2, 0, 4, 1, 3])
@@ -181,7 +181,7 @@ def test_sliced_nll_equals_one_unsliced_forward_bit_for_bit(positional, attentio
     picked = T.cross_entropy_rows(T.Tensor(m.logits(inputs, rows=rows)), targets[np.arange(7), rows]).data
     scored = targets != PAD_ID
     for size in (1, 2, 3):
-        monkeypatch.setattr(evaluation_mod, "_slice_size", lambda cfg, width: size)
+        monkeypatch.setattr(model_mod, "_slice_size", lambda cfg, width: size)
         np.testing.assert_array_equal(_batched_nll(m, inputs, targets)[scored], full[scored])
         np.testing.assert_array_equal(_batched_nll(m, inputs, targets, rows=rows), picked)
 
@@ -196,7 +196,7 @@ def test_reports_are_unchanged_at_one_sequence_per_slice(monkeypatch):
         return [ppl_bidirectional(m, corpus, "random", seed=4).to_dict(), ppl_causal(mc, corpus).to_dict()]
 
     whole = reports()
-    monkeypatch.setattr(evaluation_mod, "_SLICE_BYTES", 1)
+    monkeypatch.setattr(model_mod, "_SLICE_BYTES", 1)
     assert _slice_size(m.config, 1) == 1
     assert reports() == whole
 
@@ -212,13 +212,13 @@ def test_preset_size_evaluation_runs_at_most_8_sequences_per_forward(name, seque
     corpus = Corpus(sequences=seqs, vocab=vocab, tokenizer_kind="char", split="test", max_len=64)
     model = Transformer.init(preset(name, "", "").model_config(vocab_size), seed=0)
     assert _slice_size(model.config, 64) == 8
-    forward, sizes = model.logits, []
+    forward, sizes = model.forward, []
 
     def spy(tokens, **kwargs):
         sizes.append(len(tokens))
         return forward(tokens, **kwargs)
 
-    monkeypatch.setattr(model, "logits", spy)
+    monkeypatch.setattr(model, "forward", spy)
     if model.is_causal:
         ppl_causal(model, corpus)
     else:
@@ -228,7 +228,7 @@ def test_preset_size_evaluation_runs_at_most_8_sequences_per_forward(name, seque
 
 def test_slice_size_is_at_least_one_sequence():
     cfg = preset("upmlm", "", "").model_config(1 << 16)
-    assert 8 * 64 * cfg.vocab_size > evaluation_mod._SLICE_BYTES
+    assert 8 * 64 * cfg.vocab_size > model_mod._SLICE_BYTES
     assert _slice_size(cfg, 64) == 1
 
 

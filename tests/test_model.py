@@ -4,6 +4,7 @@ incremental decoding against the full-forward oracle."""
 import numpy as np
 import pytest
 
+import pmlm.model as model_mod
 from pmlm import tensor as T
 from pmlm.data import PAD_ID
 from pmlm.model import (
@@ -259,6 +260,45 @@ def test_rows_must_fit_the_tokens():
         m.forward(ids, flat_rows=[[0], [4]])
 
 
+@pytest.mark.parametrize("mode", ["bidirectional", "causal"])
+@pytest.mark.parametrize("positional", ["absolute", "relative"])
+def test_sliced_logits_have_the_bits_of_one_forward(mode, positional, monkeypatch):
+    """Slices of 1, 2 and 3 sequences give the bits of one forward of the
+    whole batch, with [PAD] tails, on full rows and on rows of shape (B,)
+    and (B, r), and no forward gets more sequences than the slice size."""
+    m = tiny_model(seed=14, attention_mode=mode, positional_kind=positional)
+    rng = np.random.default_rng(6)
+    ids = rng.integers(3, 12, size=(7, 8))
+    for b, width in enumerate([3, 8, 2, 5, 1, 8, 4]):
+        ids[b, width:] = PAD_ID
+    cases = [None, np.array([0, 5, 1, 2, 0, 3, 2]), np.stack([rng.permutation(8)[:3] for _ in range(7)])]
+    whole = [m.logits(ids, rows=rows) for rows in cases]
+    forward, sizes = m.forward, []
+
+    def spy(tokens, **kwargs):
+        sizes.append(len(tokens))
+        return forward(tokens, **kwargs)
+
+    monkeypatch.setattr(m, "forward", spy)
+    for size in (1, 2, 3):
+        monkeypatch.setattr(model_mod, "_slice_size", lambda cfg, width: size)
+        for rows, expected in zip(cases, whole):
+            sizes.clear()
+            np.testing.assert_array_equal(m.logits(ids, rows=rows), expected)
+            assert sizes == [size] * (7 // size) + [7 % size] * (7 % size > 0)
+
+
+def test_rows_that_do_not_fit_a_sliced_batch_are_rejected(monkeypatch):
+    """A slice loop that cut ``rows`` with the tokens would drop the rows
+    past the batch; they are checked against the whole batch instead."""
+    m = tiny_model(seed=15)
+    monkeypatch.setattr(model_mod, "_slice_size", lambda cfg, width: 2)
+    ids = np.full((4, 8), 3)
+    for rows in ([0, 1, 2, 3, 4], [0, 1, 2], np.zeros((5, 2)), np.zeros((3, 2)), np.zeros((4, 1, 1)), 0):
+        with pytest.raises(ValueError, match=r"rows of shape .* do not fit tokens of shape \(4, 8\)"):
+            m.logits(ids, rows=rows)
+
+
 # ---------------------------------------------------------------------------
 # relative positional bias
 # ---------------------------------------------------------------------------
@@ -311,6 +351,10 @@ def test_config_rejects_bad_values():
         TransformerConfig(vocab_size=10, attention_mode="diagonal")
     with pytest.raises(ValueError, match="relative_window"):
         TransformerConfig(vocab_size=10, positional_kind="relative", relative_window=0)
+    with pytest.raises(ValueError, match="heads and hidden_size must be positive"):
+        TransformerConfig(vocab_size=10, heads=0)
+    with pytest.raises(ValueError, match="heads and hidden_size must be positive"):
+        TransformerConfig(vocab_size=10, hidden_size=0)
 
 
 def test_transformer_rejects_wrong_parameter_names():
