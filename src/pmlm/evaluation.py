@@ -20,7 +20,7 @@ import numpy as np
 from . import tensor as T
 from .data import Corpus, MASK_ID, PAD_ID, causal_inputs, used_width
 from .generation import GenerationConstraints, GenerationOrder, SamplerSpec, generate, sample_token
-from .model import Transformer
+from .model import Transformer, _slice_size
 
 PPL_MODES = ("sequential", "random")
 
@@ -61,18 +61,25 @@ class LatencyReport:
 def _batched_nll(
     model: Transformer, inputs: np.ndarray, targets: np.ndarray, rows: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Per-row NLL of targets under the model, from one ``logits`` call on
-    the batch cut at its used width. Rows of the all-[PAD] tail past that
+    """Per-row NLL of targets under the model, in slices of ``_slice_size``
+    sequences, each run up to the used width of the whole batch, so every NLL
+    has the bits of one unsliced forward. Rows of the all-[PAD] tail past that
     width are left at 0 and must not be read as scores. With ``rows`` (B,),
     one position per input row, only those logit rows are computed and the
     result is the (B,) NLL of ``targets[b, rows[b]]``.
     """
     w = used_width(inputs, targets)
-    logits = model.logits(inputs[:, :w], rows=rows)
-    if rows is not None:
-        return T.array_ops.cross_entropy_rows(logits, targets[np.arange(len(rows)), rows])
-    out = np.zeros(targets.shape)
-    out[:, :w] = T.array_ops.cross_entropy_rows(logits, targets[:, :w])
+    size = _slice_size(model.config, w)
+    out = np.zeros(targets.shape if rows is None else len(rows))
+    for start in range(0, inputs.shape[0], size):
+        sl = slice(start, start + size)
+        if rows is None:
+            logits = model.logits(inputs[sl, :w])
+            out[sl, :w] = T.array_ops.cross_entropy_rows(logits, targets[sl, :w])
+        else:
+            r = rows[sl]
+            logits = model.logits(inputs[sl, :w], rows=r)
+            out[sl] = T.array_ops.cross_entropy_rows(logits, targets[sl][np.arange(len(r)), r])
     return out
 
 

@@ -277,13 +277,10 @@ class Transformer:
 
     def logits(self, tokens, *, rows=None) -> np.ndarray:
         """Evaluation-mode forward on plain arrays, recording no graph: the
-        logits array of ``forward(tokens, rows=rows)`` under ``no_grad``.
-
-        A (B, n) batch runs as consecutive forwards of at most ``_slice_size``
-        sequences at width n, so each keeps an L2-sized working set and every
-        logit has the bits of one unsliced forward. ``rows`` that do not fit
-        the whole batch go to one forward of it, which rejects them.
-        """
+        logits array of ``forward(tokens, rows=rows)`` under ``no_grad``, run as
+        forwards of at most ``_slice_size`` sequences at the caller's width, so
+        every logit has the bits of one unsliced forward. ``rows`` that do not
+        fit the whole batch go to one forward of it, which rejects them."""
         ids = np.asarray(tokens, dtype=np.int64)
         rows = None if rows is None else np.asarray(rows, dtype=np.int64)
         misfit = rows is not None and (rows.ndim not in (1, 2) or len(rows) != len(ids))

@@ -205,7 +205,7 @@ def test_reports_are_unchanged_at_one_sequence_per_slice(monkeypatch):
 def test_preset_size_evaluation_runs_at_most_8_sequences_per_forward(name, sequences, forwards, monkeypatch):
     """At preset size the rule gives 8 sequences of width 64, so the 64
     snapshots of a random-order score and a 32-sequence causal batch both
-    run in forwards of 8."""
+    run in forwards of 8, each scored by its own cross-entropy."""
     vocab_size = 40
     vocab = Vocabulary(["[PAD]", "[MASK]", "[UNK]"] + [f"t{i}" for i in range(3, vocab_size)])
     seqs = list(np.random.default_rng(5).integers(3, vocab_size, size=(sequences, 64)))
@@ -213,17 +213,23 @@ def test_preset_size_evaluation_runs_at_most_8_sequences_per_forward(name, seque
     model = Transformer.init(preset(name, "", "").model_config(vocab_size), seed=0)
     assert _slice_size(model.config, 64) == 8
     forward, sizes = model.forward, []
+    cross_entropy, scored = T.array_ops.cross_entropy_rows, []
 
     def spy(tokens, **kwargs):
         sizes.append(len(tokens))
         return forward(tokens, **kwargs)
 
+    def entropy_spy(logits, targets):
+        scored.append(len(logits))
+        return cross_entropy(logits, targets)
+
     monkeypatch.setattr(model, "forward", spy)
+    monkeypatch.setattr(T.array_ops, "cross_entropy_rows", entropy_spy)
     if model.is_causal:
         ppl_causal(model, corpus)
     else:
         ppl_bidirectional(model, corpus, "random", seed=0)
-    assert sizes == [8] * forwards
+    assert sizes == scored == [8] * forwards
 
 
 def test_slice_size_is_at_least_one_sequence():
