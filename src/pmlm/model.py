@@ -9,7 +9,11 @@ from attention everywhere.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Dict, Optional
 
@@ -22,9 +26,14 @@ from .tensor import Tensor
 ATTENTION_MODES = ("bidirectional", "causal")
 POSITIONAL_KINDS = ("absolute", "relative")
 
-#: Bytes the largest float64 array of one no-grad slice may hold: half the 2 MiB
-#: per-core L2. Preset-size ppl_random ran 57.1 ms at 8 sequences, 64.8 at 16, 84.6 at 64.
+#: Bytes the largest float64 arrays of one no-grad call may hold, split across its workers:
+#: half the 2 MiB per-core L2. Preset-size ppl_random ran 57.1 ms at 8 sequences, 64.8 at 16,
+#: 84.6 at 64. 1 MiB per worker pushed peak RSS past its bound (ppl_causal 68.2 -> 77.0 MB,
+#: generate's 60-snapshot replay 69.1 -> 77.3); split, 70.3 and 69.4. One worker keeps it all:
+#: 512 KiB slices ran a random-order score 15-20 % slower on one thread (97-100 -> 115-119 ms).
 _SLICE_BYTES = 1 << 20
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_IN_SLICE = threading.local()
 
 
 @dataclass
@@ -135,11 +144,64 @@ def relative_attention_bias(distance_table, n: int, window: Optional[int] = None
     return ops.transpose(ops.take(distance_table, idx, name="rel_bias"), (*range(d - 3), d - 1, d - 3, d - 2))
 
 
-def _slice_size(cfg: TransformerConfig, width: int) -> int:
-    """Sequences per no-grad slice: as many as fit ``_SLICE_BYTES`` with
-    width * max(heads * width, intermediate_size, vocab_size) float64 values
+def _slice_size(cfg: TransformerConfig, width: int, workers: int) -> int:
+    """Sequences per no-grad slice: as many as fit ``_SLICE_BYTES / workers``
+    with width * max(heads * width, intermediate_size, vocab_size) float64 values
     each, the largest array one sequence makes in a forward; at least one."""
-    return max(1, _SLICE_BYTES // (8 * width * max(cfg.heads * width, cfg.intermediate_size, cfg.vocab_size)))
+    return max(1, _SLICE_BYTES // workers // (8 * width * max(cfg.heads * width, cfg.intermediate_size, cfg.vocab_size)))
+
+
+def _workers(sequences: int) -> int:
+    """Threads to score ``sequences`` no-grad sequences on: one per CPU, at most one per
+    sequence, if every BLAS thread variable that is set says 1; else one, since scoring
+    threads beside BLAS threads ran a random-order score about 30 % slower."""
+    blas = {os.environ[k] for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS") if k in os.environ}
+    return min(_CPUS, sequences) if blas == {"1"} else 1
+
+
+@functools.cache
+def _pool() -> ThreadPoolExecutor:
+    """Threads that score slices beside the calling one, made on first use."""
+    return ThreadPoolExecutor(max(1, _CPUS - 1), "pmlm-slice")
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _map_slices(fn, cfg: TransformerConfig, batch: int, width: int) -> list:
+    """``fn(sl)`` under ``no_grad`` for each slice ``sl`` of at most ``_slice_size`` of a
+    (batch, width) batch, in order, on the calling thread and ``_workers - 1`` pool threads
+    that each take the next slice when free; inline inside a slice. After a slice raises no
+    other starts, and the first failure is raised once every started slice is done."""
+    nested, workers = getattr(_IN_SLICE, "active", False), _workers(max(batch, 1))
+    size = _slice_size(cfg, width, workers)
+    slices = [slice(s, s + size) for s in range(0, max(batch, 1), size)]
+    results, failed, todo, lock = [None] * len(slices), {}, iter(range(len(slices))), threading.Lock()
+
+    def claim():
+        with lock:
+            return None if failed else next(todo, None)
+
+    def drain():
+        _IN_SLICE.active = True
+        try:
+            with T.no_grad():
+                for i in iter(claim, None):
+                    try:
+                        results[i] = fn(slices[i])
+                    except BaseException as exc:  # raised below, once every started slice is done
+                        failed[i] = exc
+        finally:
+            _IN_SLICE.active = nested
+
+    futures = [_pool().submit(drain) for _ in range(0 if nested else min(workers, len(slices)) - 1)]
+    drain()
+    for future in futures:
+        future.result()
+    if failed:
+        raise failed[min(failed)]
+    return results
 
 
 def _split_heads(ops, y, heads: int):
@@ -278,18 +340,17 @@ class Transformer:
     def logits(self, tokens, *, rows=None) -> np.ndarray:
         """Evaluation-mode forward on plain arrays, recording no graph: the
         logits array of ``forward(tokens, rows=rows)`` under ``no_grad``, run as
-        forwards of at most ``_slice_size`` sequences at the caller's width, so
-        every logit has the bits of one unsliced forward. ``rows`` that do not
-        fit the whole batch go to one forward of it, which rejects them."""
+        forwards of at most ``_slice_size`` sequences at the caller's width on
+        ``_workers`` threads, so every logit has the bits of one unsliced forward.
+        ``rows`` that do not fit the whole batch go to one forward, which rejects them."""
         ids = np.asarray(tokens, dtype=np.int64)
         rows = None if rows is None else np.asarray(rows, dtype=np.int64)
         misfit = rows is not None and (rows.ndim not in (1, 2) or len(rows) != len(ids))
-        with T.no_grad():
-            if ids.ndim != 2 or ids.shape[1] == 0 or misfit:
+        if ids.ndim != 2 or ids.shape[1] == 0 or misfit:
+            with T.no_grad():
                 return self.forward(ids, rows=rows).data
-            size = _slice_size(self.config, ids.shape[1])
-            parts = [self.forward(ids[s:s + size], rows=None if rows is None else rows[s:s + size]).data
-                     for s in range(0, max(len(ids), 1), size)]
+        parts = _map_slices(lambda sl: self.forward(ids[sl], rows=None if rows is None else rows[sl]).data,
+                            self.config, *ids.shape)
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def _attention_bias(self, ops, p, ids: np.ndarray, queries: np.ndarray):

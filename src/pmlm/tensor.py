@@ -10,6 +10,7 @@ deterministic for fixed inputs.
 from __future__ import annotations
 
 import math
+import threading
 from contextlib import contextmanager
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
@@ -17,7 +18,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import erf
 
-_GRAD_ENABLED = True
+# per thread, so a thread scoring under no_grad never turns off another's graph
+_GRAD = threading.local()
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -29,19 +31,18 @@ NEG_INF = -1e30
 
 @contextmanager
 def no_grad():
-    """Disable graph recording inside the block (evaluation paths)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable graph recording inside the block, in the calling thread only."""
+    prev = grad_enabled()
+    _GRAD.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _GRAD.enabled = prev
 
 
 def grad_enabled() -> bool:
-    """Whether ops record graph nodes: False inside ``no_grad``."""
-    return _GRAD_ENABLED
+    """Whether ops record graph nodes in this thread: False inside ``no_grad``."""
+    return getattr(_GRAD, "enabled", True)
 
 
 class Tensor:
@@ -128,7 +129,7 @@ def _array(t):
 def _node(data: np.ndarray, parents: Sequence, vjp: Callable) -> Tensor:
     """A node over ``parents``; an operand that is not a Tensor gets no gradient."""
     out = Tensor(data)
-    if _GRAD_ENABLED and any(_tracked(p) for p in parents):
+    if grad_enabled() and any(_tracked(p) for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._vjp = vjp

@@ -176,6 +176,41 @@ def test_eval_ppl_random_is_seed_deterministic(workspace):
     assert payloads[0] == payloads[1]
 
 
+@pytest.fixture(scope="module")
+def preset_checkpoints(tmp_path_factory):
+    """Preset-size upmlm and gpt-like checkpoints after one step: big enough
+    that eval-ppl scores in several slices on one worker and on two."""
+    root = tmp_path_factory.mktemp("preset")
+    corpus = root / "corpus.txt"
+    assert main(["make-corpus", "--out", str(corpus), "--bytes", "800", "--seed", "1"]) == 0
+    for name in ("upmlm", "gpt-like"):
+        assert main(["train", "--preset", name, "--corpus", str(corpus), "--checkpoint", str(root / f"{name}.ckpt"),
+                     "--steps", "1", "--batch-size", "2", "--seed", "2", "--quiet"]) == 0
+    return root
+
+
+@pytest.mark.parametrize("name, mode", [("upmlm", "random"), ("upmlm", "sequential"), ("gpt-like", "sequential")])
+def test_eval_ppl_writes_the_same_bytes_with_blas_pinned_or_not(name, mode, preset_checkpoints):
+    """Unpinned BLAS scores on one worker; OPENBLAS_NUM_THREADS=1 scores on one
+    worker per CPU, in smaller slices. The --out reports are byte-identical."""
+    import pmlm
+
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    base = {k: v for k, v in os.environ.items() if k not in blas}
+    base["PYTHONPATH"] = str(Path(pmlm.__file__).parents[1])
+    reports = []
+    for tag, extra in (("unpinned", {}), ("pinned", {"OPENBLAS_NUM_THREADS": "1"})):
+        out = preset_checkpoints / f"{name}-{mode}-{tag}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pmlm.cli", "eval-ppl", "--checkpoint", str(preset_checkpoints / f"{name}.ckpt"),
+             "--corpus", str(preset_checkpoints / "corpus.txt"), "--mode", mode, "--seed", "3", "--out", str(out)],
+            env={**base, **extra}, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_verify_equivalence_passes_and_writes_report(workspace, capsys):
     out = workspace / "equiv.json"
     code = main(["verify-equivalence", "--n", "4", "--seed", "7", "--out", str(out)])

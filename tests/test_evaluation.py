@@ -2,6 +2,7 @@
 plus the latency benchmark contract."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -125,7 +126,7 @@ def test_padding_never_changes_ppl():
 def test_one_row_per_snapshot_matches_the_full_forward(positional, chunk, monkeypatch):
     """Scoring reads one logit row per snapshot; a full forward of every
     snapshot gives the same total, whether or not the snapshots are sliced."""
-    monkeypatch.setattr(model_mod, "_slice_size", lambda cfg, width: chunk)
+    monkeypatch.setattr(model_mod, "_slice_size", lambda cfg, width, workers: chunk)
     m = tiny_model(seed=10, positional_kind=positional)
     ids = np.array([3, 8, 5, 11, 4, PAD_ID, 7, PAD_ID])
     order = np.array([6, 2, 0, 4, 1, 3])
@@ -181,7 +182,7 @@ def test_sliced_nll_equals_one_unsliced_forward_bit_for_bit(positional, attentio
     picked = T.cross_entropy_rows(T.Tensor(m.logits(inputs, rows=rows)), targets[np.arange(7), rows]).data
     scored = targets != PAD_ID
     for size in (1, 2, 3):
-        monkeypatch.setattr(model_mod, "_slice_size", lambda cfg, width: size)
+        monkeypatch.setattr(model_mod, "_slice_size", lambda cfg, width, workers: size)
         np.testing.assert_array_equal(_batched_nll(m, inputs, targets)[scored], full[scored])
         np.testing.assert_array_equal(_batched_nll(m, inputs, targets, rows=rows), picked)
 
@@ -197,30 +198,70 @@ def test_reports_are_unchanged_at_one_sequence_per_slice(monkeypatch):
 
     whole = reports()
     monkeypatch.setattr(model_mod, "_SLICE_BYTES", 1)
-    assert _slice_size(m.config, 1) == 1
+    assert _slice_size(m.config, 1, 1) == 1
     assert reports() == whole
 
 
-@pytest.mark.parametrize("name, sequences, forwards", [("upmlm", 1, 8), ("gpt-like", 32, 4)])
-def test_preset_size_evaluation_runs_at_most_8_sequences_per_forward(name, sequences, forwards, monkeypatch):
-    """At preset size the rule gives 8 sequences of width 64, so the 64
-    snapshots of a random-order score and a 32-sequence causal batch both
-    run in forwards of 8, each scored by its own cross-entropy."""
+def test_reports_are_the_same_on_one_and_two_workers(monkeypatch):
+    """Sequential and random bidirectional reports and causal reports compare
+    equal whether one thread scores slices of 2 sequences or two threads
+    score slices of 1, and the two-worker runs really use two threads."""
+    seqs = [[3, 4, 5, 6, 7, 8, 9, 10], [6, 7, 8, 9, 3], [4, 4, 10, 11, 5, 3, 9, 8], [11, 3], [5, 3, 6]]
+    corpus = make_corpus(seqs, max_len=8)
+    m = tiny_model(seed=21)
+    mc = tiny_model(seed=21, attention_mode="causal")
+    # 2 sequences of width 8 fit, at 8 * 8 * intermediate_size bytes each
+    monkeypatch.setattr(model_mod, "_SLICE_BYTES", 2 * 8 * 8 * m.config.intermediate_size)
+    threads = set()
+
+    def spying(forward):
+        def spy(tokens, **kwargs):
+            threads.add(threading.get_ident())
+            return forward(tokens, **kwargs)
+        return spy
+
+    for model in (m, mc):
+        monkeypatch.setattr(model, "forward", spying(model.forward))
+    reports = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(model_mod, "_workers", lambda sequences: min(workers, sequences))
+        threads.clear()
+        reports[workers] = [
+            ppl_bidirectional(m, corpus, "sequential", seed=4).to_dict(),
+            ppl_bidirectional(m, corpus, "random", seed=4).to_dict(),
+            ppl_causal(mc, corpus).to_dict(),
+        ]
+        assert len(threads) == workers
+    assert reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("name, sequences, forwards, workers", [
+    pytest.param("upmlm", 1, 8, 1, id="upmlm-1-8"),
+    pytest.param("gpt-like", 32, 4, 1, id="gpt-like-32-4"),
+    pytest.param("upmlm", 1, 16, 2, id="upmlm-1-16-two-workers"),
+    pytest.param("gpt-like", 32, 8, 2, id="gpt-like-32-8-two-workers"),
+])
+def test_preset_size_evaluation_runs_at_most_8_sequences_per_forward(name, sequences, forwards, workers, monkeypatch):
+    """At preset size the rule gives one worker 8 sequences of width 64 and
+    each of two workers 4, so the 64 snapshots of a random-order score and a
+    32-sequence causal batch run in forwards of 8 or 4, each scored by its
+    own cross-entropy on the thread that ran it."""
     vocab_size = 40
     vocab = Vocabulary(["[PAD]", "[MASK]", "[UNK]"] + [f"t{i}" for i in range(3, vocab_size)])
     seqs = list(np.random.default_rng(5).integers(3, vocab_size, size=(sequences, 64)))
     corpus = Corpus(sequences=seqs, vocab=vocab, tokenizer_kind="char", split="test", max_len=64)
     model = Transformer.init(preset(name, "", "").model_config(vocab_size), seed=0)
-    assert _slice_size(model.config, 64) == 8
-    forward, sizes = model.forward, []
-    cross_entropy, scored = T.array_ops.cross_entropy_rows, []
+    size = 8 // workers
+    assert _slice_size(model.config, 64, workers) == size
+    monkeypatch.setattr(model_mod, "_workers", lambda n: min(workers, n))
+    forward, cross_entropy, events = model.forward, T.array_ops.cross_entropy_rows, []
 
     def spy(tokens, **kwargs):
-        sizes.append(len(tokens))
+        events.append((threading.get_ident(), "forward", len(tokens)))
         return forward(tokens, **kwargs)
 
     def entropy_spy(logits, targets):
-        scored.append(len(logits))
+        events.append((threading.get_ident(), "cross_entropy", len(logits)))
         return cross_entropy(logits, targets)
 
     monkeypatch.setattr(model, "forward", spy)
@@ -229,13 +270,16 @@ def test_preset_size_evaluation_runs_at_most_8_sequences_per_forward(name, seque
         ppl_causal(model, corpus)
     else:
         ppl_bidirectional(model, corpus, "random", seed=0)
-    assert sizes == scored == [8] * forwards
+    assert len(events) == 2 * forwards
+    for thread in {ident for ident, _, _ in events}:
+        mine = [(kind, n) for ident, kind, n in events if ident == thread]
+        assert mine == [("forward", size), ("cross_entropy", size)] * (len(mine) // 2)
 
 
 def test_slice_size_is_at_least_one_sequence():
     cfg = preset("upmlm", "", "").model_config(1 << 16)
     assert 8 * 64 * cfg.vocab_size > model_mod._SLICE_BYTES
-    assert _slice_size(cfg, 64) == 1
+    assert _slice_size(cfg, 64, 1) == _slice_size(cfg, 64, 2) == 1
 
 
 def test_per_sequence_scores_independent_of_processing_order():

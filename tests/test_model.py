@@ -1,6 +1,11 @@
 """Backbone tests: attention-mode semantics, positional variants, padding,
 incremental decoding against the full-forward oracle."""
 
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -281,7 +286,7 @@ def test_sliced_logits_have_the_bits_of_one_forward(mode, positional, monkeypatc
 
     monkeypatch.setattr(m, "forward", spy)
     for size in (1, 2, 3):
-        monkeypatch.setattr(model_mod, "_slice_size", lambda cfg, width: size)
+        monkeypatch.setattr(model_mod, "_slice_size", lambda cfg, width, workers: size)
         for rows, expected in zip(cases, whole):
             sizes.clear()
             np.testing.assert_array_equal(m.logits(ids, rows=rows), expected)
@@ -292,11 +297,227 @@ def test_rows_that_do_not_fit_a_sliced_batch_are_rejected(monkeypatch):
     """A slice loop that cut ``rows`` with the tokens would drop the rows
     past the batch; they are checked against the whole batch instead."""
     m = tiny_model(seed=15)
-    monkeypatch.setattr(model_mod, "_slice_size", lambda cfg, width: 2)
+    monkeypatch.setattr(model_mod, "_slice_size", lambda cfg, width, workers: 2)
     ids = np.full((4, 8), 3)
     for rows in ([0, 1, 2, 3, 4], [0, 1, 2], np.zeros((5, 2)), np.zeros((3, 2)), np.zeros((4, 1, 1)), 0):
         with pytest.raises(ValueError, match=r"rows of shape .* do not fit tokens of shape \(4, 8\)"):
             m.logits(ids, rows=rows)
+
+
+# ---------------------------------------------------------------------------
+# no-grad slices on worker threads
+# ---------------------------------------------------------------------------
+
+
+def _padded_batch(seed: int) -> np.ndarray:
+    ids = np.random.default_rng(seed).integers(3, 12, size=(7, 8))
+    for b, width in enumerate([3, 8, 2, 5, 1, 8, 4]):
+        ids[b, width:] = PAD_ID
+    return ids
+
+
+class _ForwardSpy:
+    """Wraps ``model.forward``: records each call's thread and batch size,
+    runs ``hold()`` before each call (by default a pause, so that a second
+    thread gets slices too), and counts calls that have not returned yet."""
+
+    def __init__(self, model, monkeypatch, hold=lambda: time.sleep(0.01)):
+        self.forward, self.hold = model.forward, hold
+        self.threads, self.sizes, self.running, self.lock = set(), [], 0, threading.Lock()
+        monkeypatch.setattr(model, "forward", self)
+
+    def __call__(self, tokens, **kwargs):
+        with self.lock:
+            self.threads.add(threading.get_ident())
+            self.sizes.append(len(tokens))
+            self.running += 1
+        try:
+            self.hold()
+            return self.forward(tokens, **kwargs)
+        finally:
+            with self.lock:
+                self.running -= 1
+
+
+@pytest.mark.parametrize("mode", ["bidirectional", "causal"])
+@pytest.mark.parametrize("positional", ["absolute", "relative"])
+def test_two_workers_give_the_logits_of_one_bit_for_bit(mode, positional, monkeypatch):
+    """Two workers split the call's budget, so slices of 2 sequences run on
+    two threads where one worker runs slices of 4; both give the bits of one
+    unsliced forward, on full rows and on rows of shape (B,) and (B, r)."""
+    m = tiny_model(seed=17, attention_mode=mode, positional_kind=positional)
+    ids = _padded_batch(7)
+    rng = np.random.default_rng(8)
+    cases = [None, np.array([0, 5, 1, 2, 0, 3, 2]), np.stack([rng.permutation(8)[:3] for _ in range(7)])]
+    monkeypatch.setattr(model_mod, "_workers", lambda sequences: 1)
+    whole = [m.logits(ids, rows=rows) for rows in cases]
+    # 4 sequences of width 8 fit, at 8 * 8 * intermediate_size bytes each
+    monkeypatch.setattr(model_mod, "_SLICE_BYTES", 4 * 8 * 8 * m.config.intermediate_size)
+    spy = _ForwardSpy(m, monkeypatch)
+    for workers, size in ((1, 4), (2, 2)):
+        monkeypatch.setattr(model_mod, "_workers", lambda sequences: min(workers, sequences))
+        spy.threads.clear()
+        spy.sizes.clear()
+        for rows, expected in zip(cases, whole):
+            np.testing.assert_array_equal(m.logits(ids, rows=rows), expected)
+        assert sorted(spy.sizes) == sorted(([size] * (7 // size) + [7 % size]) * 3)
+        assert len(spy.threads) == workers
+
+
+def test_eight_workers_on_fast_thread_switches_run_each_slice_once(monkeypatch):
+    """More workers than cores, switching threads every microsecond: every
+    slice runs exactly once and the logits keep the bits of one thread."""
+    m = tiny_model(seed=22, positional_kind="relative")
+    ids = np.random.default_rng(11).integers(3, 12, size=(64, 8))
+    expected = m.logits(ids)
+    monkeypatch.setattr(model_mod, "_CPUS", 8)
+    monkeypatch.setattr(model_mod, "_workers", lambda sequences: 8)
+    monkeypatch.setattr(model_mod, "_slice_size", lambda cfg, width, workers: 1)
+    spy = _ForwardSpy(m, monkeypatch, hold=lambda: None)
+    model_mod._pool.cache_clear()  # a pool of 7 threads for this test only
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            spy.sizes.clear()
+            np.testing.assert_array_equal(m.logits(ids), expected)
+            assert spy.sizes == [1] * 64
+    finally:
+        sys.setswitchinterval(interval)
+        model_mod._pool().shutdown(wait=True)
+        model_mod._pool.cache_clear()
+    assert len(spy.threads) > 2
+
+
+def test_workers_follow_the_blas_thread_variables(monkeypatch):
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    for name in names:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setattr(model_mod, "_CPUS", 2)
+    assert model_mod._workers(64) == 1  # unpinned: BLAS threads already use the cores
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert [model_mod._workers(n) for n in (1, 2, 64)] == [1, 2, 2]
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    assert model_mod._workers(64) == 1
+    for name in names:
+        monkeypatch.setenv(name, "1")
+    assert model_mod._workers(64) == 2
+    monkeypatch.setattr(model_mod, "_CPUS", 1)
+    assert model_mod._workers(64) == 1
+
+
+def test_a_failing_slice_raises_the_first_error_once_every_slice_is_done(monkeypatch):
+    """Bad ids in the first two of four slices, run at once on two threads:
+    the pool thread's slice ends 0.1 s after the calling thread's. The error is
+    the one a single thread meets first, raised once both forwards returned,
+    and no slice starts after a failure."""
+    m = tiny_model(seed=18)
+    ids = np.full((8, 8), 3)
+    ids[1, 2], ids[3, 4] = 40, 41
+    monkeypatch.setattr(model_mod, "_slice_size", lambda cfg, width, workers: 2)
+    monkeypatch.setattr(model_mod, "_workers", lambda sequences: 1)
+    with pytest.raises(ValueError) as one:
+        m.logits(ids)
+    assert "token id 40 at position 2" in str(one.value)
+    monkeypatch.setattr(model_mod, "_workers", lambda sequences: 2)
+    together = threading.Barrier(2, timeout=30)
+
+    def hold():
+        together.wait()
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.1)
+
+    spy = _ForwardSpy(m, monkeypatch, hold)
+    with pytest.raises(ValueError) as two:
+        m.logits(ids)
+    assert str(two.value) == str(one.value)
+    assert spy.running == 0 and len(spy.threads) == 2 and spy.sizes == [2, 2]
+
+
+def test_a_map_inside_a_slice_runs_inline(monkeypatch):
+    """An inner map on the pool thread would otherwise wait for a pool thread
+    that is busy running it; the wait is bounded, so a deadlock fails."""
+    monkeypatch.setattr(model_mod, "_workers", lambda sequences: 2)
+    monkeypatch.setattr(model_mod, "_slice_size", lambda cfg, width, workers: 1)
+    cfg = tiny_config()
+
+    def outer(sl):
+        time.sleep(0.01)
+        return threading.get_ident(), model_mod._map_slices(lambda inner: threading.get_ident(), cfg, 3, 8)
+
+    result = []
+    runner = threading.Thread(target=lambda: result.append(model_mod._map_slices(outer, cfg, 4, 8)), daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    if runner.is_alive():  # free the stuck pool thread, so the suite can still exit
+        model_mod._pool().shutdown(wait=False, cancel_futures=True)
+        model_mod._pool.cache_clear()
+        pytest.fail("nested map deadlocked")
+    (slices,) = result
+    assert len({ident for ident, _ in slices}) == 2
+    for ident, inner in slices:
+        assert inner == [ident] * 3
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_scores_on_its_own_pool(monkeypatch):
+    """The parent's pool threads do not exist in a forked child; without a new
+    pool the child's first two-worker call would wait forever."""
+    m = tiny_model(seed=19)
+    ids = _padded_batch(9)
+    monkeypatch.setattr(model_mod, "_workers", lambda sequences: 2)
+    monkeypatch.setattr(model_mod, "_slice_size", lambda cfg, width, workers: 2)
+    expected = m.logits(ids)  # starts the parent's pool thread
+    parent_pool = model_mod._pool()
+    pid = os.fork()
+    if pid == 0:
+        ok = False
+        try:
+            ok = model_mod._pool() is not parent_pool and np.array_equal(m.logits(ids), expected)
+        finally:
+            os._exit(0 if ok else 1)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child did not finish scoring")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_no_grad_is_per_thread():
+    """A forward in this thread records its graph while another thread is
+    inside no_grad around its own scoring, and this thread's no_grad leaves
+    the other thread recording once it has left its own."""
+    m = tiny_model(seed=20)
+    ids = _padded_batch(10)
+    inside, recorded, main_inside, left = (threading.Event() for _ in range(4))
+    seen = {}
+
+    def score():
+        with T.no_grad():
+            inside.set()
+            recorded.wait(timeout=30)
+            seen["inside"], seen["logits"] = T.grad_enabled(), m.logits(ids)
+        main_inside.wait(timeout=30)
+        seen["after"] = T.grad_enabled()
+        left.set()
+
+    scorer = threading.Thread(target=score, daemon=True)
+    scorer.start()
+    assert inside.wait(timeout=30)
+    out = m.forward(ids)
+    assert T.grad_enabled() and out.requires_grad and out._vjp is not None
+    recorded.set()
+    with T.no_grad():
+        main_inside.set()
+        assert left.wait(timeout=30)
+        assert not T.grad_enabled()
+    scorer.join(timeout=30)
+    assert not scorer.is_alive()
+    assert T.grad_enabled() and seen["inside"] is False and seen["after"] is True
+    np.testing.assert_array_equal(seen["logits"], out.data)
 
 
 # ---------------------------------------------------------------------------
