@@ -232,30 +232,33 @@ def train(config: RunConfig, log_every: int = 100, quiet: bool = False) -> Train
     if loss_log_path:
         loss_log_path.parent.mkdir(parents=True, exist_ok=True)
     # each step's line is flushed as the step ends, so a run that stops early
-    # keeps the log of the steps it finished
-    with loss_log_path.open("w", encoding="utf-8") if loss_log_path else nullcontext() as log:
-        for step in range(config.training.steps):
-            idx = data_rng.integers(0, len(corpus), size=config.training.batch_size)
-            batch = np.stack([corpus.sequences[i] for i in idx])
-            # a diverging run overflows on the way to its non-finite logits, loss
-            # or gradient; those are caught below, so numpy need not warn first
-            with np.errstate(over="ignore", invalid="ignore"):
-                try:
-                    if model.is_causal:
-                        loss_t = causal_batch_loss(model, batch, train=True, rng=drop_rng)
-                    else:
-                        patterns = _sample_patterns(batch, config.prior, mask_rng)
-                        loss_t = masked_batch_loss(model, batch, patterns, train=True, rng=drop_rng)
-                except NonFiniteLogits as e:
-                    raise diverged(str(e).removeprefix("cross_entropy: "), step) from e
-                loss = loss_t.item()
-                if not math.isfinite(loss):
-                    raise diverged("non-finite loss", step)
-                backward(loss_t)
-                try:
-                    opt.step(model.params)
-                except NonFiniteGradient as e:
-                    raise diverged(str(e).removeprefix("adam: "), step) from e
+    # keeps the log of the steps it finished. A diverging run overflows on the
+    # way to its non-finite logits, loss or gradient; those are caught below, so
+    # numpy need not warn first. Every step's rows come from one draw, the same
+    # stream as one draw per step, so the loop does little between its calls.
+    rows = data_rng.integers(0, len(corpus), size=(config.training.steps, config.training.batch_size))
+    with (
+        loss_log_path.open("w", encoding="utf-8") if loss_log_path else nullcontext() as log,
+        np.errstate(over="ignore", invalid="ignore"),
+    ):
+        for step, idx in enumerate(rows):
+            batch = np.array([corpus.sequences[i] for i in idx])
+            try:
+                if model.is_causal:
+                    loss_t = causal_batch_loss(model, batch, train=True, rng=drop_rng)
+                else:
+                    patterns = _sample_patterns(batch, config.prior, mask_rng)
+                    loss_t = masked_batch_loss(model, batch, patterns, train=True, rng=drop_rng)
+            except NonFiniteLogits as e:
+                raise diverged(str(e).removeprefix("cross_entropy: "), step) from e
+            loss = loss_t.item()
+            if not math.isfinite(loss):
+                raise diverged("non-finite loss", step)
+            backward(loss_t)
+            try:
+                opt.step(model.params)
+            except NonFiniteGradient as e:
+                raise diverged(str(e).removeprefix("adam: "), step) from e
             model.zero_grad()
             losses.append(loss)
             if log:
