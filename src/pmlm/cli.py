@@ -214,6 +214,8 @@ def cmd_eval_ppl(args) -> int:
 
 
 def cmd_verify_equivalence(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     if args.models < 1:
         raise ValueError(f"--models must be at least 1, got {args.models}")
     if args.checkpoint:
@@ -359,6 +361,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:  # every subcommand takes --seed
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except (ValueError, OSError, TrainingDiverged) as e:
         print(f"error: {e}", file=sys.stderr)

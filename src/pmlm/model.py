@@ -14,6 +14,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from typing import Dict, Optional
 
@@ -33,7 +34,7 @@ POSITIONAL_KINDS = ("absolute", "relative")
 #: 512 KiB slices ran a random-order score 15-20 % slower on one thread (97-100 -> 115-119 ms).
 _SLICE_BYTES = 1 << 20
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_IN_SLICE = threading.local()
+_IN_PART = threading.local()
 
 
 @dataclass
@@ -151,57 +152,70 @@ def _slice_size(cfg: TransformerConfig, width: int, workers: int) -> int:
     return max(1, _SLICE_BYTES // workers // (8 * width * max(cfg.heads * width, cfg.intermediate_size, cfg.vocab_size)))
 
 
-def _workers(sequences: int) -> int:
-    """Threads to score ``sequences`` no-grad sequences on: one per CPU, at most one per
-    sequence, if every BLAS thread variable that is set says 1; else one, since scoring
-    threads beside BLAS threads ran a random-order score about 30 % slower."""
+def _workers(parts: int) -> int:
+    """Threads to run ``parts`` sequences or training shards on: one per CPU, at most one per
+    part, if every BLAS thread variable that is set says 1; else one, since scoring threads
+    beside BLAS threads ran a random-order score about 30 % slower."""
     blas = {os.environ[k] for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS") if k in os.environ}
-    return min(_CPUS, sequences) if blas == {"1"} else 1
+    return min(_CPUS, parts) if blas == {"1"} else 1
 
 
 @functools.cache
 def _pool() -> ThreadPoolExecutor:
-    """Threads that score slices beside the calling one, made on first use."""
-    return ThreadPoolExecutor(max(1, _CPUS - 1), "pmlm-slice")
+    """Threads that run ``_map`` parts beside the calling one, made on first use."""
+    return ThreadPoolExecutor(max(1, _CPUS - 1), "pmlm-worker")
 
 
 if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's threads
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
-def _map_slices(fn, cfg: TransformerConfig, batch: int, width: int) -> list:
-    """``fn(sl)`` under ``no_grad`` for each slice ``sl`` of at most ``_slice_size`` of a
-    (batch, width) batch, in order, on the calling thread and ``_workers - 1`` pool threads
-    that each take the next slice when free; inline inside a slice. After a slice raises no
-    other starts, and the first failure is raised once every started slice is done."""
-    nested, workers = getattr(_IN_SLICE, "active", False), _workers(max(batch, 1))
-    size = _slice_size(cfg, width, workers)
-    slices = [slice(s, s + size) for s in range(0, max(batch, 1), size)]
-    results, failed, todo, lock = [None] * len(slices), {}, iter(range(len(slices))), threading.Lock()
+def _map(fn, count: int, workers: int) -> list:
+    """``[fn(0), ..., fn(count - 1)]``, each in the caller's grad mode and numpy error state,
+    on the calling thread and ``workers - 1`` pool threads that each take the next index when
+    free; inline inside a part. After a part raises no other starts, and the first failure is
+    raised once every started part is done."""
+    nested = getattr(_IN_PART, "active", False)
+    results, failed, todo, lock = [None] * count, {}, iter(range(count)), threading.Lock()
 
     def claim():
         with lock:
             return None if failed else next(todo, None)
 
     def drain():
-        _IN_SLICE.active = True
+        _IN_PART.active = True
         try:
-            with T.no_grad():
-                for i in iter(claim, None):
-                    try:
-                        results[i] = fn(slices[i])
-                    except BaseException as exc:  # raised below, once every started slice is done
-                        failed[i] = exc
+            for i in iter(claim, None):
+                try:
+                    results[i] = fn(i)
+                except BaseException as exc:  # raised below, once every started part is done
+                    failed[i] = exc
         finally:
-            _IN_SLICE.active = nested
+            _IN_PART.active = nested
 
-    futures = [_pool().submit(drain) for _ in range(0 if nested else min(workers, len(slices)) - 1)]
+    def drain_as(grad: bool, errors: dict):  # a pool thread would record and warn by default
+        with nullcontext() if grad else T.no_grad(), np.errstate(**errors):
+            drain()
+
+    pool = 0 if nested else min(workers, count) - 1
+    futures = [_pool().submit(drain_as, T.grad_enabled(), np.geterr()) for _ in range(pool)]
     drain()
-    for future in futures:
-        future.result()
+    for future in futures:  # a drain that has not started has nothing left to take
+        if not future.cancel():
+            future.result()
     if failed:
         raise failed[min(failed)]
     return results
+
+
+def _map_slices(fn, cfg: TransformerConfig, batch: int, width: int) -> list:
+    """``fn(sl)`` under ``no_grad`` for each slice ``sl`` of at most ``_slice_size`` of a
+    (batch, width) batch, in order, through ``_map`` on ``_workers`` threads."""
+    workers = _workers(max(batch, 1))
+    size = _slice_size(cfg, width, workers)
+    slices = [slice(s, s + size) for s in range(0, max(batch, 1), size)]
+    with T.no_grad():
+        return _map(lambda i: fn(slices[i]), len(slices), workers)
 
 
 def _split_heads(ops, y, heads: int):

@@ -33,6 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import model as M
 from . import tensor as T
 from .data import MASK_ID, PAD_ID, causal_inputs, used_width
 from .masking import MaskingPrior, MaskPattern, mask_matrix, mask_probability, sample_mask, sample_ratio
@@ -335,16 +336,8 @@ def verify_equivalence(model: Transformer, x, tolerance: float = 1e-9) -> Equiva
 # ---------------------------------------------------------------------------
 
 
-def _weighted_nll(
-    model: Transformer,
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    weights: np.ndarray,
-    *,
-    train: bool,
-    rng: Optional[np.random.Generator],
-) -> Tensor:
-    """sum(weights * NLL of targets) from one forward over the batch's used
+def _shard_nll(model: Transformer, inputs, targets, weights, *, train: bool, rng) -> Tensor:
+    """sum(weights * NLL of targets) from one forward over the shard's used
     width; the all-[PAD] tail carries no loss weight and no attention weight.
     Past its attention, the last block and the head run only on the rows
     with loss weight."""
@@ -356,6 +349,34 @@ def _weighted_nll(
     return T.sum_(nll * Tensor(weights[rows]))
 
 
+def _weighted_nll(model: Transformer, inputs, targets, weights, *, train: bool, rng) -> Tensor:
+    """``_shard_nll`` summed over fixed shards of ``_slice_size(cfg, max_len, 1)``
+    sequences, a function of the config alone, so a seeded run keeps its bits on
+    any worker count. A one-shard batch is that shard's loss. Otherwise each
+    shard gets a dropout generator seeded from ``rng`` in shard order, the
+    shards run forward and backward on ``_workers`` threads, and one node over
+    the parameters adds their losses and gradients in shard order."""
+    size = M._slice_size(model.config, model.config.max_len, 1)
+    shards = [slice(s, s + size) for s in range(0, len(inputs), size)]
+    if len(shards) == 1:
+        return _shard_nll(model, inputs, targets, weights, train=train, rng=rng)
+    rngs = [None] * len(shards) if rng is None else [
+        np.random.default_rng(seed) for seed in rng.integers(2**63, size=len(shards))]
+    workers = M._workers(len(shards))
+    losses = M._map(lambda i: _shard_nll(model, inputs[shards[i]], targets[shards[i]], weights[shards[i]],
+                                         train=train, rng=rngs[i]), len(shards), workers)
+    params = tuple(model.params.values())
+
+    def vjp(g):
+        sums = {}
+        for part in M._map(lambda i: T.leaf_grads(losses[i], g), len(losses), workers):
+            for leaf, lg in part:
+                sums[leaf] = sums[leaf] + lg if leaf in sums else lg
+        return tuple(sums.get(p) for p in params)
+
+    return T._node(sum(loss.data for loss in losses), params, vjp)
+
+
 def masked_batch_loss(
     model: Transformer,
     batch: np.ndarray,
@@ -364,10 +385,11 @@ def masked_batch_loss(
     train: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
-    """Mean over sequences of the per-sequence masked loss, in one forward.
+    """Mean over sequences of the per-sequence masked loss, from the forwards
+    of ``_weighted_nll``'s shards.
 
     Sequences whose pattern is empty contribute zero but still count toward
-    the batch mean. The forward stops at the batch's used width.
+    the batch mean. Each shard's forward stops at its used width.
     """
     if model.is_causal:
         raise ValueError("masked_batch_loss requires a bidirectional model")
@@ -392,8 +414,8 @@ def causal_batch_loss(
     train: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
-    """Mean over sequences of the per-sequence left-to-right loss, in one
-    forward that stops at the batch's used width."""
+    """Mean over sequences of the per-sequence left-to-right loss, from the
+    forwards of ``_weighted_nll``'s shards, each stopping at its used width."""
     if not model.is_causal:
         raise ValueError("causal_batch_loss requires a causal model")
     b, n = batch.shape

@@ -1,10 +1,10 @@
 """Minimal float64 tensor kernel with reverse-mode autodiff.
 
-Every operation builds a node in an implicit computation graph; ``backward``
-walks the graph once and accumulates d(loss)/d(leaf) into the ``.grad`` of
-each leaf tensor (one built directly, such as a parameter). Intermediate
-nodes keep ``.grad = None``. All data is float64 and all ops are
-deterministic for fixed inputs.
+Every operation builds a node in an implicit computation graph; ``leaf_grads``
+walks the graph once for d(loss)/d(leaf), and ``backward`` accumulates those
+into the ``.grad`` of each leaf tensor (one built directly, such as a
+parameter). Intermediate nodes keep ``.grad = None``. All data is float64 and
+all ops are deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -430,19 +430,11 @@ array_ops = SimpleNamespace(
 # ---------------------------------------------------------------------------
 
 
-def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(t) into ``t.grad`` for every leaf tensor ``t`` of
-    the graph that requires a gradient; intermediate nodes keep ``.grad``
-    as None.
-
-    Repeated calls re-walk the graph and add on top of existing gradients;
-    call ``zero_grad`` on the parameters between optimization steps.
-    """
-    if loss.data.shape != ():
-        raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
-    if not loss.requires_grad:
-        raise ValueError("backward: loss does not depend on any tracked tensor")
-
+def leaf_grads(loss: Tensor, g=1.0) -> list:
+    """(leaf, d(loss)/d(leaf) * g) for every leaf tensor of the graph that
+    requires a gradient, in walk order, from one reverse walk seeded with the
+    upstream gradient ``g``; no ``.grad`` is written. The pairs hold no leaf
+    twice, and a gradient may alias a buffer of the graph."""
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
@@ -459,14 +451,15 @@ def backward(loss: Tensor) -> None:
             if _tracked(p) and id(p) not in seen:
                 stack.append((p, False))
 
-    # per-call gradient map so repeated backward() calls accumulate correctly
-    local: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float64)}
+    # per-walk gradient map, so repeated walks never see each other's sums
+    local: dict[int, np.ndarray] = {id(loss): np.asarray(g, dtype=np.float64)}
+    leaves = []
     for node in reversed(order):
         g = local.pop(id(node), None)
         if g is None:
             continue
         if node._vjp is None:
-            node.accumulate_grad(g)
+            leaves.append((node, g))
             continue
         parent_grads = node._vjp(g)
         for p, pg in zip(node._parents, parent_grads):
@@ -477,4 +470,20 @@ def backward(loss: Tensor) -> None:
                 local[key] = local[key] + pg
             else:
                 local[key] = pg
+    return leaves
 
+
+def backward(loss: Tensor) -> None:
+    """Accumulate d(loss)/d(t) into ``t.grad`` for every leaf tensor ``t`` of
+    the graph that requires a gradient; intermediate nodes keep ``.grad``
+    as None.
+
+    Repeated calls re-walk the graph and add on top of existing gradients;
+    call ``zero_grad`` on the parameters between optimization steps.
+    """
+    if loss.data.shape != ():
+        raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
+    if not loss.requires_grad:
+        raise ValueError("backward: loss does not depend on any tracked tensor")
+    for leaf, g in leaf_grads(loss):
+        leaf.accumulate_grad(g)

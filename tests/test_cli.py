@@ -211,6 +211,31 @@ def test_eval_ppl_writes_the_same_bytes_with_blas_pinned_or_not(name, mode, pres
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("name", ["upmlm", "gpt-like"])
+def test_train_writes_the_same_bytes_with_blas_pinned_or_not(name, tmp_path):
+    """Unpinned BLAS trains a preset batch's two shards in turn on one worker;
+    OPENBLAS_NUM_THREADS=1 trains them on one worker per CPU. The checkpoints
+    and loss logs are byte-identical."""
+    import pmlm
+
+    assert main(["make-corpus", "--out", str(tmp_path / "corpus.txt"), "--bytes", "3000", "--seed", "4"]) == 0
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    base = {k: v for k, v in os.environ.items() if k not in blas}
+    base["PYTHONPATH"] = str(Path(pmlm.__file__).parents[1])
+    outputs = []
+    for tag, extra in (("unpinned", {}), ("pinned", {"OPENBLAS_NUM_THREADS": "1"})):
+        ckpt, log = tmp_path / f"{tag}.ckpt", tmp_path / f"{tag}.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pmlm.cli", "train", "--preset", name, "--corpus", str(tmp_path / "corpus.txt"),
+             "--checkpoint", str(ckpt), "--loss-log", str(log), "--steps", "3", "--batch-size", "16", "--seed", "5",
+             "--quiet"],
+            env={**base, **extra}, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((ckpt.read_bytes(), log.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_verify_equivalence_passes_and_writes_report(workspace, capsys):
     out = workspace / "equiv.json"
     code = main(["verify-equivalence", "--n", "4", "--seed", "7", "--out", str(out)])
@@ -259,11 +284,16 @@ def test_unreadable_checkpoint_is_reported(workspace, capsys):
         ["verify-equivalence", "--tolerance", "-1"],
         ["bench-latency", "--count", "1", "--length", "4", "--heads", "0"],
         ["bench-latency", "--count", "1", "--length", "4", "--hidden-size", "0"],
+        ["verify-equivalence", "--n", "-3"],
+        ["train", "--preset", "upmlm", "--corpus", "{tmp}/c.txt", "--checkpoint", "{tmp}/m.ckpt", "--seed", "-1"],
+        ["generate", "--checkpoint", "{tmp}/m.ckpt", "--length", "4", "--seed", "-1"],
+        ["eval-ppl", "--checkpoint", "{tmp}/m.ckpt", "--corpus", "{tmp}/c.txt", "--seed", "-1"],
     ],
     ids=[
         "verify_n_0", "verify_models_0", "make_corpus_negative_bytes",
         "verify_tolerance_inf", "verify_tolerance_nan", "verify_tolerance_negative",
         "bench_latency_heads_0", "bench_latency_hidden_size_0",
+        "verify_n_negative", "train_seed_negative", "generate_seed_negative", "eval_ppl_seed_negative",
     ],
 )
 def test_bad_flag_is_a_one_line_error(argv, tmp_path, capsys):
@@ -273,6 +303,19 @@ def test_bad_flag_is_a_one_line_error(argv, tmp_path, capsys):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "PASS" not in captured.out
     assert not (tmp_path / "c.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify-equivalence", "--n", "-3"], "--n must be at least 1, got -3"),
+        (["generate", "--checkpoint", "m.ckpt", "--length", "4", "--seed", "-1"], "--seed must be non-negative, got -1"),
+    ],
+    ids=["n", "seed"],
+)
+def test_bad_n_or_seed_names_its_flag(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -434,6 +434,23 @@ def test_a_failing_slice_raises_the_first_error_once_every_slice_is_done(monkeyp
     assert spy.running == 0 and len(spy.threads) == 2 and spy.sizes == [2, 2]
 
 
+def test_map_runs_each_part_in_the_callers_grad_mode_and_error_state():
+    """A pool thread starts recording a graph and warning on invalid values;
+    the part it takes runs as the caller's does, in either setting."""
+    together = threading.Barrier(2, timeout=30)
+
+    def part(i):
+        together.wait()
+        return threading.get_ident(), T.grad_enabled(), np.geterr()["invalid"]
+
+    with T.no_grad(), np.errstate(invalid="ignore"):
+        quiet = model_mod._map(part, 2, 2)
+    loud = model_mod._map(part, 2, 2)
+    assert len({ident for ident, _, _ in quiet}) == 2 and len({ident for ident, _, _ in loud}) == 2
+    assert [mode for _, *mode in quiet] == [[False, "ignore"]] * 2
+    assert [mode for _, *mode in loud] == [[True, "warn"]] * 2
+
+
 def test_a_map_inside_a_slice_runs_inline(monkeypatch):
     """An inner map on the pool thread would otherwise wait for a pool thread
     that is busy running it; the wait is bounded, so a deadlock fails."""

@@ -4,6 +4,8 @@ mask/permutation recombination identity."""
 
 import itertools
 import math
+import threading
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import log_softmax as sp_log_softmax
 
+import pmlm.model as model_mod
 from pmlm import tensor as T
 from pmlm.data import MASK_ID, PAD_ID
 from pmlm.masking import MaskingPrior, MaskPattern
@@ -28,7 +31,7 @@ from pmlm.objectives import (
     pmlm_training_step,
     verify_equivalence,
 )
-from pmlm.tensor import Tensor, backward
+from pmlm.tensor import NonFiniteLogits, Tensor, backward
 from pmlm.training import preset
 
 from helpers import tiny_model, truncated_alpha_fraction, uniform_output_model
@@ -549,3 +552,101 @@ def test_causal_batch_loss_matches_full_width_forward(kind):
     weights = (~pad) / (batch.shape[0] * (~pad).sum(axis=1, keepdims=True))
     ref_value, ref_grads = _full_width_reference(m, inputs, batch, weights)
     _assert_matches_reference(m, causal_batch_loss(m, batch), ref_value, ref_grads)
+
+
+# ---------------------------------------------------------------------------
+# batches cut into fixed shards on worker threads
+# ---------------------------------------------------------------------------
+
+
+def _shards_on_two_workers(monkeypatch, size: int) -> None:
+    monkeypatch.setattr(model_mod, "_slice_size", lambda cfg, width, workers: size)
+    monkeypatch.setattr(model_mod, "_workers", lambda parts: min(2, parts))
+
+
+@pytest.mark.parametrize("size", [1, 2])
+@pytest.mark.parametrize("kind", sorted(TRIM_BATCHES))
+def test_sharded_masked_batch_loss_matches_full_width_forward(kind, size, monkeypatch):
+    _shards_on_two_workers(monkeypatch, size)
+    test_masked_batch_loss_matches_full_width_forward(kind)
+
+
+@pytest.mark.parametrize("size", [1, 2])
+@pytest.mark.parametrize("kind", sorted(TRIM_BATCHES))
+def test_sharded_causal_batch_loss_matches_full_width_forward(kind, size, monkeypatch):
+    _shards_on_two_workers(monkeypatch, size)
+    test_causal_batch_loss_matches_full_width_forward(kind)
+
+
+def test_backward_twice_doubles_the_sharded_gradients(monkeypatch):
+    _shards_on_two_workers(monkeypatch, 1)
+    m = tiny_model(seed=39, attention_mode="causal")
+    loss = causal_batch_loss(m, np.array(TRIM_BATCHES["interior_pad"]))
+    assert loss._parents == tuple(m.params.values())  # one node joins the three shards
+    backward(loss)
+    once = {name: p.grad.copy() for name, p in m.params.items()}
+    backward(loss)
+    for name, p in m.params.items():
+        np.testing.assert_array_equal(p.grad, 2 * once[name], err_msg=name)
+
+
+def test_sharded_loss_records_a_graph_only_with_gradients_on(monkeypatch):
+    """Two shards on two workers, held together by a barrier: under no_grad
+    neither thread records a node, and with gradients on both record their
+    shard's graph and backward fills every parameter's gradient."""
+    _shards_on_two_workers(monkeypatch, 2)
+    m = tiny_model(seed=40)
+    batch = np.random.default_rng(14).integers(3, 12, size=(4, 8))
+    patterns = [MaskPattern.from_indices(8, [1, 4])] * 4
+    nodes, together = [], threading.Barrier(2, timeout=30)
+    node, forward = T._node, m.forward
+
+    def counted(*args):
+        out = node(*args)
+        nodes.append((threading.get_ident(), out._vjp is not None))
+        return out
+
+    def held(*args, **kwargs):
+        together.wait()
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(T, "_node", counted)
+    monkeypatch.setattr(m, "forward", held)
+    with T.no_grad():
+        loss = masked_batch_loss(m, batch, patterns)
+    assert not loss.requires_grad
+    assert len({ident for ident, _ in nodes}) == 2 and not any(recorded for _, recorded in nodes)
+    nodes.clear()
+    loss = masked_batch_loss(m, batch, patterns)
+    assert loss.requires_grad
+    assert len({ident for ident, recorded in nodes if recorded}) == 2
+    backward(loss)
+    assert all(p.grad is not None and p.grad.any() for p in m.params.values())
+
+
+def test_non_finite_logits_in_a_later_shard_raise_once_every_started_shard_is_done(monkeypatch):
+    """Shards of one sequence on two workers: the second meets a non-finite
+    embedding while the first still runs. The error comes once the first is
+    done, and the third shard never starts."""
+    _shards_on_two_workers(monkeypatch, 1)
+    m = tiny_model(seed=41)
+    m.params["tok_emb"].data[11] = np.inf
+    batch = np.random.default_rng(15).integers(3, 11, size=(3, 8))
+    batch[1, 3] = 11
+    patterns = [MaskPattern.from_indices(8, [0, 5])] * 3
+    forward, started, running = m.forward, [], []
+
+    def slow_when_finite(tokens, **kwargs):
+        started.append(len(started))
+        running.append(1)
+        try:
+            if 11 not in tokens:
+                time.sleep(0.1)
+            return forward(tokens, **kwargs)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(m, "forward", slow_when_finite)
+    with pytest.raises(NonFiniteLogits), np.errstate(invalid="ignore"):
+        masked_batch_loss(m, batch, patterns, train=True, rng=np.random.default_rng(2))
+    assert running == [] and len(started) == 2

@@ -104,6 +104,35 @@ def test_training_is_deterministic(corpus_file, tmp_path):
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("name", ["upmlm", "gpt-like"])
+def test_training_writes_the_same_bytes_on_one_and_two_workers(name, corpus_file, tmp_path, monkeypatch):
+    """At preset size a batch of 16 is two shards of 8: one worker runs them in
+    turn, two run them at once. The loss logs and checkpoints are byte-identical."""
+    import threading
+    import time
+
+    import pmlm.model as model_mod
+
+    threads, forward = set(), model_mod.Transformer.forward
+
+    def spy(model, tokens, **kwargs):
+        threads.add(threading.get_ident())
+        time.sleep(0.01)  # so that a second thread takes the other shard
+        return forward(model, tokens, **kwargs)
+
+    monkeypatch.setattr(model_mod.Transformer, "forward", spy)
+    outputs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(model_mod, "_workers", lambda parts: min(workers, parts))
+        threads.clear()
+        ckpt, log = tmp_path / f"{workers}.ckpt", tmp_path / f"{workers}.jsonl"
+        train(preset(name, str(corpus_file), str(ckpt), loss_log_path=str(log), steps=3, batch_size=16, seed=7),
+              quiet=True)
+        assert len(threads) == workers
+        outputs.append((ckpt.read_bytes(), log.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_checkpoint_carries_vocab_and_prior(corpus_file, tmp_path):
     config = preset("bert-like", str(corpus_file), str(tmp_path / "m.ckpt"), **small_overrides(5))
     result = train(config, quiet=True)
@@ -166,6 +195,38 @@ def test_non_finite_gradient_aborts_and_retains_checkpoint(corpus_file, tmp_path
     model, _ = load_checkpoint(ckpt)
     for name, p in model.params.items():
         np.testing.assert_array_equal(p.data, initial[name], err_msg=name)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the loop's errstate holds on every worker
+def test_non_finite_logits_in_a_later_shard_abort_and_retain_checkpoint(corpus_file, tmp_path, monkeypatch):
+    """Batches of 4 in shards of 2 on two workers; at step 3 only the second
+    shard meets a non-finite embedding, and training takes its divergence path."""
+    import pmlm.model as model_mod
+    import pmlm.training as training_mod
+    from pmlm.data import UNK_ID
+    from pmlm.training import TrainingDiverged
+
+    monkeypatch.setattr(model_mod, "_slice_size", lambda cfg, width, workers: 2)
+    monkeypatch.setattr(model_mod, "_workers", lambda parts: min(2, parts))
+    real, calls = training_mod.causal_batch_loss, []
+
+    def poisoned(model, batch, **kwargs):
+        calls.append(len(batch))
+        if len(calls) == 4:  # an all-[UNK] last row, whose embedding is made infinite
+            model.params["tok_emb"].data[UNK_ID] = np.inf
+            batch = batch.copy()
+            batch[3] = UNK_ID
+        return real(model, batch, **kwargs)
+
+    monkeypatch.setattr(training_mod, "causal_batch_loss", poisoned)
+    ckpt = tmp_path / "diverged.ckpt"
+    log = tmp_path / "loss.jsonl"
+    config = preset("gpt-like", str(corpus_file), str(ckpt), loss_log_path=str(log), **small_overrides(10))
+    with pytest.raises(TrainingDiverged, match="non-finite logits at step 3"):
+        train(config, quiet=True)
+    assert [json.loads(line)["step"] for line in log.read_text(encoding="utf-8").splitlines()] == [0, 1, 2]
+    model, _ = load_checkpoint(ckpt)
+    assert all(np.all(np.isfinite(p.data)) for p in model.params.values())
 
 
 def test_all_unmasked_prior_trains_at_zero_loss(corpus_file, tmp_path):
