@@ -217,16 +217,13 @@ def render_ppl_table(rows: Dict[str, Dict[str, Optional[float]]]) -> str:
 def _generate_causal_cached(
     model: Transformer, length: int, sampler: SamplerSpec, rng: np.random.Generator
 ) -> np.ndarray:
-    prefix = [MASK_ID]
-    out = []
+    seq = np.empty(length + 1, dtype=np.int64)  # [MASK], then the decoded tokens
+    seq[0] = MASK_ID
     cache = None
-    for _ in range(length):
-        logits, cache = model.forward_incremental(np.asarray(prefix), cache)
-        token = sample_token(logits, sampler, rng)
-        out.append(token)
-        if len(out) < length:
-            prefix.append(token)
-    return np.asarray(out, dtype=np.int64)
+    for t in range(length):
+        logits, cache = model.forward_incremental(seq[: t + 1], cache)
+        seq[t + 1] = sample_token(logits, sampler, rng)
+    return seq[1:]
 
 
 def bench_latency(

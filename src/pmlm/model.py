@@ -53,8 +53,8 @@ class TransformerConfig:
     def __post_init__(self):
         if self.vocab_size < 4:
             raise ValueError(f"vocab_size must be at least 4, got {self.vocab_size}")
-        if self.max_len < 1 or self.layers < 1 or self.heads < 1 or self.hidden_size < 1:
-            raise ValueError("max_len, layers, heads and hidden_size must be positive")
+        if min(self.max_len, self.layers, self.intermediate_size, self.heads, self.hidden_size) < 1:
+            raise ValueError("max_len, layers, intermediate_size, heads and hidden_size must be positive")
         if self.hidden_size % self.heads != 0:
             raise ValueError(
                 f"hidden_size {self.hidden_size} not divisible by heads {self.heads}"
@@ -225,14 +225,17 @@ def _split_heads(ops, y, heads: int):
 
 
 class DecodeCache:
-    """Per-layer key/value cache for incremental causal decoding:
-    (1, heads, max_len, head_dim) arrays whose first ``length`` positions
-    hold the keys and values of ``tokens``."""
+    """Per-layer key/value cache for incremental causal decoding, bound to the
+    model that fills it and to that model's parameter arrays at the time it is
+    made: (1, heads, max_len, head_dim) arrays whose first ``length`` positions
+    hold the keys and values of the int64 ids ``tokens[:length]``."""
 
-    def __init__(self, cfg: TransformerConfig):
-        self.config = cfg
+    def __init__(self, model: "Transformer"):
+        cfg = model.config
+        self.model = model
+        self.arrays = model._arrays()
         self.length = 0
-        self.tokens: list[int] = []
+        self.tokens = np.zeros(cfg.max_len, dtype=np.int64)
         shape = (1, cfg.heads, cfg.max_len, cfg.head_dim)
         self.k = [np.zeros(shape) for _ in range(cfg.layers)]
         self.v = [np.zeros(shape) for _ in range(cfg.layers)]
@@ -275,7 +278,9 @@ class Transformer:
     # full forward
     # ------------------------------------------------------------------
 
-    def _validate_tokens(self, ids: np.ndarray) -> None:
+    def _validate_tokens(self, ids: np.ndarray, start: int = 0) -> None:
+        """Reject an empty (B, n) batch, one longer than max_len, or a token id
+        outside the vocabulary at positions start..n-1."""
         cfg = self.config
         if ids.shape[-1] == 0:
             raise ValueError("forward: empty token sequence")
@@ -283,11 +288,12 @@ class Transformer:
             raise ValueError(
                 f"forward: sequence length {ids.shape[-1]} exceeds max_len {cfg.max_len}"
             )
-        bad = (ids < 0) | (ids >= cfg.vocab_size)
-        if np.any(bad):
+        new = ids[..., start:]
+        bad = (new < 0) | (new >= cfg.vocab_size)
+        if bad.any():
             b, n = np.argwhere(bad)[0]
             raise ValueError(
-                f"forward: token id {int(ids[b, n])} at position {int(n)} "
+                f"forward: token id {int(new[b, n])} at position {start + int(n)} "
                 f"outside vocabulary of size {cfg.vocab_size}"
             )
 
@@ -459,10 +465,11 @@ class Transformer:
         """Logit row for the last prefix position, reusing cached keys/values.
 
         Only causal attention admits this: later tokens cannot change the
-        hidden states of earlier ones, so each call runs the block on just
-        the positions the cache has not seen, on plain arrays. Bidirectional
-        models must rerun a full forward after every new token and are
-        rejected here.
+        hidden states of earlier ones, so each call checks and runs the block
+        on just the positions the cache has not seen, on plain arrays. The
+        cache must come from an earlier call on this model with the same
+        parameter arrays. Bidirectional models must rerun a full forward after
+        every new token and are rejected here.
         """
         cfg = self.config
         if cfg.attention_mode != "causal":
@@ -473,20 +480,22 @@ class Transformer:
         ids = np.asarray(prefix, dtype=np.int64)
         if ids.ndim != 1:
             raise ValueError("forward_incremental: prefix must be one-dimensional")
-        self._validate_tokens(ids[None, :])
-        if np.any(ids == PAD_ID):
-            raise ValueError("forward_incremental: prefix must not contain [PAD]")
         if cache is None:
-            cache = DecodeCache(cfg)
-        if cache.config is not cfg and cache.config != cfg:
-            raise ValueError("forward_incremental: cache built for a different config")
-        n = ids.shape[0]
-        if n < cache.length or list(ids[: cache.length]) != cache.tokens:
+            cache = DecodeCache(self)
+        elif cache.model is not self:
+            raise ValueError("forward_incremental: cache filled by another model")
+        elif not all(a is t.data for a, t in zip(cache.arrays.values(), self.params.values())):
+            raise ValueError("forward_incremental: cache filled before the model's parameters were rebound")
+        start, n = cache.length, ids.shape[0]
+        self._validate_tokens(ids[None, :], start)
+        if (ids[start:] == PAD_ID).any():
+            raise ValueError("forward_incremental: prefix must not contain [PAD]")
+        if n < start or (ids[:start] != cache.tokens[:start]).any():
             raise ValueError("forward_incremental: prefix does not extend the cached prefix")
-        if n == cache.length:
+        if n == start:
             raise ValueError("forward_incremental: no new positions beyond the cache")
 
-        logits = self._run(T.array_ops, self._arrays(), ids[None, :], start=cache.length, cache=cache)
+        logits = self._run(T.array_ops, cache.arrays, ids[None, :], start=start, cache=cache)
+        cache.tokens[start:n] = ids[start:]
         cache.length = n
-        cache.tokens = list(ids)
         return logits[0, -1], cache

@@ -268,17 +268,24 @@ def _softmax(x: np.ndarray, scale: float = 1.0, bias=None) -> np.ndarray:
 
 def _layer_norm(x: np.ndarray, gain=None, bias=None, eps: float = 1e-12):
     """(xhat * gain + bias, xhat, inv): xhat is the last axis at mean 0 /
-    variance 1, and inv is 1 / sqrt(var + eps)."""
+    variance 1, and inv is 1 / sqrt(var + eps). For a single row, as in a
+    cached decode step, xhat is a vector and inv a float: the same sums, with
+    no broadcast over the leading axes."""
     # the mean and variance as np.mean and np.var compute them (sum, then
     # divide by the count), bit for bit, without their per-call overhead
     count = x.shape[-1]
-    centred = x - x.sum(axis=-1, keepdims=True) / count
-    inv = 1.0 / np.sqrt((centred * centred).sum(axis=-1, keepdims=True) / count + eps)
+    if x.size == count:
+        row = x.reshape(-1)
+        centred = row - row.sum() / count
+        inv = 1.0 / math.sqrt((centred * centred).sum() / count + eps)
+    else:
+        centred = x - x.sum(axis=-1, keepdims=True) / count
+        inv = 1.0 / np.sqrt((centred * centred).sum(axis=-1, keepdims=True) / count + eps)
     xhat = centred * inv
     out = xhat * (1.0 if gain is None else gain)
     if bias is not None:
         out += bias
-    return out, xhat, inv
+    return out.reshape(x.shape), xhat, inv
 
 
 def _gelu_cdf(x: np.ndarray) -> np.ndarray:

@@ -163,6 +163,7 @@ def test_criterion_05_monte_carlo_estimator():
     report(5, gap < 3 * se, f"|mean-exact|={gap:.5f} < 3*SE={3 * se:.5f} over 10^4 samples")
 
 
+@pytest.mark.slow
 def test_criterion_06_desk_scale_training(tmp_path):
     start = time.monotonic()
     train_path = write_synthetic_corpus(tmp_path / "train.txt", n_bytes=100_000, seed=0)

@@ -284,6 +284,7 @@ def test_unreadable_checkpoint_is_reported(workspace, capsys):
         ["verify-equivalence", "--tolerance", "-1"],
         ["bench-latency", "--count", "1", "--length", "4", "--heads", "0"],
         ["bench-latency", "--count", "1", "--length", "4", "--hidden-size", "0"],
+        ["bench-latency", "--count", "1", "--length", "4", "--intermediate-size", "0"],
         ["verify-equivalence", "--n", "-3"],
         ["train", "--preset", "upmlm", "--corpus", "{tmp}/c.txt", "--checkpoint", "{tmp}/m.ckpt", "--seed", "-1"],
         ["generate", "--checkpoint", "{tmp}/m.ckpt", "--length", "4", "--seed", "-1"],
@@ -292,7 +293,7 @@ def test_unreadable_checkpoint_is_reported(workspace, capsys):
     ids=[
         "verify_n_0", "verify_models_0", "make_corpus_negative_bytes",
         "verify_tolerance_inf", "verify_tolerance_nan", "verify_tolerance_negative",
-        "bench_latency_heads_0", "bench_latency_hidden_size_0",
+        "bench_latency_heads_0", "bench_latency_hidden_size_0", "bench_latency_intermediate_size_0",
         "verify_n_negative", "train_seed_negative", "generate_seed_negative", "eval_ppl_seed_negative",
     ],
 )
@@ -465,6 +466,7 @@ def _checkpoint(**extra) -> bytes:
         (_TRAIN, "[1]"),
         (_GENERATE, '{"config":{"model":{"vocab_size":"12"}},"tensors":{}}\0'),
         (_GENERATE, '{"config":{"model":{"vocab_size":12,"heads":0}},"tensors":{}}\0'),
+        (_GENERATE, '{"config":{"model":{"vocab_size":12,"intermediate_size":0}},"tensors":{}}\0'),
         (_GENERATE, _checkpoint(vocab=5)),
         (_GENERATE, _checkpoint(vocab=[*SPECIAL_TOKENS, *range(9)])),
         (_GENERATE, _checkpoint(vocab=_VOCAB[:4])),
@@ -473,7 +475,8 @@ def _checkpoint(**extra) -> bytes:
     ids=[
         "checkpoint_header_without_model", "checkpoint_header_list", "run_config_training_bogus",
         "run_config_prior_x", "run_config_without_checkpoint_path", "run_config_list",
-        "checkpoint_vocab_size_string", "checkpoint_heads_0", "checkpoint_vocab_number", "checkpoint_vocab_of_ints",
+        "checkpoint_vocab_size_string", "checkpoint_heads_0", "checkpoint_intermediate_size_0",
+        "checkpoint_vocab_number", "checkpoint_vocab_of_ints",
         "checkpoint_vocab_shorter_than_vocab_size", "checkpoint_tokenizer_number",
     ],
 )

@@ -14,6 +14,7 @@ from pmlm import tensor as T
 from pmlm.data import Corpus, MASK_ID, PAD_ID, Vocabulary
 from pmlm.evaluation import (
     _batched_nll,
+    _generate_causal_cached,
     bench_latency,
     ppl_bidirectional,
     ppl_causal,
@@ -21,6 +22,7 @@ from pmlm.evaluation import (
     render_ppl_table,
     score_sequence_bidirectional,
 )
+from pmlm.generation import EXCLUDED_CANDIDATES, SamplerSpec
 from pmlm.model import Transformer, _slice_size
 from pmlm.objectives import ar_loss, conditional_log_probs
 from pmlm.training import preset
@@ -314,6 +316,30 @@ def test_bench_latency_minimal_run():
     assert result["reports"][1]["seconds"] > 0
     table = render_latency_table(result)
     assert "Cost Time" in table and "1.20" in table
+
+
+def test_greedy_cached_decode_follows_the_full_forward_at_preset_size(monkeypatch):
+    """64 greedy cached steps of a preset-size causal model: each step's row is
+    the full forward's row within 1e-9, and each token is its argmax."""
+    model = Transformer.init(preset("gpt-like", "", "").model_config(40), seed=3)
+    incremental, steps = model.forward_incremental, []
+
+    def spy(prefix, cache=None):
+        row, cache = incremental(prefix, cache)
+        steps.append((prefix.copy(), row))
+        return row, cache
+
+    monkeypatch.setattr(model, "forward_incremental", spy)
+    tokens = _generate_causal_cached(model, 64, SamplerSpec(), np.random.default_rng(0))
+    prefix = np.concatenate([[MASK_ID], tokens[:-1]])
+    full = model.logits(prefix)
+    assert len(steps) == 64
+    for t, (seen, row) in enumerate(steps):
+        np.testing.assert_array_equal(seen, prefix[: t + 1])
+        assert np.abs(row - full[t]).max() <= 1e-9
+        allowed = full[t].copy()
+        allowed[list(EXCLUDED_CANDIDATES)] = -np.inf
+        assert tokens[t] == np.argmax(allowed)
 
 
 def test_bench_latency_requires_matching_sizes_and_modes():

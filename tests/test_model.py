@@ -205,6 +205,40 @@ def test_incremental_rejects_non_extending_prefix():
         m.forward_incremental(np.array([3, 5, 6]), cache)
 
 
+def test_incremental_checks_the_new_positions_with_the_forward_messages():
+    m = tiny_model(seed=11, attention_mode="causal")  # vocab 12, max_len 8
+    _, cache = m.forward_incremental(np.array([3, 4]))
+    extend = "does not extend the cached prefix"
+    bad = [
+        ("token id 12 at position 3 outside vocabulary of size 12", [3, 4, 5, 12]),
+        ("token id -1 at position 2 outside vocabulary", [3, 4, -1]),
+        (r"must not contain \[PAD\]", [3, 4, 5, PAD_ID]),
+        ("sequence length 9 exceeds max_len 8", [3, 4, 5, 6, 7, 8, 9, 10, 11]),
+        # a rewritten cached token, even one the forward would reject, fails the extension check
+        (extend, [3, PAD_ID, 5]),
+        (extend, [12, 4, 5]),
+        (extend, [3]),
+    ]
+    for message, prefix in bad:
+        with pytest.raises(ValueError, match=message):
+            m.forward_incremental(np.array(prefix), cache)
+    row, _ = m.forward_incremental(np.array([3, 4, 5]), cache)  # the rejected calls left the cache as it was
+    np.testing.assert_allclose(row, m.logits(np.array([3, 4, 5]))[-1], rtol=0, atol=1e-10)
+
+
+def test_incremental_rejects_a_cache_of_another_model_or_of_rebound_parameters():
+    m = tiny_model(seed=12, attention_mode="causal")
+    twin = tiny_model(seed=13, attention_mode="causal")  # an equal config with other weights
+    _, cache = m.forward_incremental(np.array([3, 4]))
+    with pytest.raises(ValueError, match="cache filled by another model"):
+        twin.forward_incremental(np.array([3, 4, 5]), cache)
+    m.params["tok_emb"].data = m.params["tok_emb"].data * 2.0  # rebound, as restoring a training snapshot does
+    with pytest.raises(ValueError, match="parameters were rebound"):
+        m.forward_incremental(np.array([3, 4, 5]), cache)
+    row, _ = m.forward_incremental(np.array([3, 4, 5]))
+    np.testing.assert_allclose(row, m.logits(np.array([3, 4, 5]))[-1], rtol=0, atol=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # row-selected forward
 # ---------------------------------------------------------------------------
@@ -593,6 +627,9 @@ def test_config_rejects_bad_values():
         TransformerConfig(vocab_size=10, heads=0)
     with pytest.raises(ValueError, match="heads and hidden_size must be positive"):
         TransformerConfig(vocab_size=10, hidden_size=0)
+    for width in (0, -1):
+        with pytest.raises(ValueError, match="intermediate_size, heads and hidden_size must be positive"):
+            TransformerConfig(vocab_size=10, intermediate_size=width)
 
 
 def test_transformer_rejects_wrong_parameter_names():

@@ -63,6 +63,24 @@ def test_array_ops_match_tensor_ops_bit_for_bit():
         np.testing.assert_array_equal(T.array_ops.softmax(x, 0.125, mask), T.softmax(x, 0.125, mask).data)
 
 
+def test_one_row_layer_norm_has_the_bits_of_its_row_in_a_batch():
+    # a single row (a cached decode step) sums on a vector and scalars instead
+    rng = np.random.default_rng(16)
+    for width in (1, 7, 64, 129, 256):
+        x = rng.normal(rng.normal() * 10, rng.uniform(0.01, 100.0), size=(6, width))
+        gain, bias, g = rng.normal(size=width), rng.normal(size=width), rng.normal(size=(6, width))
+        xb = Tensor(x, requires_grad=True)
+        batch = T.layer_norm(xb, gain, bias)
+        backward(T.sum_(batch * g))
+        for i in range(6):
+            row = Tensor(x[i].reshape(1, 1, width), requires_grad=True)
+            one = T.layer_norm(row, gain, bias)
+            np.testing.assert_array_equal(one.data, batch.data[i].reshape(1, 1, width))
+            np.testing.assert_array_equal(T.array_ops.layer_norm(x[i : i + 1], gain, bias), batch.data[i : i + 1])
+            backward(T.sum_(one * g[i]))  # its vjp's products run at another shape, so not bit for bit
+            np.testing.assert_allclose(row.grad.reshape(-1), xb.grad[i], rtol=1e-12, atol=1e-15)
+
+
 def test_fused_forwards_equal_the_unfused_composition_bit_for_bit():
     rng = np.random.default_rng(15)
     x = rng.normal(size=(3, 4, 8, 16))
