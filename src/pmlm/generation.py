@@ -166,36 +166,33 @@ def sample_token(
     softmax(logits / T); top_k renormalizes over the k best after temperature
     scaling. Excluded ids are removed from the candidate set first.
     """
-    logits = np.asarray(logit_row, dtype=np.float64).copy()
+    logits = np.asarray(logit_row, dtype=np.float64)
     if logits.ndim != 1:
         raise ValueError(f"sample_token expects one logit row, got shape {logits.shape}")
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise ValueError("sample_token: non-finite logits")
     keep = np.ones(logits.shape[0], dtype=bool)
-    for ex in exclude:
-        if 0 <= ex < logits.shape[0]:
-            keep[ex] = False
-    if not keep.any():
+    keep[[ex for ex in exclude if 0 <= ex < logits.shape[0]]] = False
+    ids = keep.nonzero()[0]
+    if not ids.size:
         raise ValueError("sample_token: every candidate token is excluded")
-    logits[~keep] = -np.inf
+    logits = logits[ids]
 
     if sampler.kind == "greedy":
-        return int(np.argmax(logits))
+        return int(ids[logits.argmax()])
 
     scaled = logits / sampler.temperature
-    if sampler.kind == "top_k":
-        # rank by logit descending, ties by lower id, keep the k best
-        ranked = np.argsort(-scaled, kind="stable")
-        cutoff = min(sampler.k, int(keep.sum()))
-        drop = ranked[cutoff:]
-        scaled[drop] = -np.inf
+    if sampler.kind == "top_k" and sampler.k < ids.size:
+        # rank by logit descending, ties by lower id; keep the k best in id order
+        best = (-scaled).argsort(kind="stable")[: sampler.k]
+        best.sort()
+        ids, scaled = ids[best], scaled[best]
     if rng is None:
         raise ValueError(f"sampler kind '{sampler.kind}' requires an rng")
-    candidates = np.flatnonzero(np.isfinite(scaled))
-    weights = np.exp(scaled[candidates] - scaled[candidates].max())
-    cdf = np.cumsum(weights / weights.sum())
-    pick = min(int(np.searchsorted(cdf, rng.random(), side="right")), len(candidates) - 1)
-    return int(candidates[pick])
+    weights = np.exp(scaled - scaled.max())
+    cdf = (weights / weights.sum()).cumsum()
+    pick = min(int(cdf.searchsorted(rng.random(), side="right")), ids.size - 1)
+    return int(ids[pick])
 
 
 # ---------------------------------------------------------------------------

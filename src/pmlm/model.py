@@ -409,7 +409,9 @@ class Transformer:
         different count per sequence, after the attention context.
 
         ``ops`` is ``pmlm.tensor`` with the parameter Tensors as ``p``, or
-        ``tensor.array_ops`` with their arrays. Without a cache, start is 0.
+        ``tensor.array_ops`` with their arrays, whose in-place kernels get only
+        arrays made here: the caller's tokens, rows and parameters and the
+        cache's earlier keys and values are never written. Without a cache, start is 0.
         With one, positions start..n-1 write their keys and values into it
         and attend to the cached keys and values of positions 0..start-1.
         """
@@ -418,7 +420,7 @@ class Transformer:
         queries = np.arange(start, n)
         h = ops.take(p["tok_emb"], ids[:, start:], name="tok_emb")
         if cfg.positional_kind == "absolute":
-            h = h + ops.take(p["pos_emb"], queries, name="pos_emb")
+            h = ops.add(ops.take(p["pos_emb"], queries, name="pos_emb"), h)
         h = ops.dropout(h, drop, rng)
         bias = self._attention_bias(ops, p, ids, queries)
 
@@ -446,11 +448,11 @@ class Transformer:
             ctx = ops.reshape(ops.transpose(attn @ v, (0, 2, 1, 3)), (batch, q.shape[2], cfg.hidden_size))
             if flat_rows is not None and last:
                 h, ctx = gather(h), gather(ctx)
-            h = h + ops.dropout(ops.matmul(ctx, p[pre + "attn.wo"], bias=p[pre + "attn.bo"]), drop, rng)
+            h = ops.add(h, ops.dropout(ops.matmul(ctx, p[pre + "attn.wo"], bias=p[pre + "attn.bo"]), drop, rng))
 
             x = ops.layer_norm(h, p[pre + "ln2.gain"], p[pre + "ln2.bias"])
             f = ops.gelu(ops.matmul(x, p[pre + "ffn.w_in"], bias=p[pre + "ffn.b_in"]))
-            h = h + ops.dropout(ops.matmul(f, p[pre + "ffn.w_out"], bias=p[pre + "ffn.b_out"]), drop, rng)
+            h = ops.add(h, ops.dropout(ops.matmul(f, p[pre + "ffn.w_out"], bias=p[pre + "ffn.b_out"]), drop, rng))
 
         x = ops.layer_norm(h, p["ln_f.gain"], p["ln_f.bias"])
         return ops.matmul(x, p["out.w"], bias=p["out.b"])

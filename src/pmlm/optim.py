@@ -64,6 +64,10 @@ class Adam:
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * np.square(g)
+            # the new values go to the update's own buffer, not into p.data: a
+            # decode cache bound to the old arrays by identity then sees the step
+            data = p.data
             if self.weight_decay:
-                p.data -= self.lr * self.weight_decay * p.data
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                data = data - self.lr * self.weight_decay * data
+            update = np.asarray(self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps))
+            p.data = np.subtract(data, update, out=update)

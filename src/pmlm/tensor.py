@@ -253,22 +253,19 @@ def sum_(a, axis=None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _softmax(x: np.ndarray, scale: float = 1.0, bias=None) -> np.ndarray:
-    """Stable softmax over the last axis of x * scale + bias. Rows sum to 1."""
-    e = x * scale
+def _softmax(e: np.ndarray, bias=None) -> np.ndarray:
+    """Stable softmax over the last axis of e + bias, computed in e. Rows sum to 1."""
     if bias is not None:
         e += bias
     e -= e.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
-    # out of place on purpose: normalising in place made the reference kernel
-    # that perfbench times next to each operation run about 20 % faster after
-    # a batched forward, so infer.ppl_causal read 20 % slower at equal wall time
-    return e / e.sum(axis=-1, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
-def _layer_norm(x: np.ndarray, gain=None, bias=None, eps: float = 1e-12):
-    """(xhat * gain + bias, xhat, inv): xhat is the last axis at mean 0 /
-    variance 1, and inv is 1 / sqrt(var + eps). For a single row, as in a
+def _standardize(x: np.ndarray, eps: float = 1e-12):
+    """(xhat, inv): xhat is the last axis of x at mean 0 / variance 1, in a
+    fresh array, and inv is 1 / sqrt(var + eps). For a single row, as in a
     cached decode step, xhat is a vector and inv a float: the same sums, with
     no broadcast over the leading axes."""
     # the mean and variance as np.mean and np.var compute them (sum, then
@@ -276,16 +273,22 @@ def _layer_norm(x: np.ndarray, gain=None, bias=None, eps: float = 1e-12):
     count = x.shape[-1]
     if x.size == count:
         row = x.reshape(-1)
-        centred = row - row.sum() / count
-        inv = 1.0 / math.sqrt((centred * centred).sum() / count + eps)
+        xhat = row - row.sum() / count
+        inv = 1.0 / math.sqrt((xhat * xhat).sum() / count + eps)
     else:
-        centred = x - x.sum(axis=-1, keepdims=True) / count
-        inv = 1.0 / np.sqrt((centred * centred).sum(axis=-1, keepdims=True) / count + eps)
-    xhat = centred * inv
-    out = xhat * (1.0 if gain is None else gain)
+        xhat = x - x.sum(axis=-1, keepdims=True) / count
+        inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / count + eps)
+    xhat *= inv
+    return xhat, inv
+
+
+def _scale_shift(y: np.ndarray, gain=None, bias=None) -> np.ndarray:
+    """y * gain + bias, computed in y; a missing gain or bias is left out."""
+    if gain is not None:
+        y *= gain
     if bias is not None:
-        out += bias
-    return out.reshape(x.shape), xhat, inv
+        y += bias
+    return y
 
 
 def _gelu_cdf(x: np.ndarray) -> np.ndarray:
@@ -295,6 +298,12 @@ def _gelu_cdf(x: np.ndarray) -> np.ndarray:
     t += 1.0
     t *= 0.5
     return t
+
+
+def _gelu(x: np.ndarray) -> np.ndarray:
+    """x * Φ(x), computed in Φ(x)'s buffer."""
+    cdf = _gelu_cdf(x)
+    return np.multiply(x, cdf, out=cdf)
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, bias=None) -> np.ndarray:
@@ -315,7 +324,7 @@ def _dropout(x: np.ndarray, keep: np.ndarray, rate: float) -> np.ndarray:
 def softmax(a, scale: float = 1.0, bias=None) -> Tensor:
     """Softmax over the last axis of a * scale + bias (scores, scale, mask)."""
     a = as_tensor(a)
-    data = _softmax(a.data, scale, _array(bias))
+    data = _softmax(a.data * scale, _array(bias))
 
     def vjp(g):
         dot = (g * data).sum(axis=-1, keepdims=True)
@@ -329,7 +338,8 @@ def layer_norm(a, gain=None, bias=None, eps: float = 1e-12) -> Tensor:
     """Normalize the last axis to mean 0 / variance 1, then scale by ``gain``
     and shift by ``bias`` (each (a.shape[-1],)) when given."""
     a = as_tensor(a)
-    data, xhat, inv = _layer_norm(a.data, _array(gain), _array(bias), eps)
+    xhat, inv = _standardize(a.data, eps)
+    data = _scale_shift(xhat.copy(), _array(gain), _array(bias)).reshape(a.shape)
 
     def vjp(g):
         # the row means of g * w and g * xhat * w, as products with w
@@ -418,12 +428,15 @@ def cross_entropy_rows(logits, targets) -> Tensor:
 # graph node per op. ``Transformer.forward`` runs on them whenever no graph is
 # recorded, and the cached decode always. Each shares its kernel with its
 # Tensor op and gives the same bits; dropout draws the same mask from the same
-# rng. Inputs are trusted: only the loss checks them.
+# rng. Inputs are trusted: only the loss checks them. ``softmax`` overwrites
+# its argument and ``add`` its second one: pass only a temporary nothing else
+# reads. The other ops leave their arguments as they are.
 array_ops = SimpleNamespace(
+    add=lambda a, b: np.add(a, b, out=b),
     matmul=_matmul,
-    softmax=_softmax,
-    layer_norm=lambda x, gain=None, bias=None: _layer_norm(x, gain, bias)[0],
-    gelu=lambda x: x * _gelu_cdf(x),
+    softmax=lambda x, scale=1.0, bias=None: _softmax(np.multiply(x, scale, out=x), bias),
+    layer_norm=lambda x, gain=None, bias=None: _scale_shift(_standardize(x)[0], gain, bias).reshape(x.shape),
+    gelu=_gelu,
     dropout=lambda x, rate, rng: x if rate <= 0.0 else _dropout(x, rng.random(x.shape) >= rate, rate),
     take=lambda a, indices, name="take": a[indices],
     reshape=lambda a, shape: a.reshape(shape),

@@ -232,6 +232,41 @@ def test_top_k_ties_go_to_the_lower_ids():
         assert got == _top_k_by_lexsort(logits, k, 0.8, np.random.default_rng(seed)), seed
 
 
+def _sample_token_before(logit_row, sampler, rng=None, exclude=(PAD_ID, MASK_ID, UNK_ID)):
+    """sample_token as it was written first: mask a copy of the whole row,
+    rank the whole row for top-k, then draw among the finite entries."""
+    logits = np.asarray(logit_row, dtype=np.float64).copy()
+    keep = np.ones(logits.shape[0], dtype=bool)
+    for ex in exclude:
+        if 0 <= ex < logits.shape[0]:
+            keep[ex] = False
+    logits[~keep] = -np.inf
+    if sampler.kind == "greedy":
+        return int(np.argmax(logits))
+    scaled = logits / sampler.temperature
+    if sampler.kind == "top_k":
+        ranked = np.argsort(-scaled, kind="stable")
+        scaled[ranked[min(sampler.k, int(keep.sum())):]] = -np.inf
+    candidates = np.flatnonzero(np.isfinite(scaled))
+    weights = np.exp(scaled[candidates] - scaled[candidates].max())
+    cdf = np.cumsum(weights / weights.sum())
+    return int(candidates[min(int(np.searchsorted(cdf, rng.random(), side="right")), len(candidates) - 1)])
+
+
+def test_sample_token_makes_the_picks_of_the_first_implementation():
+    """Same token and same generator state after every draw, on 2,000 seeded
+    rows with ties, per sampler; some rows exclude ids past the vocabulary."""
+    samplers = [GREEDY, SamplerSpec("temperature", 0.7), SamplerSpec("top_k", 1.0, 5), SamplerSpec("top_k", 0.9, 1),
+                SamplerSpec("top_k", 1.3, 60)]
+    rows = np.round(np.random.default_rng(19).normal(scale=3.0, size=(2000, 60)), 1)
+    for spec in samplers:
+        rng, oracle = np.random.default_rng(20), np.random.default_rng(20)
+        for i, row in enumerate(rows):
+            exclude = (PAD_ID, MASK_ID, UNK_ID) if i % 4 else (7, 59, 60, -1)
+            assert sample_token(row, spec, rng, exclude) == _sample_token_before(row, spec, oracle, exclude), (spec, i)
+            assert rng.bit_generator.state == oracle.bit_generator.state
+
+
 def test_special_tokens_never_sampled():
     # rig the row so the raw argmax is [MASK]
     row = np.zeros(12)

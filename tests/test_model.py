@@ -12,12 +12,14 @@ import pytest
 import pmlm.model as model_mod
 from pmlm import tensor as T
 from pmlm.data import PAD_ID
+from pmlm.generation import GenerationConstraints, GenerationOrder, SamplerSpec, generate
 from pmlm.model import (
     Transformer,
     TransformerConfig,
     parameter_shapes,
     relative_attention_bias,
 )
+from pmlm.optim import Adam
 from pmlm.tensor import Tensor
 
 from helpers import tiny_config, tiny_model
@@ -239,6 +241,17 @@ def test_incremental_rejects_a_cache_of_another_model_or_of_rebound_parameters()
     np.testing.assert_allclose(row, m.logits(np.array([3, 4, 5]))[-1], rtol=0, atol=1e-10)
 
 
+def test_incremental_rejects_a_cache_filled_before_an_optimizer_step():
+    m = tiny_model(seed=12, attention_mode="causal")
+    _, cache = m.forward_incremental(np.array([3, 4]))
+    T.backward(T.sum_(m.forward(np.array([3, 4, 5]))))
+    Adam(lr=0.05).step(m.params)
+    with pytest.raises(ValueError, match="parameters were rebound"):
+        m.forward_incremental(np.array([3, 4, 5]), cache)
+    row, _ = m.forward_incremental(np.array([3, 4, 5]))
+    np.testing.assert_array_equal(row, m.logits(np.array([3, 4, 5]))[-1])
+
+
 # ---------------------------------------------------------------------------
 # row-selected forward
 # ---------------------------------------------------------------------------
@@ -396,6 +409,50 @@ def test_two_workers_give_the_logits_of_one_bit_for_bit(mode, positional, monkey
             np.testing.assert_array_equal(m.logits(ids, rows=rows), expected)
         assert sorted(spy.sizes) == sorted(([size] * (7 // size) + [7 % size]) * 3)
         assert len(spy.threads) == workers
+
+
+@pytest.mark.parametrize("mode", ["bidirectional", "causal"])
+@pytest.mark.parametrize("positional", ["absolute", "relative"])
+def test_the_no_grad_path_writes_no_array_the_caller_can_see(mode, positional, monkeypatch):
+    """The in-place array kernels get only temporaries: every no-grad entry
+    point leaves the tokens, rows, parameter arrays and cached keys and values
+    it was handed as they were, and gives the same bits when run again."""
+    m = tiny_model(seed=18, attention_mode=mode, positional_kind=positional, dropout_rate=0.2)
+    ids = _padded_batch(9)
+    rng = np.random.default_rng(10)
+    rows, flat_rows = np.array([0, 5, 1, 2, 0, 3, 2]), np.array([0, 9, 17, 30, 55])
+    table = np.stack([rng.permutation(8)[:3] for _ in range(7)])
+    arrays = [t.data for t in m.params.values()]
+    given = [ids, rows, table, flat_rows] + arrays
+    kept = [a.copy() for a in given]
+    monkeypatch.setattr(model_mod, "_SLICE_BYTES", 4 * 8 * 8 * m.config.intermediate_size)
+
+    def scores():
+        out = []
+        for workers in (1, 2):
+            monkeypatch.setattr(model_mod, "_workers", lambda parts: min(workers, parts))
+            out += [m.logits(ids, rows=r) for r in (None, rows, table)]
+        with T.no_grad():
+            out.append(m.forward(ids, flat_rows=flat_rows).data)
+            out.append(m.forward(ids, train=True, rng=np.random.default_rng(11)).data)
+        if m.is_causal:
+            _, cache = m.forward_incremental(ids[1, :3])
+            earlier = [a[:, :, :3].copy() for a in cache.k + cache.v]
+            out.append(m.forward_incremental(ids[1], cache)[0])
+            for now, before in zip(cache.k + cache.v, earlier):
+                np.testing.assert_array_equal(now[:, :, :3], before)
+        else:
+            seq, _ = generate(m, GenerationConstraints(8, {2: 5}), GenerationOrder.random([0, 1, 3, 4, 5, 6, 7],
+                              np.random.default_rng(12)), SamplerSpec("top_k", 0.8, 3), np.random.default_rng(13))
+            out.append(seq)
+        return out
+
+    first = scores()
+    for again, expected in zip(scores(), first):
+        np.testing.assert_array_equal(again, expected)
+    assert all(a is t.data for a, t in zip(arrays, m.params.values()))
+    for now, before in zip(given, kept):
+        np.testing.assert_array_equal(now, before)
 
 
 def test_eight_workers_on_fast_thread_switches_run_each_slice_once(monkeypatch):

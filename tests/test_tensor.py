@@ -3,8 +3,11 @@ and the accumulation/determinism contracts."""
 
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmlm import tensor as T
 from pmlm.tensor import Tensor, backward
@@ -54,13 +57,56 @@ def test_array_ops_match_tensor_ops_bit_for_bit():
         x = rng.normal(rng.normal() * 10, 3.0, size=shape)
         expected = (x - x.mean(axis=-1, keepdims=True)) * (1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-12))
         np.testing.assert_array_equal(T.layer_norm(Tensor(x)).data, expected)
+        # softmax and add overwrite an argument, so each call gets its own copy
         for op in ("layer_norm", "softmax", "gelu"):
-            np.testing.assert_array_equal(getattr(T.array_ops, op)(x), getattr(T, op)(Tensor(x)).data)
+            np.testing.assert_array_equal(getattr(T.array_ops, op)(x.copy()), getattr(T, op)(Tensor(x)).data)
         w, gain, bias = rng.normal(size=(shape[-1], 24)), rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
         mask = np.where(rng.random(shape) < 0.2, T.NEG_INF, 0.0)
         np.testing.assert_array_equal(T.array_ops.matmul(x, w, w[0]), T.matmul(x, w, bias=w[0]).data)
         np.testing.assert_array_equal(T.array_ops.layer_norm(x, gain, bias), T.layer_norm(x, gain, bias).data)
-        np.testing.assert_array_equal(T.array_ops.softmax(x, 0.125, mask), T.softmax(x, 0.125, mask).data)
+        np.testing.assert_array_equal(T.array_ops.softmax(x.copy(), 0.125, mask), T.softmax(x, 0.125, mask).data)
+        np.testing.assert_array_equal(T.array_ops.add(bias, x.copy()), T.add(bias, x).data)
+
+
+_VALUES = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _inputs(draw):
+    """An array of 0-3 leading axes (all of length 1: one row) and a last
+    axis of 1-24 entries, with values drawn at a drawn scale."""
+    one_row = draw(st.booleans())
+    lead = draw(st.lists(st.integers(1, 1 if one_row else 4), max_size=3))
+    shape = (*lead, draw(st.integers(1, 24)))
+    return draw(hnp.arrays(np.float64, shape, elements=_VALUES)) * draw(st.sampled_from([1e-3, 1.0, 1e2]))
+
+
+@st.composite
+def _masks(draw, shape):
+    """0 / NEG_INF over ``shape`` with at least one 0 per row: some masks
+    leave each row a single unmasked key."""
+    masked = draw(hnp.arrays(bool, shape)) | draw(st.booleans())
+    keep = draw(hnp.arrays(np.int64, shape[:-1] + (1,), elements=st.integers(0, shape[-1] - 1)))
+    np.put_along_axis(masked, keep, False, axis=-1)
+    return np.where(masked, T.NEG_INF, 0.0)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), x=_inputs(), scale=st.floats(1e-3, 10.0))
+def test_overwriting_array_kernels_match_the_tensor_ops_bit_for_bit(data, x, scale):
+    """Each array kernel on a copy gives the Tensor op's bits; softmax and
+    add write into the copy they get, the others leave their input alone."""
+    width = x.shape[-1]
+    vectors = hnp.arrays(np.float64, (width,), elements=_VALUES)
+    gain, bias = data.draw(st.none() | vectors), data.draw(st.none() | vectors)
+    mask = data.draw(st.none() | _masks(x.shape))
+    kept = x.copy()
+    np.testing.assert_array_equal(T.array_ops.softmax(x.copy(), scale, mask), T.softmax(x, scale, mask).data)
+    np.testing.assert_array_equal(T.array_ops.layer_norm(x, gain, bias), T.layer_norm(x, gain, bias).data)
+    np.testing.assert_array_equal(T.array_ops.gelu(x), T.gelu(x).data)
+    other = data.draw(hnp.arrays(np.float64, x.shape[data.draw(st.integers(0, x.ndim - 1)):], elements=_VALUES))
+    np.testing.assert_array_equal(T.array_ops.add(other, x.copy()), T.add(other, x).data)
+    np.testing.assert_array_equal(x, kept)
 
 
 def test_one_row_layer_norm_has_the_bits_of_its_row_in_a_batch():
