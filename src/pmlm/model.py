@@ -145,11 +145,23 @@ def relative_attention_bias(distance_table, n: int, window: Optional[int] = None
     return ops.transpose(ops.take(distance_table, idx, name="rel_bias"), (*range(d - 3), d - 1, d - 3, d - 2))
 
 
+def _largest_array_bytes(cfg: TransformerConfig, queries: int, width: int) -> int:
+    """Bytes of the largest array a forward of ``queries`` query positions over
+    ``width`` keys makes: queries * max(heads * width, intermediate_size,
+    vocab_size) float64 values."""
+    return 8 * queries * max(cfg.heads * width, cfg.intermediate_size, cfg.vocab_size)
+
+
+def _array_ops(cfg: TransformerConfig, queries: int, width: int):
+    """``tensor.scratch_ops`` for a no-grad forward whose arrays may reach
+    ``tensor._SCRATCH_BYTES``, else ``tensor.array_ops``."""
+    return T.scratch_ops if _largest_array_bytes(cfg, queries, width) >= T._SCRATCH_BYTES else T.array_ops
+
+
 def _slice_size(cfg: TransformerConfig, width: int, workers: int) -> int:
     """Sequences per no-grad slice: as many as fit ``_SLICE_BYTES / workers``
-    with width * max(heads * width, intermediate_size, vocab_size) float64 values
-    each, the largest array one sequence makes in a forward; at least one."""
-    return max(1, _SLICE_BYTES // workers // (8 * width * max(cfg.heads * width, cfg.intermediate_size, cfg.vocab_size)))
+    with the largest array one sequence makes in a forward; at least one."""
+    return max(1, _SLICE_BYTES // workers // _largest_array_bytes(cfg, width, width))
 
 
 def _workers(parts: int) -> int:
@@ -321,8 +333,9 @@ class Transformer:
 
         Only a forward with gradients enabled records a graph. Under
         ``no_grad`` the block runs on ``tensor.array_ops`` over the parameter
-        arrays, as the cached decode does, and just the logits come back in a
-        Tensor, with the bits of the recording forward.
+        arrays (``tensor.scratch_ops`` once its arrays are large), as the
+        cached decode does, and just the logits come back in a Tensor, with
+        the bits of the recording forward.
         """
         cfg = self.config
         ids = np.asarray(tokens, dtype=np.int64)
@@ -351,7 +364,7 @@ class Transformer:
                 raise ValueError(f"forward: a flat row lies outside the {ids.size} positions of the batch")
             shape = flat_rows.shape
         recording = T.grad_enabled()
-        ops, p = (T, self.params) if recording else (T.array_ops, self._arrays())
+        ops, p = (T, self.params) if recording else (_array_ops(cfg, ids.size, ids.shape[1]), self._arrays())
         logits = self._run(ops, p, ids, rows=rows, flat_rows=flat_rows, drop=drop, rng=rng)
         if logits.shape != shape + (cfg.vocab_size,):
             logits = ops.reshape(logits, shape + (cfg.vocab_size,))
@@ -409,9 +422,10 @@ class Transformer:
         different count per sequence, after the attention context.
 
         ``ops`` is ``pmlm.tensor`` with the parameter Tensors as ``p``, or
-        ``tensor.array_ops`` with their arrays, whose in-place kernels get only
-        arrays made here: the caller's tokens, rows and parameters and the
-        cache's earlier keys and values are never written. Without a cache, start is 0.
+        ``tensor.array_ops`` or ``scratch_ops`` with their arrays, whose
+        in-place kernels get only arrays made here: the caller's tokens, rows
+        and parameters and the cache's earlier keys and values are never
+        written. Without a cache, start is 0.
         With one, positions start..n-1 write their keys and values into it
         and attend to the cached keys and values of positions 0..start-1.
         """
@@ -444,8 +458,8 @@ class Transformer:
                 h, x = gather(h), gather(x)
                 bias = self._attention_bias(ops, p, ids, rows)
             q = _split_heads(ops, ops.matmul(x, p[pre + "attn.wq"], bias=p[pre + "attn.bq"]), cfg.heads)
-            attn = ops.dropout(ops.softmax(q @ ops.transpose(k, (0, 1, 3, 2)), scale, bias), drop, rng)
-            ctx = ops.reshape(ops.transpose(attn @ v, (0, 2, 1, 3)), (batch, q.shape[2], cfg.hidden_size))
+            attn = ops.dropout(ops.softmax(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), scale, bias), drop, rng)
+            ctx = ops.reshape(ops.transpose(ops.matmul(attn, v), (0, 2, 1, 3)), (batch, q.shape[2], cfg.hidden_size))
             if flat_rows is not None and last:
                 h, ctx = gather(h), gather(ctx)
             h = ops.add(h, ops.dropout(ops.matmul(ctx, p[pre + "attn.wo"], bias=p[pre + "attn.bo"]), drop, rng))
@@ -497,7 +511,7 @@ class Transformer:
         if n == start:
             raise ValueError("forward_incremental: no new positions beyond the cache")
 
-        logits = self._run(T.array_ops, cache.arrays, ids[None, :], start=start, cache=cache)
+        logits = self._run(_array_ops(cfg, n - start, n), cache.arrays, ids[None, :], start=start, cache=cache)
         cache.tokens[start:n] = ids[start:]
         cache.length = n
         return logits[0, -1], cache

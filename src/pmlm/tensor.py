@@ -10,6 +10,7 @@ all ops are deterministic for fixed inputs.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from contextlib import contextmanager
 from types import SimpleNamespace
@@ -263,11 +264,11 @@ def _softmax(e: np.ndarray, bias=None) -> np.ndarray:
     return e
 
 
-def _standardize(x: np.ndarray, eps: float = 1e-12):
+def _standardize(x: np.ndarray, eps: float = 1e-12, empty=None):
     """(xhat, inv): xhat is the last axis of x at mean 0 / variance 1, in a
-    fresh array, and inv is 1 / sqrt(var + eps). For a single row, as in a
-    cached decode step, xhat is a vector and inv a float: the same sums, with
-    no broadcast over the leading axes."""
+    fresh array (from ``empty`` when given), and inv is 1 / sqrt(var + eps).
+    For a single row, as in a cached decode step, xhat is a vector and inv a
+    float: the same sums, with no broadcast over the leading axes."""
     # the mean and variance as np.mean and np.var compute them (sum, then
     # divide by the count), bit for bit, without their per-call overhead
     count = x.shape[-1]
@@ -276,8 +277,14 @@ def _standardize(x: np.ndarray, eps: float = 1e-12):
         xhat = row - row.sum() / count
         inv = 1.0 / math.sqrt((xhat * xhat).sum() / count + eps)
     else:
-        xhat = x - x.sum(axis=-1, keepdims=True) / count
-        inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / count + eps)
+        mean = x.sum(axis=-1, keepdims=True) / count
+        if empty is None:
+            xhat = x - mean
+            square = xhat * xhat
+        else:
+            xhat = np.subtract(x, mean, out=empty(x.shape))
+            square = np.multiply(xhat, xhat, out=empty(x.shape))
+        inv = 1.0 / np.sqrt(square.sum(axis=-1, keepdims=True) / count + eps)
     xhat *= inv
     return xhat, inv
 
@@ -291,18 +298,18 @@ def _scale_shift(y: np.ndarray, gain=None, bias=None) -> np.ndarray:
     return y
 
 
-def _gelu_cdf(x: np.ndarray) -> np.ndarray:
-    """0.5 * (1 + erf(x / sqrt(2))), in one buffer."""
-    t = x * _INV_SQRT2
+def _gelu_cdf(x: np.ndarray, empty=None) -> np.ndarray:
+    """0.5 * (1 + erf(x / sqrt(2))), in one buffer (from ``empty`` when given)."""
+    t = x * _INV_SQRT2 if empty is None else np.multiply(x, _INV_SQRT2, out=empty(x.shape))
     erf(t, out=t)
     t += 1.0
     t *= 0.5
     return t
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
+def _gelu(x: np.ndarray, empty=None) -> np.ndarray:
     """x * Φ(x), computed in Φ(x)'s buffer."""
-    cdf = _gelu_cdf(x)
+    cdf = _gelu_cdf(x, empty)
     return np.multiply(x, cdf, out=cdf)
 
 
@@ -426,11 +433,12 @@ def cross_entropy_rows(logits, targets) -> Tensor:
 
 # The forward ops and the loss above on plain arrays, with no Tensor and no
 # graph node per op. ``Transformer.forward`` runs on them whenever no graph is
-# recorded, and the cached decode always. Each shares its kernel with its
-# Tensor op and gives the same bits; dropout draws the same mask from the same
-# rng. Inputs are trusted: only the loss checks them. ``softmax`` overwrites
-# its argument and ``add`` its second one: pass only a temporary nothing else
-# reads. The other ops leave their arguments as they are.
+# recorded, and the cached decode always, or on ``scratch_ops`` below once
+# their arrays are large. Each shares its kernel with its Tensor op and gives
+# the same bits; dropout draws the same mask from the same rng. Inputs are
+# trusted: only the loss checks them. ``softmax`` overwrites its argument and
+# ``add`` its second one: pass only a temporary nothing else reads. The other
+# ops leave their arguments as they are.
 array_ops = SimpleNamespace(
     add=lambda a, b: np.add(a, b, out=b),
     matmul=_matmul,
@@ -442,6 +450,76 @@ array_ops = SimpleNamespace(
     reshape=lambda a, shape: a.reshape(shape),
     transpose=lambda a, axes: a.transpose(axes),
     cross_entropy_rows=lambda logits, targets: _nll_rows(logits, targets)[0],
+)
+
+
+# ``scratch_ops`` are ``array_ops`` whose matmul, layer norm, GELU and copying
+# reshape put each array of 64 KiB or more in a buffer their thread keeps and
+# hands out again once nothing refers to it. Made and freed on every forward,
+# such arrays let glibc grow and trim its heap on a pattern set by where
+# earlier allocations happened to lie: at preset size, one process scored
+# random-order sequences with no page faults, the next with 3,000-8,000 per
+# sequence and about 15 % slower. Smaller frees never trim the heap.
+_SCRATCH_BYTES = 1 << 16
+# buffers a thread keeps: past them the free ones are dropped to make room, and
+# a new buffer is not kept when none was free
+_SCRATCH_BUFFERS = 32
+_SCRATCH = threading.local()
+_probe = [np.empty(0)]
+_FREE = sys.getrefcount(_probe[0])  # the count of a buffer only its list refers to
+del _probe
+
+
+def _scratch(shape) -> np.ndarray:
+    """An uninitialised float64 array of ``shape``: one of this thread's
+    buffers of its size that nothing else refers to, else a new one."""
+    size = math.prod(shape)
+    if 8 * size < _SCRATCH_BYTES:
+        return np.empty(shape)
+    kept = _SCRATCH.__dict__.setdefault("kept", {})  # size -> buffers
+    same = kept.setdefault(size, [])
+    for i in range(len(same)):
+        if sys.getrefcount(same[i]) == _FREE:
+            return same[i].reshape(shape)
+    if sum(map(len, kept.values())) >= _SCRATCH_BUFFERS:
+        for bufs in kept.values():
+            bufs[:] = [bufs[i] for i in range(len(bufs)) if sys.getrefcount(bufs[i]) > _FREE]
+    buf = np.empty(size)
+    if sum(map(len, kept.values())) < _SCRATCH_BUFFERS:
+        same.append(buf)
+    return buf.reshape(shape)
+
+
+def _scratch_matmul(a: np.ndarray, b: np.ndarray, bias=None) -> np.ndarray:
+    """``_matmul`` in a ``_scratch`` array."""
+    lead = a.shape[:-2]
+    if b.ndim > 2 and b.shape[:-2] != lead:
+        lead = np.broadcast_shapes(lead, b.shape[:-2])
+    out = np.matmul(a, b, out=_scratch(lead + (a.shape[-2], b.shape[-1])))
+    if bias is not None:
+        out += bias
+    return out
+
+
+def _scratch_reshape(a: np.ndarray, shape) -> np.ndarray:
+    """a in ``shape``: a view if a is C-contiguous, else a copy in a ``_scratch`` array."""
+    if a.flags.c_contiguous:
+        return a.reshape(shape)
+    out = _scratch(shape)
+    out.reshape(a.shape)[...] = a
+    return out
+
+
+scratch_ops = SimpleNamespace(
+    **dict(
+        vars(array_ops),
+        matmul=_scratch_matmul,
+        layer_norm=lambda x, gain=None, bias=None: (
+            _scale_shift(_standardize(x, empty=_scratch)[0], gain, bias).reshape(x.shape)
+        ),
+        gelu=lambda x: _gelu(x, _scratch),
+        reshape=_scratch_reshape,
+    )
 )
 
 

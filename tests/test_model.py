@@ -455,9 +455,49 @@ def test_the_no_grad_path_writes_no_array_the_caller_can_see(mode, positional, m
         np.testing.assert_array_equal(now, before)
 
 
+def test_only_forwards_with_large_arrays_run_on_scratch_ops():
+    cfg = TransformerConfig(vocab_size=60)  # 64 positions, 4 heads, 256 FFN units
+    assert model_mod._array_ops(cfg, 4 * 64, 64) is T.scratch_ops  # a 4 x 64 slice: 512 KiB scores
+    assert model_mod._array_ops(cfg, 1, 64) is T.array_ops  # a cached decode step: 2 KiB at most
+
+
+@pytest.mark.parametrize("mode", ["bidirectional", "causal"])
+@pytest.mark.parametrize("positional", ["absolute", "relative"])
+def test_results_the_caller_holds_outlive_later_no_grad_calls(mode, positional, monkeypatch):
+    """With every array the array ops make taken from scratch buffers, logits
+    the caller still holds keep their values through later forwards on one and
+    two workers, with the bits of forwards that allocate every array afresh."""
+    m = tiny_model(seed=24, attention_mode=mode, positional_kind=positional, dropout_rate=0.2)
+    ids = _padded_batch(15)
+    monkeypatch.setattr(model_mod, "_SLICE_BYTES", 4 * 8 * 8 * m.config.intermediate_size)
+
+    def calls():
+        out = []
+        for workers in (1, 2):
+            monkeypatch.setattr(model_mod, "_workers", lambda parts: min(workers, parts))
+            out += [m.logits(ids), m.logits(ids[::-1], rows=np.arange(7) % 8)]
+        with T.no_grad():
+            out.append(m.forward(ids, flat_rows=np.array([0, 9, 17, 30, 55])).data)
+            out.append(m.forward(ids, train=True, rng=np.random.default_rng(16)).data)
+        if m.is_causal:
+            row, cache = m.forward_incremental(ids[1, :4])
+            out += [row, m.forward_incremental(ids[1], cache)[0]]
+        return out
+
+    fresh = calls()
+    monkeypatch.setattr(T, "_SCRATCH_BYTES", 8)
+    held = calls()
+    again = calls()
+    assert len(held) == len(fresh)
+    for a, b, expected in zip(held, again, fresh):
+        np.testing.assert_array_equal(a, expected)
+        np.testing.assert_array_equal(b, expected)
+
+
 def test_eight_workers_on_fast_thread_switches_run_each_slice_once(monkeypatch):
     """More workers than cores, switching threads every microsecond: every
-    slice runs exactly once and the logits keep the bits of one thread."""
+    slice runs exactly once and the logits keep the bits of one thread, also
+    with every array in scratch buffers and every earlier result still held."""
     m = tiny_model(seed=22, positional_kind="relative")
     ids = np.random.default_rng(11).integers(3, 12, size=(64, 8))
     expected = m.logits(ids)
@@ -469,10 +509,15 @@ def test_eight_workers_on_fast_thread_switches_run_each_slice_once(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(5):
-            spy.sizes.clear()
-            np.testing.assert_array_equal(m.logits(ids), expected)
-            assert spy.sizes == [1] * 64
+        held = []
+        for scratch_bytes in (T._SCRATCH_BYTES, 8):
+            monkeypatch.setattr(T, "_SCRATCH_BYTES", scratch_bytes)
+            for _ in range(5):
+                spy.sizes.clear()
+                held.append(m.logits(ids))
+                assert spy.sizes == [1] * 64
+        for logits in held:
+            np.testing.assert_array_equal(logits, expected)
     finally:
         sys.setswitchinterval(interval)
         model_mod._pool().shutdown(wait=True)

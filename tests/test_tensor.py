@@ -2,6 +2,7 @@
 and the accumulation/determinism contracts."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -57,15 +58,56 @@ def test_array_ops_match_tensor_ops_bit_for_bit():
         x = rng.normal(rng.normal() * 10, 3.0, size=shape)
         expected = (x - x.mean(axis=-1, keepdims=True)) * (1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-12))
         np.testing.assert_array_equal(T.layer_norm(Tensor(x)).data, expected)
-        # softmax and add overwrite an argument, so each call gets its own copy
-        for op in ("layer_norm", "softmax", "gelu"):
-            np.testing.assert_array_equal(getattr(T.array_ops, op)(x.copy()), getattr(T, op)(Tensor(x)).data)
         w, gain, bias = rng.normal(size=(shape[-1], 24)), rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
         mask = np.where(rng.random(shape) < 0.2, T.NEG_INF, 0.0)
-        np.testing.assert_array_equal(T.array_ops.matmul(x, w, w[0]), T.matmul(x, w, bias=w[0]).data)
-        np.testing.assert_array_equal(T.array_ops.layer_norm(x, gain, bias), T.layer_norm(x, gain, bias).data)
-        np.testing.assert_array_equal(T.array_ops.softmax(x.copy(), 0.125, mask), T.softmax(x, 0.125, mask).data)
-        np.testing.assert_array_equal(T.array_ops.add(bias, x.copy()), T.add(bias, x).data)
+        for ops in (T.array_ops, T.scratch_ops):  # (16, 40, 64) is the one large enough for scratch
+            # softmax and add overwrite an argument, so each call gets its own copy
+            for op in ("layer_norm", "softmax", "gelu"):
+                np.testing.assert_array_equal(getattr(ops, op)(x.copy()), getattr(T, op)(Tensor(x)).data)
+            np.testing.assert_array_equal(ops.matmul(x, w, w[0]), T.matmul(x, w, bias=w[0]).data)
+            np.testing.assert_array_equal(ops.layer_norm(x, gain, bias), T.layer_norm(x, gain, bias).data)
+            np.testing.assert_array_equal(ops.softmax(x.copy(), 0.125, mask), T.softmax(x, 0.125, mask).data)
+            np.testing.assert_array_equal(ops.add(bias, x.copy()), T.add(bias, x).data)
+            flipped = np.swapaxes(x, 0, -1)
+            np.testing.assert_array_equal(ops.reshape(flipped, (x.size,)), flipped.reshape(-1))
+
+
+def _on_a_new_thread(fn):
+    """fn() on a thread of its own, which starts with no scratch buffers."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn).result()
+
+
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
+def test_a_scratch_buffer_is_handed_out_again_only_once_nothing_refers_to_it():
+    def run():
+        first = T._scratch((64, 128))  # 64 KiB, the smallest size kept
+        address, view = _address(first), first.T[1:]
+        del first
+        second = T._scratch((64, 128))
+        assert not np.shares_memory(second, view)
+        del view
+        assert _address(T._scratch((128, 64))) == address  # free again, in another shape of its size
+        T._scratch((8191,))  # under 64 KiB: allocated, not kept
+        return {size: len(bufs) for size, bufs in T._SCRATCH.kept.items()}
+
+    assert _on_a_new_thread(run) == {8192: 2}
+
+
+def test_a_thread_keeps_at_most_its_share_of_scratch_buffers(monkeypatch):
+    monkeypatch.setattr(T, "_SCRATCH_BUFFERS", 2)
+
+    def run():
+        held = [T._scratch((8192,)) for _ in range(3)]  # all in use: the third is not kept
+        full = sum(map(len, T._SCRATCH.kept.values()))
+        del held
+        T._scratch((16384,))  # another size: the free buffers make room for it
+        return full, {size: len(bufs) for size, bufs in T._SCRATCH.kept.items()}
+
+    assert _on_a_new_thread(run) == (2, {8192: 0, 16384: 1})
 
 
 _VALUES = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
@@ -102,8 +144,9 @@ def test_overwriting_array_kernels_match_the_tensor_ops_bit_for_bit(data, x, sca
     mask = data.draw(st.none() | _masks(x.shape))
     kept = x.copy()
     np.testing.assert_array_equal(T.array_ops.softmax(x.copy(), scale, mask), T.softmax(x, scale, mask).data)
-    np.testing.assert_array_equal(T.array_ops.layer_norm(x, gain, bias), T.layer_norm(x, gain, bias).data)
-    np.testing.assert_array_equal(T.array_ops.gelu(x), T.gelu(x).data)
+    for ops in (T.array_ops, T.scratch_ops):
+        np.testing.assert_array_equal(ops.layer_norm(x, gain, bias), T.layer_norm(x, gain, bias).data)
+        np.testing.assert_array_equal(ops.gelu(x), T.gelu(x).data)
     other = data.draw(hnp.arrays(np.float64, x.shape[data.draw(st.integers(0, x.ndim - 1)):], elements=_VALUES))
     np.testing.assert_array_equal(T.array_ops.add(other, x.copy()), T.add(other, x).data)
     np.testing.assert_array_equal(x, kept)
