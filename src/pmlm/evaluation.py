@@ -217,8 +217,9 @@ def render_ppl_table(rows: Dict[str, Dict[str, Optional[float]]]) -> str:
 def _generate_causal_cached(
     model: Transformer, length: int, sampler: SamplerSpec, rng: np.random.Generator
 ) -> np.ndarray:
-    seq = np.empty(length + 1, dtype=np.int64)  # [MASK], then the decoded tokens
-    seq[0] = MASK_ID
+    if not 0 <= length <= model.config.max_len:
+        raise ValueError(f"decode length {length} outside 0..{model.config.max_len}, the model's max_len")
+    seq = np.full(length + 1, MASK_ID, dtype=np.int64)  # [MASK], then the decoded tokens
     cache = None
     for t in range(length):
         logits, cache = model.forward_incremental(seq[: t + 1], cache)

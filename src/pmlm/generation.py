@@ -9,6 +9,7 @@ is the identity-order special case.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -154,6 +155,14 @@ def render_trace_table(trace: GenerationTrace, vocab: Optional[Vocabulary] = Non
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _candidates(size: int, exclude: tuple) -> np.ndarray:
+    """The ids 0..size-1 that ``exclude`` does not name, as a read-only array."""
+    ids = np.setdiff1d(np.arange(size), exclude)
+    ids.flags.writeable = False
+    return ids
+
+
 def sample_token(
     logit_row: np.ndarray,
     sampler: SamplerSpec,
@@ -171,9 +180,7 @@ def sample_token(
         raise ValueError(f"sample_token expects one logit row, got shape {logits.shape}")
     if not np.isfinite(logits).all():
         raise ValueError("sample_token: non-finite logits")
-    keep = np.ones(logits.shape[0], dtype=bool)
-    keep[[ex for ex in exclude if 0 <= ex < logits.shape[0]]] = False
-    ids = keep.nonzero()[0]
+    ids = _candidates(logits.shape[0], tuple(exclude))
     if not ids.size:
         raise ValueError("sample_token: every candidate token is excluded")
     logits = logits[ids]

@@ -239,8 +239,12 @@ def _split_heads(ops, y, heads: int):
 class DecodeCache:
     """Per-layer key/value cache for incremental causal decoding, bound to the
     model that fills it and to that model's parameter arrays at the time it is
-    made: (1, heads, max_len, head_dim) arrays whose first ``length`` positions
-    hold the keys and values of the int64 ids ``tokens[:length]``."""
+    made. ``k`` and ``v`` hold per layer (1, heads, max_len, head_dim) views
+    whose first ``length`` positions hold the keys and values of the int64 ids
+    ``tokens[:length]``. ``layers`` holds per layer what the decode step reads:
+    the parameter arrays in ``parameter_shapes`` order, then the keys and values
+    as (max_len, hidden) rows and as (heads, head_dim, max_len) and (heads,
+    max_len, head_dim) views."""
 
     def __init__(self, model: "Transformer"):
         cfg = model.config
@@ -248,9 +252,14 @@ class DecodeCache:
         self.arrays = model._arrays()
         self.length = 0
         self.tokens = np.zeros(cfg.max_len, dtype=np.int64)
-        shape = (1, cfg.heads, cfg.max_len, cfg.head_dim)
-        self.k = [np.zeros(shape) for _ in range(cfg.layers)]
-        self.v = [np.zeros(shape) for _ in range(cfg.layers)]
+        self.k, self.v, self.layers = [], [], []
+        for i in range(cfg.layers):
+            k, v = np.zeros((2, cfg.max_len, cfg.heads, cfg.head_dim))
+            self.k.append(k.transpose(1, 0, 2)[None])
+            self.v.append(v.transpose(1, 0, 2)[None])
+            params = [self.arrays[name] for name in parameter_shapes(cfg) if name.startswith(f"layers.{i}.")]
+            self.layers.append((*params, k.reshape(cfg.max_len, -1), v.reshape(cfg.max_len, -1),
+                                k.transpose(1, 2, 0), v.transpose(1, 0, 2)))
 
 
 class Transformer:
@@ -333,9 +342,8 @@ class Transformer:
 
         Only a forward with gradients enabled records a graph. Under
         ``no_grad`` the block runs on ``tensor.array_ops`` over the parameter
-        arrays (``tensor.scratch_ops`` once its arrays are large), as the
-        cached decode does, and just the logits come back in a Tensor, with
-        the bits of the recording forward.
+        arrays (``tensor.scratch_ops`` once its arrays are large), and just
+        the logits come back in a Tensor, with the bits of the recording forward.
         """
         cfg = self.config
         ids = np.asarray(tokens, dtype=np.int64)
@@ -390,14 +398,13 @@ class Transformer:
         """Additive pre-softmax term of queries ``queries`` (r,) or (B, r) over
         the keys of ``ids`` (B, n): -1e30 at [PAD] keys and, if causal, at keys
         after the query, plus the relative-position bias. The [PAD] term is left
-        out when no key is [PAD], the causal one when the only query is the last
-        position (a cached decode step); None stands for no term at all."""
+        out when no key is [PAD]; None stands for no term at all."""
         bias = None
         pad = ids == PAD_ID
         if pad.any():
             bias = np.where(pad, T.NEG_INF, 0.0)[:, None, None, :]
         n = ids.shape[1]
-        if self.is_causal and (queries.size != 1 or queries.item() < n - 1):
+        if self.is_causal:
             future = np.expand_dims(np.where(np.arange(n) > queries[..., None], T.NEG_INF, 0.0), -3)
             bias = future if bias is None else bias + future
         if self.config.positional_kind == "relative":
@@ -407,13 +414,10 @@ class Transformer:
             bias = rel if bias is None else rel + bias
         return bias
 
-    def _run(
-        self, ops, p, ids: np.ndarray, *, start: int = 0, rows=None, flat_rows=None,
-        drop: float = 0.0, rng=None, cache=None,
-    ):
-        """Embedding, blocks and head over ``ops``: logits (B, n - start, vocab)
-        for positions start..n-1 of ``ids`` (B, n), (B, r, vocab) for the
-        positions ``rows`` (B, r) only, or (R, vocab) for the positions
+    def _run(self, ops, p, ids: np.ndarray, *, rows=None, flat_rows=None, drop: float = 0.0, rng=None):
+        """The full forward, embedding, blocks and head over ``ops``: logits
+        (B, n, vocab) for every position of ``ids`` (B, n), (B, r, vocab) for
+        the positions ``rows`` (B, r) only, or (R, vocab) for the positions
         ``flat_rows`` (R,) of the flattened (B·n) batch only.
 
         Past the keys and values, the last block reads a position's own
@@ -424,15 +428,12 @@ class Transformer:
         ``ops`` is ``pmlm.tensor`` with the parameter Tensors as ``p``, or
         ``tensor.array_ops`` or ``scratch_ops`` with their arrays, whose
         in-place kernels get only arrays made here: the caller's tokens, rows
-        and parameters and the cache's earlier keys and values are never
-        written. Without a cache, start is 0.
-        With one, positions start..n-1 write their keys and values into it
-        and attend to the cached keys and values of positions 0..start-1.
+        and parameters are never written.
         """
         cfg = self.config
         batch, n = ids.shape
-        queries = np.arange(start, n)
-        h = ops.take(p["tok_emb"], ids[:, start:], name="tok_emb")
+        queries = np.arange(n)
+        h = ops.take(p["tok_emb"], ids, name="tok_emb")
         if cfg.positional_kind == "absolute":
             h = ops.add(ops.take(p["pos_emb"], queries, name="pos_emb"), h)
         h = ops.dropout(h, drop, rng)
@@ -450,10 +451,6 @@ class Transformer:
             x = ops.layer_norm(h, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
             k, v = [_split_heads(ops, ops.matmul(x, p[pre + f"attn.w{w}"], bias=p[pre + f"attn.b{w}"]), cfg.heads)
                     for w in "kv"]
-            if cache is not None:
-                cache.k[i][:, :, start:n] = k
-                cache.v[i][:, :, start:n] = v
-                k, v = cache.k[i][:, :, :n], cache.v[i][:, :, :n]
             if rows is not None and last:
                 h, x = gather(h), gather(x)
                 bias = self._attention_bias(ops, p, ids, rows)
@@ -471,6 +468,35 @@ class Transformer:
         x = ops.layer_norm(h, p["ln_f.gain"], p["ln_f.bias"])
         return ops.matmul(x, p["out.w"], bias=p["out.b"])
 
+    def _decode_rows(self, cache: DecodeCache, ids: np.ndarray, start: int) -> np.ndarray:
+        """Logits (n - start, vocab) of positions start..n-1 of the prefix ``ids``
+        (n,), which attend to the cached keys and values of 0..start-1 and add
+        their own: the block of ``_run`` on (rows, hidden) arrays with the bits of
+        its no-grad forward, whose in-place kernels get only arrays made here."""
+        cfg, p = self.config, cache.arrays
+        n, r = ids.shape[0], ids.shape[0] - start
+        queries = np.arange(start, n)
+        h = p["tok_emb"][ids[start:]]
+        bias = None
+        if cfg.positional_kind == "absolute":
+            h += p["pos_emb"][start:n]
+        else:
+            bias = relative_attention_bias(p["rel_bias"], n, cfg.relative_window, queries=queries, ops=T.array_ops)
+        if r > 1:  # one new row is the last position, which sees every key
+            future = np.where(np.arange(n) > queries[:, None], T.NEG_INF, 0.0)
+            bias = future if bias is None else bias + future
+
+        norm, scale = T.array_ops.layer_norm, 1.0 / math.sqrt(cfg.head_dim)
+        for g1, b1, wq, bq, wk, bk, wv, bv, wo, bo, g2, b2, w_in, b_in, w_out, b_out, k, v, keys, values in cache.layers:
+            x = norm(h, g1, b1)
+            k[start:n] = T._matmul(x, wk, bk)
+            v[start:n] = T._matmul(x, wv, bv)
+            e = T._matmul(x, wq, bq).reshape(r, cfg.heads, -1).transpose(1, 0, 2) @ keys[:, :, :n]
+            attn = T._softmax(np.multiply(e, scale, out=e), bias)
+            h += T._matmul((attn @ values[:, :n]).transpose(1, 0, 2).reshape(r, cfg.hidden_size), wo, bo)
+            h += T._matmul(T._gelu(T._matmul(norm(h, g2, b2), w_in, b_in)), w_out, b_out)
+        return T._matmul(norm(h, p["ln_f.gain"], p["ln_f.bias"]), p["out.w"], p["out.b"])
+
     # ------------------------------------------------------------------
     # incremental forward (causal decode path)
     # ------------------------------------------------------------------
@@ -481,11 +507,11 @@ class Transformer:
         """Logit row for the last prefix position, reusing cached keys/values.
 
         Only causal attention admits this: later tokens cannot change the
-        hidden states of earlier ones, so each call checks and runs the block
-        on just the positions the cache has not seen, on plain arrays. The
-        cache must come from an earlier call on this model with the same
-        parameter arrays. Bidirectional models must rerun a full forward after
-        every new token and are rejected here.
+        hidden states of earlier ones, so each call checks the positions the
+        cache has not seen and runs the block on just those, as the rows of
+        ``_decode_rows``. The cache must come from an earlier call on this
+        model with the same parameter arrays. Bidirectional models must rerun
+        a full forward after every new token and are rejected here.
         """
         cfg = self.config
         if cfg.attention_mode != "causal":
@@ -503,15 +529,17 @@ class Transformer:
         elif not all(a is t.data for a, t in zip(cache.arrays.values(), self.params.values())):
             raise ValueError("forward_incremental: cache filled before the model's parameters were rebound")
         start, n = cache.length, ids.shape[0]
-        self._validate_tokens(ids[None, :], start)
-        if (ids[start:] == PAD_ID).any():
-            raise ValueError("forward_incremental: prefix must not contain [PAD]")
-        if n < start or (ids[:start] != cache.tokens[:start]).any():
+        new = ids[start:].tolist()
+        if not (new and n <= cfg.max_len and PAD_ID < min(new) and max(new) < cfg.vocab_size):
+            self._validate_tokens(ids[None, :], start)  # the quick test failed: name the fault, in order
+            if PAD_ID in new:
+                raise ValueError("forward_incremental: prefix must not contain [PAD]")
+        if ids[:start].tobytes() != cache.tokens[:start].tobytes():  # also when n < start
             raise ValueError("forward_incremental: prefix does not extend the cached prefix")
         if n == start:
             raise ValueError("forward_incremental: no new positions beyond the cache")
 
-        logits = self._run(_array_ops(cfg, n - start, n), cache.arrays, ids[None, :], start=start, cache=cache)
+        logits = self._decode_rows(cache, ids, start)
         cache.tokens[start:n] = ids[start:]
         cache.length = n
-        return logits[0, -1], cache
+        return logits[-1], cache

@@ -433,12 +433,12 @@ def cross_entropy_rows(logits, targets) -> Tensor:
 
 # The forward ops and the loss above on plain arrays, with no Tensor and no
 # graph node per op. ``Transformer.forward`` runs on them whenever no graph is
-# recorded, and the cached decode always, or on ``scratch_ops`` below once
-# their arrays are large. Each shares its kernel with its Tensor op and gives
-# the same bits; dropout draws the same mask from the same rng. Inputs are
-# trusted: only the loss checks them. ``softmax`` overwrites its argument and
-# ``add`` its second one: pass only a temporary nothing else reads. The other
-# ops leave their arguments as they are.
+# recorded, or on ``scratch_ops`` below once their arrays are large, and the
+# cached decode step on their kernels. Each shares its kernel with its Tensor
+# op and gives the same bits; dropout draws the same mask from the same rng.
+# Inputs are trusted: only the loss checks them. ``softmax`` overwrites its
+# argument and ``add`` its second one: pass only a temporary nothing else
+# reads. The other ops leave their arguments as they are.
 array_ops = SimpleNamespace(
     add=lambda a, b: np.add(a, b, out=b),
     matmul=_matmul,

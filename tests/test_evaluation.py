@@ -1,6 +1,7 @@
 """Perplexity protocols against hand enumeration and cross-module identities,
 plus the latency benchmark contract."""
 
+import dataclasses
 import math
 import threading
 
@@ -318,10 +319,12 @@ def test_bench_latency_minimal_run():
     assert "Cost Time" in table and "1.20" in table
 
 
-def test_greedy_cached_decode_follows_the_full_forward_at_preset_size(monkeypatch):
+@pytest.mark.parametrize("positional", ["absolute", "relative"])
+def test_greedy_cached_decode_follows_the_full_forward_at_preset_size(positional, monkeypatch):
     """64 greedy cached steps of a preset-size causal model: each step's row is
     the full forward's row within 1e-9, and each token is its argmax."""
-    model = Transformer.init(preset("gpt-like", "", "").model_config(40), seed=3)
+    cfg = dataclasses.replace(preset("gpt-like", "", "").model_config(40), positional_kind=positional)
+    model = Transformer.init(cfg, seed=3)
     incremental, steps = model.forward_incremental, []
 
     def spy(prefix, cache=None):
@@ -340,6 +343,19 @@ def test_greedy_cached_decode_follows_the_full_forward_at_preset_size(monkeypatc
         allowed = full[t].copy()
         allowed[list(EXCLUDED_CANDIDATES)] = -np.inf
         assert tokens[t] == np.argmax(allowed)
+
+
+def test_cached_decode_rejects_a_length_outside_the_model_before_decoding(monkeypatch):
+    model = tiny_model(seed=12, attention_mode="causal")  # max_len 8
+    steps = []
+    monkeypatch.setattr(model, "forward_incremental", lambda *args: steps.append(args))
+    for length in (-1, 9):
+        with pytest.raises(ValueError, match=f"decode length {length} outside 0..8"):
+            _generate_causal_cached(model, length, SamplerSpec(), np.random.default_rng(0))
+    assert steps == []
+    monkeypatch.undo()
+    assert len(_generate_causal_cached(model, 8, SamplerSpec(), np.random.default_rng(0))) == 8
+    assert len(_generate_causal_cached(model, 0, SamplerSpec(), np.random.default_rng(0))) == 0
 
 
 def test_bench_latency_requires_matching_sizes_and_modes():

@@ -252,6 +252,22 @@ def test_incremental_rejects_a_cache_filled_before_an_optimizer_step():
     np.testing.assert_array_equal(row, m.logits(np.array([3, 4, 5]))[-1])
 
 
+@pytest.mark.parametrize("positional", ["absolute", "relative"])
+def test_cached_decode_writes_neither_the_prefix_nor_a_parameter(positional):
+    """A fresh-cache call, one-position extensions and a multi-position one
+    leave the caller's prefix and every parameter array bit for bit as they were."""
+    m = tiny_model(seed=25, attention_mode="causal", positional_kind=positional)
+    prefix = np.random.default_rng(26).integers(3, 12, size=8)
+    arrays = [t.data for t in m.params.values()]
+    kept = [a.tobytes() for a in [prefix] + arrays]
+    _, cache = m.forward_incremental(prefix[:3])
+    for t in (4, 5):
+        _, cache = m.forward_incremental(prefix[:t], cache)
+    m.forward_incremental(prefix, cache)  # three new positions at once
+    assert all(a is t.data for a, t in zip(arrays, m.params.values()))
+    assert [a.tobytes() for a in [prefix] + arrays] == kept
+
+
 # ---------------------------------------------------------------------------
 # row-selected forward
 # ---------------------------------------------------------------------------
