@@ -6,7 +6,7 @@ ratio r, probability r^k (1-r)^(n-k); integrating out r under the prior
 gives alpha_M. Under the uniform prior this is the Beta integral
 B(n-k+1, k+1) = (n-k)! k! / (n+1)!. All pattern probabilities are kept in
 log space (lgamma), which stays finite far past the factorial overflow
-point.
+point; the truncated prior's integral is summed in exact integers.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.special import betainc, betaln
 
 from .data import json_object
 
@@ -169,8 +169,8 @@ def mask_probability(pattern: MaskPattern, prior: MaskingPrior) -> MaskWeight:
 
     uniform         lgamma(n-k+1) + lgamma(k+1) - lgamma(n+2)
     point_mass(r0)  k log r0 + (n-k) log(1-r0); -inf when impossible
-    truncated(a,b)  B(k+1, n-k+1) (I_b - I_a) / (b-a), I the regularised incomplete
-                    Beta, differenced on its tail below 1/2 so r near 1 does not cancel
+    truncated(a,b)  (1/(b-a)) * integral of r^k (1-r)^(n-k) over [a, b], exact
+                    until one rounding (``_truncated_log_alpha``)
     """
     n, k = pattern.n_maskable, pattern.k
     if prior.kind == "uniform":
@@ -182,13 +182,25 @@ def mask_probability(pattern: MaskPattern, prior: MaskingPrior) -> MaskWeight:
         if r0 == 1.0:
             return MaskWeight(0.0 if k == n else -math.inf)
         return MaskWeight(k * math.log(r0) + (n - k) * math.log1p(-r0))
-    a, b, p, q = prior.a, prior.b, k + 1, n - k + 1
-    lower = betainc(p, q, a)
-    if lower < 0.5:
-        mass = betainc(p, q, b) - lower
-    else:
-        mass = betainc(q, p, 1.0 - a) - betainc(q, p, 1.0 - b)
-    return MaskWeight(float(betaln(p, q)) + math.log(mass) - math.log(b - a) if mass > 0.0 else -math.inf)
+    return MaskWeight(_truncated_log_alpha(n, k, prior.a, prior.b))
+
+
+@lru_cache(maxsize=None)
+def _truncated_log_alpha(n: int, k: int, a: float, b: float) -> float:
+    """log of (1/(b-a)) sum_j C(n-k, j) (-1)^j (b^e - a^e) / e, e = k+j+1, summed in integers.
+
+    a and b lie on the grid 1/d, so the sum's common denominator is lcm(k+1..n+1) d^n (b-a) d.
+    Only t in alpha = 2^s (1 + t), |t| < 1/2, is rounded: log1p(t) + s log 2 neither underflows nor cancels.
+    """
+    fa, fb = Fraction(a), Fraction(b)
+    d, lcm = max(fa.denominator, fb.denominator), math.lcm(*range(k + 1, n + 2))
+    lo, hi = fa.numerator * (d // fa.denominator), fb.numerator * (d // fb.denominator)
+    terms = enumerate(range(k + 1, n + 2))
+    num = sum((-1) ** j * math.comb(n - k, j) * (hi**e - lo**e) * (lcm // e) * d ** (n + 1 - e) for j, e in terms)
+    den = lcm * d**n * (hi - lo)
+    s = round(math.log2(num) - math.log2(den))
+    num, den = (num, den << s) if s >= 0 else (num << -s, den)
+    return math.log1p((num - den) / den) + s * math.log(2)
 
 
 def mask_matrix(n: int) -> np.ndarray:

@@ -13,11 +13,11 @@ import math
 import sys
 import threading
 from contextlib import contextmanager
+from functools import lru_cache
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 # per thread, so a thread scoring under no_grad never turns off another's graph
 _GRAD = threading.local()
@@ -298,10 +298,17 @@ def _scale_shift(y: np.ndarray, gain=None, bias=None) -> np.ndarray:
     return y
 
 
+@lru_cache(maxsize=None)
+def _erf():
+    """scipy's erf ufunc, imported at the first GELU so that importing pmlm loads numpy only."""
+    from scipy.special import erf
+    return erf
+
+
 def _gelu_cdf(x: np.ndarray, empty=None) -> np.ndarray:
     """0.5 * (1 + erf(x / sqrt(2))), in one buffer (from ``empty`` when given)."""
     t = x * _INV_SQRT2 if empty is None else np.multiply(x, _INV_SQRT2, out=empty(x.shape))
-    erf(t, out=t)
+    _erf()(t, out=t)
     t += 1.0
     t *= 0.5
     return t

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pmlm.checkpoint import checkpoint_bytes
@@ -56,6 +57,48 @@ def test_importing_the_cli_does_not_load_scipy_integrate():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+_FIRST_GELU = """
+import json, sys
+{first}
+import numpy as np
+import pmlm, pmlm.cli
+from pmlm import model as M
+from pmlm.training import preset
+before = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+net = M.Transformer.init(preset("upmlm", "", "").model_config(40), seed=0)
+ids = np.random.default_rng(0).integers(0, 40, size=(16, 64))
+np.save(sys.argv[1], net.logits(ids))
+print(json.dumps({{"before": before, "special": "scipy.special" in sys.modules,
+                  "workers": M._workers(16), "cpus": M._CPUS}}))
+"""
+
+
+def test_scipy_special_loads_at_the_first_gelu_and_keeps_the_logits(tmp_path):
+    """A batched preset-width forward on two threads is the first GELU: both
+    threads reach the lazy erf lookup together, and the logits keep the bits
+    of a process that imported scipy.special before pmlm."""
+    import pmlm
+
+    env = {**os.environ, "PYTHONPATH": str(Path(pmlm.__file__).parents[1])}
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    runs = {}
+    for name, first in (("lazy", ""), ("eager", "import scipy.special")):
+        out = tmp_path / f"{name}.npy"
+        proc = subprocess.run(
+            [sys.executable, "-c", _FIRST_GELU.format(first=first), str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs[name] = json.loads(proc.stdout), np.load(out)
+    (lazy, lazy_logits), (eager, eager_logits) = runs["lazy"], runs["eager"]
+    assert lazy["before"] == []
+    assert "scipy.special" in eager["before"]
+    assert lazy["special"] and eager["special"]
+    assert lazy["workers"] == min(2, lazy["cpus"])
+    assert lazy_logits.shape == (16, 64, 40)
+    assert lazy_logits.tobytes() == eager_logits.tobytes()
 
 
 def test_train_requires_config_or_preset():

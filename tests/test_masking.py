@@ -2,6 +2,7 @@
 against quadrature, exact rational arithmetic, and Monte Carlo."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -162,6 +163,34 @@ def test_truncated_alpha_matches_exact_rational(a, b):
         for k in range(n + 1):
             alpha = mask_probability(MaskPattern.from_indices(n, list(range(k))), prior).alpha
             np.testing.assert_allclose(alpha, float(truncated_alpha_fraction(n, k, a, b)), rtol=1e-13, atol=0)
+
+
+NARROW_UPPER = [math.nextafter(0.5, 1.0), 0.5 + 1e-12, 0.5 + 1e-7]
+
+
+@pytest.mark.parametrize("n", [8, 32])
+@pytest.mark.parametrize("b", NARROW_UPPER, ids=["nextafter", "1e-12", "1e-7"])
+def test_narrow_truncated_prior_normalises(b, n):
+    # sum_k C(n, k) alpha_k is the prior's total mass over k
+    prior = MaskingPrior.truncated(0.5, b)
+    weights = (mask_probability(MaskPattern.from_indices(n, list(range(k))), prior).alpha for k in range(n + 1))
+    total = math.fsum(math.comb(n, k) * w for k, w in enumerate(weights))
+    assert abs(total - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "a, b", [(0.2, 0.7), (0.0, 0.3), (0.6, 1.0), (0.98, 0.99)] + [(0.5, b) for b in NARROW_UPPER]
+)
+def test_truncated_log_alpha_within_4_ulp_of_exact(a, b):
+    prior = MaskingPrior.truncated(a, b)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for n in range(65):
+            for k in range(n + 1):
+                exact = truncated_alpha_fraction(n, k, a, b)
+                ref = (Decimal(exact.numerator) / Decimal(exact.denominator)).ln()
+                got = mask_probability(MaskPattern.from_indices(n, list(range(k))), prior).log_alpha
+                assert abs(Decimal(got) - ref) <= 4 * Decimal(math.ulp(float(ref))), (n, k)
 
 
 # ---------------------------------------------------------------------------
