@@ -6,7 +6,7 @@ ratio r, probability r^k (1-r)^(n-k); integrating out r under the prior
 gives alpha_M. Under the uniform prior this is the Beta integral
 B(n-k+1, k+1) = (n-k)! k! / (n+1)!. All pattern probabilities are kept in
 log space (lgamma), which stays finite far past the factorial overflow
-point; the truncated prior's integral is summed in exact integers.
+point; the truncated prior's integral is summed in exact fractions.
 """
 
 from __future__ import annotations
@@ -187,20 +187,15 @@ def mask_probability(pattern: MaskPattern, prior: MaskingPrior) -> MaskWeight:
 
 @lru_cache(maxsize=None)
 def _truncated_log_alpha(n: int, k: int, a: float, b: float) -> float:
-    """log of (1/(b-a)) sum_j C(n-k, j) (-1)^j (b^e - a^e) / e, e = k+j+1, summed in integers.
+    """log of (1/(b-a)) sum_j C(n-k, j) (-1)^j (b^e - a^e) / e, e = k+j+1, summed in Fractions.
 
-    a and b lie on the grid 1/d, so the sum's common denominator is lcm(k+1..n+1) d^n (b-a) d.
     Only t in alpha = 2^s (1 + t), |t| < 1/2, is rounded: log1p(t) + s log 2 neither underflows nor cancels.
     """
     fa, fb = Fraction(a), Fraction(b)
-    d, lcm = max(fa.denominator, fb.denominator), math.lcm(*range(k + 1, n + 2))
-    lo, hi = fa.numerator * (d // fa.denominator), fb.numerator * (d // fb.denominator)
     terms = enumerate(range(k + 1, n + 2))
-    num = sum((-1) ** j * math.comb(n - k, j) * (hi**e - lo**e) * (lcm // e) * d ** (n + 1 - e) for j, e in terms)
-    den = lcm * d**n * (hi - lo)
-    s = round(math.log2(num) - math.log2(den))
-    num, den = (num, den << s) if s >= 0 else (num << -s, den)
-    return math.log1p((num - den) / den) + s * math.log(2)
+    x = sum(math.comb(n - k, j) * (-1) ** j * (fb**e - fa**e) / e for j, e in terms) / (fb - fa)
+    s = round(math.log2(x.numerator) - math.log2(x.denominator))
+    return math.log1p(float(x * Fraction(2) ** -s - 1)) + s * math.log(2)
 
 
 def mask_matrix(n: int) -> np.ndarray:

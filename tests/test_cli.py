@@ -101,6 +101,33 @@ def test_scipy_special_loads_at_the_first_gelu_and_keeps_the_logits(tmp_path):
     assert lazy_logits.tobytes() == eager_logits.tobytes()
 
 
+_BENCH_CLOCK = """
+import sys, time
+import pmlm.cli, pmlm.evaluation
+seen = []
+def perf_counter():
+    seen.append("scipy.special" in sys.modules)
+    return time.perf_counter()
+pmlm.evaluation.time = type("Clock", (), {"perf_counter": staticmethod(perf_counter)})
+before = "scipy.special" in sys.modules
+code = pmlm.cli.main(["bench-latency", "--count", "1", "--length", "4", "--seed", "0"])
+print(code, before, seen[0], file=sys.stderr)
+"""
+
+
+def test_bench_latency_loads_scipy_special_before_its_first_timer():
+    """In a fresh process the first GELU would otherwise fall inside the
+    causal loop's timer and charge it scipy's import."""
+    import pmlm
+
+    env = {**os.environ, "PYTHONPATH": str(Path(pmlm.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _BENCH_CLOCK], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "0 False True"
+
+
 def test_train_requires_config_or_preset():
     assert main(["train"]) == 2
 
