@@ -78,13 +78,15 @@ def load_checkpoint(path) -> Tuple[Transformer, dict]:
     json_object(header, f"checkpoint {path}: header", ("config", "tensors"), ("config", "tensors"))
     json_object(header["config"], f"checkpoint {path}: header config", required=("model",))
     config = TransformerConfig.from_dict(header["config"]["model"])
-    expected = parameter_shapes(config)
     entries = json_object(header["tensors"], f"checkpoint {path}: header tensors")
+    if config.layers > len(entries):  # every layer has tensors: reject before naming them all
+        raise ValueError(f"checkpoint {path}: config has {config.layers} layers, header {len(entries)} tensors")
+    expected = parameter_shapes(config)
     if set(entries) != set(expected):
+        missing, extra = sorted(set(expected) - set(entries)), sorted(set(entries) - set(expected))
         raise ValueError(
             f"checkpoint {path}: tensor names do not match the stored config "
-            f"(missing={sorted(set(expected) - set(entries))}, "
-            f"extra={sorted(set(entries) - set(expected))})"
+            f"({len(missing)} missing, first {missing[:3]}; {len(extra)} extra, first {extra[:3]})"
         )
     params: Dict[str, Tensor] = {}
     offset = 0  # the tensors lie back to back in name order, as checkpoint_bytes writes them

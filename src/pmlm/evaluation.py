@@ -46,16 +46,14 @@ class PplReport:
         return asdict(self)
 
 
-@dataclass
-class LatencyReport:
-    model_kind: str
-    sequence_count: int
-    sequence_length: int
-    seconds: float
-    ratio_vs_baseline: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+def _ppl_report(mode: str, seed: Optional[int], scored: List[tuple], total_nll: float) -> PplReport:
+    """The report of the ``scored`` (index, token count, NLL) sequences; each
+    caller sums ``total_nll`` in its own order, which sets the last bits of ppl."""
+    count = sum(c for _, c, _ in scored)
+    if count == 0:
+        raise ValueError("corpus contains no scorable tokens")
+    per_sequence = [{"index": i, "token_count": c, "nll": nll, "ppl": math.exp(nll / c)} for i, c, nll in scored]
+    return PplReport(mode, math.exp(total_nll / count), count, seed, per_sequence)
 
 
 def _batched_nll(
@@ -123,30 +121,16 @@ def ppl_bidirectional(
         raise ValueError("ppl_bidirectional requires a bidirectional model")
     if mode not in PPL_MODES:
         raise ValueError(f"mode must be one of {PPL_MODES}, got '{mode}'")
-    if len(corpus) == 0:
-        raise ValueError("empty corpus")
     total_nll = 0.0
-    total_count = 0
-    per_sequence = []
+    scored = []
     for idx, ids in enumerate(corpus.sequences):
         order = _sequence_order(ids, mode, seed, idx)
         if len(order) == 0:
             continue
         nll, count = score_sequence_bidirectional(model, ids, order)
         total_nll += nll
-        total_count += count
-        per_sequence.append(
-            {"index": idx, "token_count": count, "nll": nll, "ppl": math.exp(nll / count)}
-        )
-    if total_count == 0:
-        raise ValueError("corpus contains no scorable tokens")
-    return PplReport(
-        mode=mode,
-        ppl=math.exp(total_nll / total_count),
-        token_count=total_count,
-        seed=seed,
-        per_sequence=per_sequence,
-    )
+        scored.append((idx, count, nll))
+    return _ppl_report(mode, seed, scored, total_nll)
 
 
 def ppl_causal(model: Transformer, corpus: Corpus, mode: str = "sequential") -> PplReport:
@@ -162,8 +146,6 @@ def ppl_causal(model: Transformer, corpus: Corpus, mode: str = "sequential") -> 
             "random-order perplexity is unsupported for causal models "
             "(attention cannot reach later positions); use a bidirectional model"
         )
-    if len(corpus) == 0:
-        raise ValueError("empty corpus")
     batch = np.stack(
         [
             np.pad(ids, (0, corpus.max_len - len(ids)), constant_values=PAD_ID)
@@ -174,26 +156,8 @@ def ppl_causal(model: Transformer, corpus: Corpus, mode: str = "sequential") -> 
     nll = _batched_nll(model, causal_inputs(batch), batch)
     nll[pad] = 0.0
     counts = (~pad).sum(axis=1)
-    if counts.sum() == 0:
-        raise ValueError("corpus contains no scorable tokens")
-    per_sequence = [
-        {
-            "index": i,
-            "token_count": int(counts[i]),
-            "nll": float(nll[i].sum()),
-            "ppl": math.exp(float(nll[i].sum()) / counts[i]) if counts[i] else float("nan"),
-        }
-        for i in range(batch.shape[0])
-        if counts[i]
-    ]
-    total = float(nll.sum())
-    return PplReport(
-        mode="sequential",
-        ppl=math.exp(total / counts.sum()),
-        token_count=int(counts.sum()),
-        seed=None,
-        per_sequence=per_sequence,
-    )
+    scored = [(i, int(c), float(nll[i].sum())) for i, c in enumerate(counts) if c]
+    return _ppl_report("sequential", None, scored, float(nll.sum()))
 
 
 def render_ppl_table(rows: Dict[str, Dict[str, Optional[float]]]) -> str:
@@ -274,12 +238,12 @@ def bench_latency(
         bidir_out.append(seq)
     bidir_seconds = time.perf_counter() - t0
 
-    reports = [
-        LatencyReport("causal", count, length, causal_seconds, 1.0),
-        LatencyReport("bidirectional", count, length, bidir_seconds, bidir_seconds / causal_seconds),
-    ]
     return {
-        "reports": [r.to_dict() for r in reports],
+        "reports": [
+            {"model_kind": kind, "sequence_count": count, "sequence_length": length, "seconds": seconds,
+             "ratio_vs_baseline": seconds / causal_seconds}
+            for kind, seconds in (("causal", causal_seconds), ("bidirectional", bidir_seconds))
+        ],
         "count": count,
         "length": length,
         "cost_note": COST_NOTE,

@@ -21,7 +21,6 @@ from .model import Transformer
 
 EXCLUDED_CANDIDATES = (PAD_ID, MASK_ID, UNK_ID)
 
-ORDER_MODES = ("random", "left_to_right", "explicit")
 SAMPLER_KINDS = ("greedy", "temperature", "top_k")
 
 
@@ -42,31 +41,26 @@ class SamplerSpec:
 
 @dataclass(frozen=True)
 class GenerationOrder:
-    """Sequence of distinct positions to fill, with a mode tag."""
+    """Sequence of distinct positions to fill."""
 
     sigma: Tuple[int, ...]
-    mode: str = "explicit"
 
     def __post_init__(self):
-        if self.mode not in ORDER_MODES:
-            raise ValueError(f"order mode must be one of {ORDER_MODES}")
         if len(set(self.sigma)) != len(self.sigma):
             raise ValueError("generation order repeats a position")
-        if self.mode == "left_to_right" and tuple(self.sigma) != tuple(sorted(self.sigma)):
-            raise ValueError("left_to_right order must visit positions in increasing order")
 
     @classmethod
     def left_to_right(cls, positions: Sequence[int]) -> "GenerationOrder":
-        return cls(tuple(sorted(int(p) for p in positions)), mode="left_to_right")
+        return cls(tuple(sorted(int(p) for p in positions)))
 
     @classmethod
     def random(cls, positions: Sequence[int], rng: np.random.Generator) -> "GenerationOrder":
         perm = rng.permutation(np.asarray(sorted(positions), dtype=np.int64))
-        return cls(tuple(int(p) for p in perm), mode="random")
+        return cls(tuple(int(p) for p in perm))
 
     @classmethod
     def explicit(cls, sigma: Sequence[int]) -> "GenerationOrder":
-        return cls(tuple(int(p) for p in sigma), mode="explicit")
+        return cls(tuple(int(p) for p in sigma))
 
 
 @dataclass(frozen=True)
@@ -102,7 +96,6 @@ class TraceStep:
 class GenerationTrace:
     target_length: int
     anchors: Dict[int, int]
-    order_mode: str
     steps: List[TraceStep] = field(default_factory=list)
 
     @property
@@ -239,7 +232,7 @@ def generate(
     seq = np.full(n, MASK_ID, dtype=np.int64)
     for pos, tok in constraints.anchors.items():
         seq[pos] = tok
-    trace = GenerationTrace(target_length=n, anchors=dict(constraints.anchors), order_mode=order.mode)
+    trace = GenerationTrace(target_length=n, anchors=dict(constraints.anchors))
     for step, pos in enumerate(order.sigma):
         token = sample_token(model.logits(seq, rows=[pos])[0], sampler, rng)
         seq[pos] = token

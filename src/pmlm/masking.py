@@ -61,14 +61,6 @@ class MaskingPrior:
     def truncated(cls, a: float, b: float) -> "MaskingPrior":
         return cls("truncated_uniform", a=a, b=b)
 
-    @property
-    def mean(self) -> float:
-        if self.kind == "uniform":
-            return 0.5
-        if self.kind == "point_mass":
-            return self.r0
-        return 0.5 * (self.a + self.b)
-
     def to_dict(self) -> dict:
         d = {"kind": self.kind}
         if self.kind == "point_mass":

@@ -122,7 +122,7 @@ def init_parameters(cfg: TransformerConfig, rng: np.random.Generator) -> Dict[st
     return params
 
 
-def relative_attention_bias(distance_table, n: int, window: Optional[int] = None, *, queries=None, ops=T):
+def relative_attention_bias(distance_table, n: int, window: int, *, queries=None, ops=T):
     """Per-head additive attention bias from clamped relative distances.
 
     distance_table (2*window+1, heads); entry [i][j] of the result is
@@ -133,8 +133,6 @@ def relative_attention_bias(distance_table, n: int, window: Optional[int] = None
     Returns (heads, r, n) or (B, heads, r, n).
     """
     rows = distance_table.shape[0]
-    if window is None:
-        window = (rows - 1) // 2
     if window < 1 or rows != 2 * window + 1:
         raise ValueError(
             f"distance table must have 2*window+1 rows with window >= 1, got {rows} rows"

@@ -24,6 +24,7 @@ _GRAD = threading.local()
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_LN_EPS = 1e-12  # added to the variance before layer norm's square root
 
 # Additive attention-mask value: large enough that exp underflows to exactly
 # 0 after the max-shift, finite so masked rows never produce NaN.
@@ -82,14 +83,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -264,9 +259,9 @@ def _softmax(e: np.ndarray, bias=None) -> np.ndarray:
     return e
 
 
-def _standardize(x: np.ndarray, eps: float = 1e-12, empty=None):
+def _standardize(x: np.ndarray, empty=None):
     """(xhat, inv): xhat is the last axis of x at mean 0 / variance 1, in a
-    fresh array (from ``empty`` when given), and inv is 1 / sqrt(var + eps).
+    fresh array (from ``empty`` when given), and inv is 1 / sqrt(var + _LN_EPS).
     For a single row, as in a cached decode step, xhat is a vector and inv a
     float: the same sums, with no broadcast over the leading axes."""
     # the mean and variance as np.mean and np.var compute them (sum, then
@@ -275,7 +270,7 @@ def _standardize(x: np.ndarray, eps: float = 1e-12, empty=None):
     if x.size == count:
         row = x.reshape(-1)
         xhat = row - row.sum() / count
-        inv = 1.0 / math.sqrt((xhat * xhat).sum() / count + eps)
+        inv = 1.0 / math.sqrt((xhat * xhat).sum() / count + _LN_EPS)
     else:
         mean = x.sum(axis=-1, keepdims=True) / count
         if empty is None:
@@ -284,7 +279,7 @@ def _standardize(x: np.ndarray, eps: float = 1e-12, empty=None):
         else:
             xhat = np.subtract(x, mean, out=empty(x.shape))
             square = np.multiply(xhat, xhat, out=empty(x.shape))
-        inv = 1.0 / np.sqrt(square.sum(axis=-1, keepdims=True) / count + eps)
+        inv = 1.0 / np.sqrt(square.sum(axis=-1, keepdims=True) / count + _LN_EPS)
     xhat *= inv
     return xhat, inv
 
@@ -348,11 +343,11 @@ def softmax(a, scale: float = 1.0, bias=None) -> Tensor:
     return _node(data, (a, bias), vjp)
 
 
-def layer_norm(a, gain=None, bias=None, eps: float = 1e-12) -> Tensor:
+def layer_norm(a, gain=None, bias=None) -> Tensor:
     """Normalize the last axis to mean 0 / variance 1, then scale by ``gain``
     and shift by ``bias`` (each (a.shape[-1],)) when given."""
     a = as_tensor(a)
-    xhat, inv = _standardize(a.data, eps)
+    xhat, inv = _standardize(a.data)
     data = _scale_shift(xhat.copy(), _array(gain), _array(bias)).reshape(a.shape)
 
     def vjp(g):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -32,17 +32,7 @@ from .tensor import NonFiniteLogits, backward
 
 PRESET_NAMES = ("upmlm", "bert-like", "gpt-like")
 
-_MODEL_FIELDS = (
-    "max_len",
-    "layers",
-    "heads",
-    "hidden_size",
-    "intermediate_size",
-    "dropout_rate",
-    "attention_mode",
-    "positional_kind",
-    "relative_window",
-)
+_MODEL_FIELDS = tuple(f.name for f in fields(TransformerConfig) if f.name != "vocab_size")
 
 
 class TrainingDiverged(RuntimeError):
@@ -190,7 +180,7 @@ def _sample_patterns(batch: np.ndarray, prior: MaskingPrior, rng: np.random.Gene
     return patterns
 
 
-def train(config: RunConfig, log_every: int = 100, quiet: bool = False) -> TrainResult:
+def train(config: RunConfig, quiet: bool = False) -> TrainResult:
     """Run the configured training, streaming the loss log (one JSON line
     per step, flushed as the step ends) and writing the checkpoint.
 
@@ -266,7 +256,7 @@ def train(config: RunConfig, log_every: int = 100, quiet: bool = False) -> Train
                 log.flush()
             if (step + 1) % config.training.snapshot_every == 0:
                 snapshot = {name: p.data.copy() for name, p in model.params.items()}
-            if not quiet and (step % log_every == 0 or step == config.training.steps - 1):
+            if not quiet and (step % 100 == 0 or step == config.training.steps - 1):
                 print(f"step {step:>6}  loss {loss:.6f}", flush=True)
 
     checkpoint_path = save_checkpoint(config.checkpoint_path, model, extra)

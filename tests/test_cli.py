@@ -525,6 +525,15 @@ def _checkpoint(**extra) -> bytes:
     return checkpoint_bytes(tiny_model(), extra)
 
 
+def _checkpoint_claiming(layers: int) -> bytes:
+    """The tiny model's checkpoint with a header that claims ``layers`` layers."""
+    raw = _checkpoint()
+    sep = raw.index(b"\0")
+    header = json.loads(raw[:sep])
+    header["config"]["model"]["layers"] = layers
+    return json.dumps(header).encode() + raw[sep:]
+
+
 @pytest.mark.parametrize(
     "argv, content",
     [
@@ -541,6 +550,9 @@ def _checkpoint(**extra) -> bytes:
         (_GENERATE, _checkpoint(vocab=[*SPECIAL_TOKENS, *range(9)])),
         (_GENERATE, _checkpoint(vocab=_VOCAB[:4])),
         (_GENERATE, _checkpoint(vocab=_VOCAB, tokenizer=3)),
+        (_GENERATE, _checkpoint_claiming(30)),
+        (_GENERATE, _checkpoint_claiming(1000)),
+        (_GENERATE, _checkpoint_claiming(10**9)),
     ],
     ids=[
         "checkpoint_header_without_model", "checkpoint_header_list", "run_config_training_bogus",
@@ -548,6 +560,7 @@ def _checkpoint(**extra) -> bytes:
         "checkpoint_vocab_size_string", "checkpoint_heads_0", "checkpoint_intermediate_size_0",
         "checkpoint_vocab_number", "checkpoint_vocab_of_ints",
         "checkpoint_vocab_shorter_than_vocab_size", "checkpoint_tokenizer_number",
+        "checkpoint_30_layers", "checkpoint_1000_layers", "checkpoint_1e9_layers",
     ],
 )
 def test_bad_json_is_a_one_line_error(argv, content, tmp_path, capsys):
@@ -560,6 +573,7 @@ def test_bad_json_is_a_one_line_error(argv, content, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert len(captured.err) < 1000
 
 
 @pytest.mark.parametrize(
@@ -596,24 +610,47 @@ def test_run_config_value_of_a_wrong_type_is_a_one_line_error(section, key, valu
     assert not (tmp_path / "o.ckpt").exists()
 
 
-@pytest.mark.parametrize("tamper", ["trailing_bytes", "overlapping_offset", "gap_before_last_tensor"])
+_TAMPERS = {
+    "trailing_bytes": "trailing bytes",
+    "overlapping_offset": "back to back",
+    "gap_before_last_tensor": "back to back",
+    "malformed_header_json": "malformed header",
+    "wrong_dtype": "has dtype f32, expected f64",
+    "wrong_shape": "has shape [1, 1], expected",
+    "payload_ends_inside_a_tensor": "payload ends inside tensor 'tok_emb'",
+    "non_finite_value": "tensor 'tok_emb' contains non-finite values",
+}
+
+
+@pytest.mark.parametrize("tamper", list(_TAMPERS))
 def test_checkpoint_payload_out_of_place_is_a_one_line_error(tamper, workspace, tmp_path, capsys):
     raw = (workspace / "upmlm.ckpt").read_bytes()
     sep = raw.find(b"\0")
     header, payload = json.loads(raw[:sep]), raw[sep + 1 :]
-    last = header["tensors"][max(header["tensors"])]
+    last = header["tensors"][max(header["tensors"])]  # tok_emb, the last in name order
     if tamper == "trailing_bytes":
         payload += bytes(8)
     elif tamper == "overlapping_offset":
         last["byte_offset"] -= 8
         payload = payload[:-8]
-    else:
+    elif tamper == "gap_before_last_tensor":
         last["byte_offset"] += 8
         payload += bytes(8)
+    elif tamper == "wrong_dtype":
+        last["dtype"] = "f32"
+    elif tamper == "wrong_shape":
+        last["shape"] = [1, 1]
+    elif tamper == "payload_ends_inside_a_tensor":
+        payload = payload[:-8]
+    elif tamper == "non_finite_value":
+        payload = payload[:-8] + np.array([np.nan], dtype="<f8").tobytes()
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    if tamper == "malformed_header_json":
+        head = head[:-1]
     path = tmp_path / "tampered.ckpt"
-    path.write_bytes(json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\0" + payload)
+    path.write_bytes(head + b"\0" + payload)
     code = main(["generate", "--checkpoint", str(path), "--length", "4"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
-    assert ("trailing bytes" if tamper == "trailing_bytes" else "back to back") in captured.err
+    assert _TAMPERS[tamper] in captured.err

@@ -100,6 +100,8 @@ def test_causal_rejects_random_mode():
     m = tiny_model(seed=6, attention_mode="causal")
     with pytest.raises(ValueError, match="unsupported|cannot"):
         ppl_causal(m, make_corpus([[3, 4]]), mode="random")
+    with pytest.raises(ValueError, match="no scorable tokens"):
+        ppl_causal(m, make_corpus([[PAD_ID, PAD_ID], [PAD_ID]]))
 
 
 def test_bidirectional_rejects_causal_model_and_bad_mode():
@@ -107,21 +109,26 @@ def test_bidirectional_rejects_causal_model_and_bad_mode():
         ppl_bidirectional(tiny_model(attention_mode="causal"), make_corpus([[3]]), "sequential")
     with pytest.raises(ValueError, match="mode"):
         ppl_bidirectional(tiny_model(), make_corpus([[3]]), "shuffled")
+    for mode in ("sequential", "random"):
+        with pytest.raises(ValueError, match="no scorable tokens"):
+            ppl_bidirectional(tiny_model(), make_corpus([[PAD_ID, PAD_ID], [PAD_ID]]), mode)
 
 
 def test_padding_never_changes_ppl():
+    """Trailing [PAD] is not scored, and an all-[PAD] sequence is skipped."""
     m = tiny_model(seed=7)
     plain = make_corpus([[3, 4, 5]])
-    padded = make_corpus([[3, 4, 5, PAD_ID, PAD_ID]])
+    padded = make_corpus([[3, 4, 5, PAD_ID, PAD_ID], [PAD_ID] * 5])
     for mode in ("sequential", "random"):
         a = ppl_bidirectional(m, plain, mode, seed=5)
         b = ppl_bidirectional(m, padded, mode, seed=5)
         assert a.token_count == b.token_count == 3
+        assert [entry["index"] for entry in b.per_sequence] == [0]
         np.testing.assert_allclose(a.ppl, b.ppl, rtol=0, atol=1e-12)
     mc = tiny_model(seed=7, attention_mode="causal")
-    np.testing.assert_allclose(
-        ppl_causal(mc, plain).ppl, ppl_causal(mc, padded).ppl, rtol=0, atol=1e-12
-    )
+    c = ppl_causal(mc, padded)
+    assert c.token_count == 3 and [entry["index"] for entry in c.per_sequence] == [0]
+    np.testing.assert_allclose(ppl_causal(mc, plain).ppl, c.ppl, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("chunk", [128, 4])
@@ -365,6 +372,12 @@ def test_bench_latency_requires_matching_sizes_and_modes():
         bench_latency(causal, small, count=1, length=2)
     with pytest.raises(ValueError, match="one causal"):
         bench_latency(tiny_model(), tiny_model(), count=1, length=2)
+    bidir = tiny_model(seed=10)  # max_len 8
+    with pytest.raises(ValueError, match="length 9 exceeds model max_len"):
+        bench_latency(causal, bidir, count=1, length=9)
+    for count, length in ((0, 2), (1, 0), (-1, 2)):
+        with pytest.raises(ValueError, match="count and length must be positive"):
+            bench_latency(causal, bidir, count=count, length=length)
 
 
 def test_bench_latency_outputs_are_seeded():
