@@ -28,6 +28,7 @@ from .generation import (
     GenerationConstraints,
     GenerationOrder,
     SamplerSpec,
+    check_length,
     generate,
     render_trace_table,
 )
@@ -153,6 +154,7 @@ def cmd_generate(args) -> int:
             raise ValueError("checkpoint carries no vocabulary; anchors cannot be resolved")
         anchors = parse_anchor_file(args.anchors, vocab, tokenizer_kind)
     constraints = GenerationConstraints(target_length=args.length, anchors=anchors)
+    check_length(model, args.length)
     if args.order == "random":
         order = GenerationOrder.random(constraints.free_positions, rng)
     elif args.order == "ltr":
@@ -364,8 +366,8 @@ def main(argv=None) -> int:
         if args.seed is not None and args.seed < 0:  # every subcommand takes --seed
             raise ValueError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
-    except (ValueError, OSError, TrainingDiverged) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, OSError, TrainingDiverged, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)  # a list's MemoryError has no text
         return 2
 
 

@@ -59,10 +59,11 @@ def _ppl_report(mode: str, seed: Optional[int], scored: List[tuple], total_nll: 
 def _batched_nll(
     model: Transformer, inputs: np.ndarray, targets: np.ndarray, rows: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Per-row NLL of targets under the model, in slices of ``_slice_size``
-    sequences on ``_workers`` threads, each run up to the used width of the
-    whole batch, so every NLL has the bits of one unsliced forward. Rows of the
-    all-[PAD] tail past that width are left at 0 and must not be read as scores.
+    """Per-row NLL of targets under the model, one forward per slice of
+    ``_slice_size`` sequences on ``_workers`` threads, each up to the used
+    width of the whole batch, so every NLL has the bits of one unsliced
+    forward. Rows of the all-[PAD] tail past that width are left at 0 and
+    must not be read as scores.
     With ``rows`` (B,), one position per input row, only those logit rows are
     computed and the result is the (B,) NLL of ``targets[b, rows[b]]``.
     """
@@ -71,11 +72,11 @@ def _batched_nll(
 
     def score(sl: slice) -> None:
         if rows is None:
-            logits = model.logits(inputs[sl, :w])
+            logits = model.forward(inputs[sl, :w]).data
             out[sl, :w] = T.array_ops.cross_entropy_rows(logits, targets[sl, :w])
         else:
             r = rows[sl]
-            logits = model.logits(inputs[sl, :w], rows=r)
+            logits = model.forward(inputs[sl, :w], rows=r).data
             out[sl] = T.array_ops.cross_entropy_rows(logits, targets[sl][np.arange(len(r)), r])
 
     _map_slices(score, model.config, inputs.shape[0], w)

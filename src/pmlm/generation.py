@@ -200,6 +200,12 @@ def sample_token(
 # ---------------------------------------------------------------------------
 
 
+def check_length(model: Transformer, n: int) -> None:
+    """Reject a target length past the model's max_len, before an order of it is built."""
+    if n > model.config.max_len:
+        raise ValueError(f"target_length {n} exceeds model max_len {model.config.max_len}")
+
+
 def generate(
     model: Transformer,
     constraints: GenerationConstraints,
@@ -217,8 +223,7 @@ def generate(
     if model.is_causal:
         raise ValueError("generate requires a bidirectional model")
     n = constraints.target_length
-    if n > model.config.max_len:
-        raise ValueError(f"target_length {n} exceeds model max_len {model.config.max_len}")
+    check_length(model, n)
     free = set(constraints.free_positions)
     if set(order.sigma) != free:
         raise ValueError(

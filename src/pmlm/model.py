@@ -34,7 +34,6 @@ POSITIONAL_KINDS = ("absolute", "relative")
 #: 512 KiB slices ran a random-order score 15-20 % slower on one thread (97-100 -> 115-119 ms).
 _SLICE_BYTES = 1 << 20
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_IN_PART = threading.local()
 
 
 @dataclass
@@ -183,9 +182,8 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's t
 def _map(fn, count: int, workers: int) -> list:
     """``[fn(0), ..., fn(count - 1)]``, each in the caller's grad mode and numpy error state,
     on the calling thread and ``workers - 1`` pool threads that each take the next index when
-    free; inline inside a part. After a part raises no other starts, and the first failure is
-    raised once every started part is done."""
-    nested = getattr(_IN_PART, "active", False)
+    free. After a part raises no other starts, and the first failure is raised once every
+    started part is done."""
     results, failed, todo, lock = [None] * count, {}, iter(range(count)), threading.Lock()
 
     def claim():
@@ -193,22 +191,17 @@ def _map(fn, count: int, workers: int) -> list:
             return None if failed else next(todo, None)
 
     def drain():
-        _IN_PART.active = True
-        try:
-            for i in iter(claim, None):
-                try:
-                    results[i] = fn(i)
-                except BaseException as exc:  # raised below, once every started part is done
-                    failed[i] = exc
-        finally:
-            _IN_PART.active = nested
+        for i in iter(claim, None):
+            try:
+                results[i] = fn(i)
+            except BaseException as exc:  # raised below, once every started part is done
+                failed[i] = exc
 
     def drain_as(grad: bool, errors: dict):  # a pool thread would record and warn by default
         with nullcontext() if grad else T.no_grad(), np.errstate(**errors):
             drain()
 
-    pool = 0 if nested else min(workers, count) - 1
-    futures = [_pool().submit(drain_as, T.grad_enabled(), np.geterr()) for _ in range(pool)]
+    futures = [_pool().submit(drain_as, T.grad_enabled(), np.geterr()) for _ in range(min(workers, count) - 1)]
     drain()
     for future in futures:  # a drain that has not started has nothing left to take
         if not future.cancel():

@@ -135,7 +135,6 @@ def pmlm_training_step(
     prior: MaskingPrior,
     rng: np.random.Generator,
     *,
-    pad_flags: Optional[np.ndarray] = None,
     with_grad: bool = False,
     train: bool = False,
 ) -> LossValue:
@@ -147,10 +146,8 @@ def pmlm_training_step(
     on K=0 is a training-loop policy, not part of this estimator.
     """
     ids = _as_ids(x)
-    if pad_flags is None:
-        pad_flags = ids == PAD_ID
     r = sample_ratio(prior, rng)
-    pattern = sample_mask(len(ids), r, rng, pad_flags=pad_flags)
+    pattern = sample_mask(len(ids), r, rng, pad_flags=ids == PAD_ID)
     if pattern.k == 0:
         return LossValue(0.0, 0, tensor=Tensor(0.0) if with_grad else None)
     return mlm_loss(model, ids, pattern, with_grad=with_grad, train=train, rng=rng)
@@ -394,17 +391,12 @@ def masked_batch_loss(
     if model.is_causal:
         raise ValueError("masked_batch_loss requires a bidirectional model")
     b, n = batch.shape
-    if len(patterns) != b:
-        raise ValueError("one mask pattern per sequence is required")
-    inputs = batch.copy()
-    weights = np.zeros((b, n))
-    for s, pattern in enumerate(patterns):
-        if pattern.k == 0:
-            continue
-        idx = list(pattern.indices)
-        inputs[s, idx] = MASK_ID
-        weights[s, idx] = 1.0 / (b * pattern.k)
-    return _weighted_nll(model, inputs, batch, weights, train=train, rng=rng)
+    if len(patterns) != b or any(p.n != n for p in patterns):
+        raise ValueError(f"need one mask pattern of length {n} for each of {b} sequences, got "
+                         f"{len(patterns)} of lengths {sorted({p.n for p in patterns})}")
+    masks = np.stack([p.indicator for p in patterns])
+    weights = masks / (b * np.maximum(masks.sum(axis=1, keepdims=True), 1))  # 0 where k = 0
+    return _weighted_nll(model, np.where(masks, MASK_ID, batch), batch, weights, train=train, rng=rng)
 
 
 def causal_batch_loss(

@@ -14,25 +14,17 @@ import numpy as np
 from .tensor import Tensor
 
 
+#: Decay rates of the first and second moments, and the floor under the update's denominator.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class NonFiniteGradient(ValueError):
     pass
 
 
 class Adam:
-    def __init__(
-        self,
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ValueError(f"adam: betas must lie in [0, 1), got {beta1}, {beta2}")
+    def __init__(self, lr: float = 1e-3, weight_decay: float = 0.0):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self.m: Dict[str, np.ndarray] = {}
@@ -51,8 +43,8 @@ class Adam:
 
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1 = 1.0 - BETA1**t
+        bc2 = 1.0 - BETA2**t
         for name, p in params.items():
             if name not in self.m:
                 self.m[name] = np.zeros_like(p.data)
@@ -60,14 +52,14 @@ class Adam:
             g = p.grad if p.grad is not None else 0.0
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * np.square(g)
             # the new values go to the update's own buffer, not into p.data: a
             # decode cache bound to the old arrays by identity then sees the step
             data = p.data
             if self.weight_decay:
                 data = data - self.lr * self.weight_decay * data
-            update = np.asarray(self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps))
+            update = np.asarray(self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS))
             p.data = np.subtract(data, update, out=update)

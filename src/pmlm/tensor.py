@@ -233,12 +233,11 @@ def take(a, indices, *, name: str = "take") -> Tensor:
     return _node(data, (a,), vjp)
 
 
-def sum_(a, axis=None) -> Tensor:
+def sum_(a) -> Tensor:
     a = as_tensor(a)
-    data = a.data.sum(axis=axis)
+    data = a.data.sum()
 
     def vjp(g):
-        g = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)
 
     return _node(data, (a,), vjp)

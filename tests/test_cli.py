@@ -359,21 +359,47 @@ def test_unreadable_checkpoint_is_reported(workspace, capsys):
         ["train", "--preset", "upmlm", "--corpus", "{tmp}/c.txt", "--checkpoint", "{tmp}/m.ckpt", "--seed", "-1"],
         ["generate", "--checkpoint", "{tmp}/m.ckpt", "--length", "4", "--seed", "-1"],
         ["eval-ppl", "--checkpoint", "{tmp}/m.ckpt", "--corpus", "{tmp}/c.txt", "--seed", "-1"],
+        # sizes past any address space (over 2^47 bytes), so the allocation fails at once;
+        # the last fails in a Python list, whose MemoryError carries no text
+        ["bench-latency", "--count", "1", "--length", str(10**12), "--out", "{tmp}/bench.json"],
+        ["train", "--preset", "upmlm", "--corpus", "{corpus}", "--checkpoint", "{tmp}/m.ckpt",
+         "--loss-log", "{tmp}/loss.jsonl", "--steps", "1", "--batch-size", str(10**14), "--max-len", "16"],
+        ["train", "--preset", "upmlm", "--corpus", "{corpus}", "--checkpoint", "{tmp}/m.ckpt",
+         "--loss-log", "{tmp}/loss.jsonl", "--steps", "1", "--max-len", str(10**14)],
     ],
     ids=[
         "verify_n_0", "verify_models_0", "make_corpus_negative_bytes",
         "verify_tolerance_inf", "verify_tolerance_nan", "verify_tolerance_negative",
         "bench_latency_heads_0", "bench_latency_hidden_size_0", "bench_latency_intermediate_size_0",
         "verify_n_negative", "train_seed_negative", "generate_seed_negative", "eval_ppl_seed_negative",
+        "bench_latency_length_unallocatable", "train_batch_size_unallocatable", "train_max_len_unallocatable",
     ],
 )
-def test_bad_flag_is_a_one_line_error(argv, tmp_path, capsys):
-    code = main([a.replace("{tmp}", str(tmp_path)) for a in argv])
+def test_bad_flag_is_a_one_line_error(argv, workspace, tmp_path, capsys):
+    code = main([a.replace("{tmp}", str(tmp_path)).replace("{corpus}", str(workspace / "corpus.txt")) for a in argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert captured.err.strip() != "error:"
     assert "PASS" not in captured.out
-    assert not (tmp_path / "c.txt").exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("order", ["random", "ltr"])
+def test_generate_checks_the_length_before_building_an_order(order, tmp_path, monkeypatch, capsys):
+    from pmlm.checkpoint import save_checkpoint
+    from pmlm.generation import GenerationOrder
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("an order was built before the length was checked")
+
+    monkeypatch.setattr(GenerationOrder, "random", unexpected)
+    monkeypatch.setattr(GenerationOrder, "left_to_right", unexpected)
+    ckpt = save_checkpoint(tmp_path / "m.ckpt", tiny_model(max_len=64))
+    out = tmp_path / "gen.json"
+    assert main(["generate", "--checkpoint", str(ckpt), "--length", "100000", "--order", order, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: target_length 100000 exceeds model max_len 64\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -197,6 +197,30 @@ def test_sliced_nll_equals_one_unsliced_forward_bit_for_bit(positional, attentio
         np.testing.assert_array_equal(_batched_nll(m, inputs, targets, rows=rows), picked)
 
 
+@pytest.mark.parametrize("with_rows", [False, True])
+def test_batched_nll_slices_once(with_rows, monkeypatch):
+    """One ``_map`` per call, and one forward per slice it cuts: the slices
+    are not cut again, so no map opens inside another."""
+    m = tiny_model(seed=13)
+    inputs = np.random.default_rng(6).integers(3, 12, size=(7, 8))
+    rows = np.arange(7) if with_rows else None
+    maps, sizes, run, forward = [], [], model_mod._map, m.forward
+
+    def map_spy(fn, count, workers):
+        maps.append(count)
+        return run(fn, count, workers)
+
+    def forward_spy(tokens, **kwargs):
+        sizes.append(len(tokens))
+        return forward(tokens, **kwargs)
+
+    monkeypatch.setattr(model_mod, "_map", map_spy)
+    monkeypatch.setattr(m, "forward", forward_spy)
+    monkeypatch.setattr(model_mod, "_slice_size", lambda cfg, width, workers: 2)
+    _batched_nll(m, inputs, inputs, rows=rows)
+    assert maps == [4] and sizes == [2, 2, 2, 1]
+
+
 def test_reports_are_unchanged_at_one_sequence_per_slice(monkeypatch):
     seqs = [[3, 4, 5, 6, 7, 8, 9, 10], [6, 7, 8, 9, 3], [4, 4, 10, 11, 5, 3, 9, 8], [11, 3], [5, 3, 6]]
     corpus = make_corpus(seqs, max_len=8)

@@ -603,16 +603,18 @@ def test_map_runs_each_part_in_the_callers_grad_mode_and_error_state():
     assert [mode for _, *mode in loud] == [[True, "warn"]] * 2
 
 
-def test_a_map_inside_a_slice_runs_inline(monkeypatch):
-    """An inner map on the pool thread would otherwise wait for a pool thread
-    that is busy running it; the wait is bounded, so a deadlock fails."""
+def test_a_map_inside_a_slice_completes(monkeypatch):
+    """An inner map on a pool thread may submit to a pool with no free thread;
+    its caller drains every part itself and cancels a submission that has not
+    started. Each outer part gets its inner results in order. The wait is
+    bounded, so a deadlock fails."""
     monkeypatch.setattr(model_mod, "_workers", lambda sequences: 2)
     monkeypatch.setattr(model_mod, "_slice_size", lambda cfg, width, workers: 1)
     cfg = tiny_config()
 
     def outer(sl):
         time.sleep(0.01)
-        return threading.get_ident(), model_mod._map_slices(lambda inner: threading.get_ident(), cfg, 3, 8)
+        return threading.get_ident(), model_mod._map_slices(lambda inner: (sl.start, inner.start), cfg, 3, 8)
 
     result = []
     runner = threading.Thread(target=lambda: result.append(model_mod._map_slices(outer, cfg, 4, 8)), daemon=True)
@@ -624,8 +626,7 @@ def test_a_map_inside_a_slice_runs_inline(monkeypatch):
         pytest.fail("nested map deadlocked")
     (slices,) = result
     assert len({ident for ident, _ in slices}) == 2
-    for ident, inner in slices:
-        assert inner == [ident] * 3
+    assert [inner for _, inner in slices] == [[(s, 0), (s, 1), (s, 2)] for s in range(4)]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

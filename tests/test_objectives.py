@@ -412,6 +412,9 @@ def test_masked_batch_loss_empty_pattern_contributes_zero():
     got = masked_batch_loss(m, batch, patterns).item()
     expected = mlm_loss(m, batch[0], patterns[0]).value / 2
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+    for wrong in (MaskPattern.from_indices(6, [5]), MaskPattern.from_indices(3, [1])):
+        with pytest.raises(ValueError, match="length 4 for each of 2 sequences"):
+            masked_batch_loss(m, batch, [patterns[0], wrong])
 
 
 def test_masked_batch_loss_graph_nodes_per_primitive():
