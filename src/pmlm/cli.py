@@ -123,19 +123,8 @@ def cmd_train(args) -> int:
     else:
         if not (args.preset and args.corpus and args.checkpoint):
             raise ValueError("train needs either --config or --preset with --corpus and --checkpoint")
-        overrides = {}
-        for key in ("steps", "batch_size", "seed"):
-            value = getattr(args, key)
-            if value is not None:
-                overrides[key] = value
-        if args.learning_rate is not None:
-            overrides["learning_rate"] = args.learning_rate
-        if args.positional is not None:
-            overrides["positional_kind"] = args.positional
-        if args.max_len is not None:
-            overrides["max_len"] = args.max_len
-        if args.loss_log:
-            overrides["loss_log_path"] = args.loss_log
+        keys = ("steps", "batch_size", "learning_rate", "seed", "max_len", "positional_kind", "loss_log_path")
+        overrides = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
         config = preset(args.preset, args.corpus, args.checkpoint, **overrides)
     result = train(config, quiet=args.quiet)
     print(f"checkpoint written to {result.checkpoint_path}")
@@ -172,10 +161,8 @@ def cmd_generate(args) -> int:
         print(text)
     else:
         print(" ".join(str(int(t)) for t in seq))
-    if args.show_trace or args.trace:
-        table = render_trace_table(trace, vocab, tokenizer_kind)
-        if args.show_trace:
-            print(table)
+    if args.show_trace:
+        print(render_trace_table(trace, vocab, tokenizer_kind))
     if args.trace:
         write_atomic(args.trace, trace.to_jsonl(vocab, tokenizer_kind).encode("utf-8"))
         print(f"trace written to {args.trace}")
@@ -308,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learning-rate", type=float, dest="learning_rate")
     p.add_argument("--seed", type=int)
     p.add_argument("--max-len", type=int, dest="max_len")
-    p.add_argument("--positional", choices=("absolute", "relative"))
-    p.add_argument("--loss-log", dest="loss_log")
+    p.add_argument("--positional", choices=("absolute", "relative"), dest="positional_kind")
+    p.add_argument("--loss-log", dest="loss_log_path")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_train)
 

@@ -96,9 +96,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.sequences)
 
-    def token_count(self) -> int:
-        return int(sum(np.count_nonzero(s != PAD_ID) for s in self.sequences))
-
 
 def causal_inputs(batch: np.ndarray) -> np.ndarray:
     """Teacher-forcing inputs for the (B, N) causal targets ``batch``: each

@@ -83,12 +83,11 @@ def _batched_nll(
     return out
 
 
-def _sequence_order(ids: np.ndarray, mode: str, seed: Optional[int], index: int) -> np.ndarray:
+def _sequence_order(ids: np.ndarray, mode: str, seed: int, index: int) -> np.ndarray:
     positions = np.flatnonzero(ids != PAD_ID)
     if mode == "sequential":
         return positions
-    order_rng = np.random.default_rng([0 if seed is None else seed, index])
-    return order_rng.permutation(positions)
+    return np.random.default_rng([seed, index]).permutation(positions)
 
 
 def score_sequence_bidirectional(
@@ -114,7 +113,7 @@ def score_sequence_bidirectional(
 
 
 def ppl_bidirectional(
-    model: Transformer, corpus: Corpus, mode: str, seed: Optional[int] = 0
+    model: Transformer, corpus: Corpus, mode: str, seed: int = 0
 ) -> PplReport:
     """Perplexity with identity order per sequence, or one random order per
     sequence drawn from (seed, sequence index)."""

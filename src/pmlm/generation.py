@@ -149,9 +149,9 @@ def render_trace_table(trace: GenerationTrace, vocab: Optional[Vocabulary] = Non
 
 
 @functools.lru_cache(maxsize=64)
-def _candidates(size: int, exclude: tuple) -> np.ndarray:
-    """The ids 0..size-1 that ``exclude`` does not name, as a read-only array."""
-    ids = np.setdiff1d(np.arange(size), exclude)
+def _candidates(size: int) -> np.ndarray:
+    """The ids 0..size-1 outside ``EXCLUDED_CANDIDATES``, as a read-only array."""
+    ids = np.setdiff1d(np.arange(size), EXCLUDED_CANDIDATES)
     ids.flags.writeable = False
     return ids
 
@@ -160,20 +160,19 @@ def sample_token(
     logit_row: np.ndarray,
     sampler: SamplerSpec,
     rng: Optional[np.random.Generator] = None,
-    exclude: Sequence[int] = EXCLUDED_CANDIDATES,
 ) -> int:
     """Pick a token id from one logit row.
 
     greedy takes the argmax (lowest id wins ties); temperature samples from
     softmax(logits / T); top_k renormalizes over the k best after temperature
-    scaling. Excluded ids are removed from the candidate set first.
+    scaling. The ``EXCLUDED_CANDIDATES`` are removed from the candidate set first.
     """
     logits = np.asarray(logit_row, dtype=np.float64)
     if logits.ndim != 1:
         raise ValueError(f"sample_token expects one logit row, got shape {logits.shape}")
     if not np.isfinite(logits).all():
         raise ValueError("sample_token: non-finite logits")
-    ids = _candidates(logits.shape[0], tuple(exclude))
+    ids = _candidates(logits.shape[0])
     if not ids.size:
         raise ValueError("sample_token: every candidate token is excluded")
     logits = logits[ids]
@@ -181,15 +180,17 @@ def sample_token(
     if sampler.kind == "greedy":
         return int(ids[logits.argmax()])
 
-    scaled = logits / sampler.temperature
     if sampler.kind == "top_k" and sampler.k < ids.size:
         # rank by logit descending, ties by lower id; keep the k best in id order
-        best = (-scaled).argsort(kind="stable")[: sampler.k]
+        best = (-logits).argsort(kind="stable")[: sampler.k]
         best.sort()
-        ids, scaled = ids[best], scaled[best]
+        ids, logits = ids[best], logits[best]
     if rng is None:
         raise ValueError(f"sampler kind '{sampler.kind}' requires an rng")
-    weights = np.exp(scaled - scaled.max())
+    # shift before dividing: a tiny T sends the gaps to -inf, whose weights are 0
+    with np.errstate(over="ignore"):
+        scaled = (logits - logits.max()) / sampler.temperature
+    weights = np.exp(scaled)
     cdf = (weights / weights.sum()).cumsum()
     pick = min(int(cdf.searchsorted(rng.random(), side="right")), ids.size - 1)
     return int(ids[pick])

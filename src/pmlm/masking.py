@@ -12,7 +12,7 @@ point; the truncated prior's integral is summed in exact fractions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Sequence
@@ -38,6 +38,10 @@ class MaskingPrior:
     def __post_init__(self):
         if self.kind not in PRIOR_KINDS:
             raise ValueError(f"prior kind must be one of {PRIOR_KINDS}, got '{self.kind}'")
+        if self.r0 is not None and self.kind != "point_mass":
+            raise ValueError(f"{self.kind} prior takes no r0, got r0={self.r0}")
+        if (self.a, self.b) != (None, None) and self.kind != "truncated_uniform":
+            raise ValueError(f"{self.kind} prior takes no bounds, got a={self.a}, b={self.b}")
         if self.kind == "point_mass":
             if self.r0 is None or not 0.0 <= self.r0 <= 1.0:
                 raise ValueError(f"point_mass prior needs r0 in [0, 1], got {self.r0}")
@@ -62,12 +66,7 @@ class MaskingPrior:
         return cls("truncated_uniform", a=a, b=b)
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind == "point_mass":
-            d["r0"] = self.r0
-        if self.kind == "truncated_uniform":
-            d["a"], d["b"] = self.a, self.b
-        return d
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "MaskingPrior":
@@ -84,46 +83,42 @@ def sample_ratio(prior: MaskingPrior, rng: np.random.Generator) -> float:
 
 @dataclass(eq=False)
 class MaskPattern:
-    """Binary mask over n positions: indicator m, sorted masked indices, count k.
+    """Binary mask over n positions: indicator m and its masked count k.
 
     Positions flagged as padding are never masked and do not count toward
     the maskable total used in probability computations.
     """
 
     indicator: np.ndarray
-    indices: tuple
-    k: int
-    n: int
     pad_flags: Optional[np.ndarray] = None
+    k: int = field(init=False)
 
     def __post_init__(self):
         self.indicator = np.asarray(self.indicator, dtype=bool)
-        if self.indicator.shape != (self.n,):
-            raise ValueError(f"indicator shape {self.indicator.shape} does not match n={self.n}")
-        if self.k != len(self.indices) or self.k != int(self.indicator.sum()):
-            raise ValueError("mask count k disagrees with indices/indicator")
-        if tuple(sorted(self.indices)) != tuple(self.indices):
-            raise ValueError("masked indices must be sorted")
-        if self.k and not self.indicator[list(self.indices)].all():
-            raise ValueError("indices and indicator disagree")
+        if self.indicator.ndim != 1:
+            raise ValueError(f"indicator must be one row, got shape {self.indicator.shape}")
+        self.k = int(np.count_nonzero(self.indicator))
         if self.pad_flags is not None:
             self.pad_flags = np.asarray(self.pad_flags, dtype=bool)
-            if self.pad_flags.shape != (self.n,):
+            if self.pad_flags.shape != self.indicator.shape:
                 raise ValueError("pad_flags shape mismatch")
             if np.any(self.indicator & self.pad_flags):
                 raise ValueError("a [PAD] position is masked")
 
     @classmethod
-    def from_indicator(cls, m, pad_flags=None) -> "MaskPattern":
-        m = np.asarray(m, dtype=bool)
-        idx = tuple(int(i) for i in np.flatnonzero(m))
-        return cls(indicator=m, indices=idx, k=len(idx), n=m.shape[0], pad_flags=pad_flags)
-
-    @classmethod
     def from_indices(cls, n: int, indices: Sequence[int], pad_flags=None) -> "MaskPattern":
         m = np.zeros(n, dtype=bool)
         m[list(indices)] = True
-        return cls.from_indicator(m, pad_flags=pad_flags)
+        return cls(m, pad_flags)
+
+    @property
+    def n(self) -> int:
+        return self.indicator.shape[0]
+
+    @property
+    def indices(self) -> tuple:
+        """The masked positions, ascending."""
+        return tuple(int(i) for i in np.flatnonzero(self.indicator))
 
     @property
     def n_maskable(self) -> int:
@@ -153,7 +148,7 @@ def sample_mask(
     m = rng.random(n) < r
     if pad_flags is not None:
         m &= ~np.asarray(pad_flags, dtype=bool)
-    return MaskPattern.from_indicator(m, pad_flags=pad_flags)
+    return MaskPattern(m, pad_flags)
 
 
 def mask_probability(pattern: MaskPattern, prior: MaskingPrior) -> MaskWeight:
@@ -201,7 +196,7 @@ def mask_matrix(n: int) -> np.ndarray:
 
 def enumerate_masks(n: int) -> List[MaskPattern]:
     """All 2^n patterns over n positions, ordered by bitmask value."""
-    return [MaskPattern.from_indicator(m) for m in mask_matrix(n)]
+    return [MaskPattern(m) for m in mask_matrix(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -230,12 +230,11 @@ def _split_heads(ops, y, heads: int):
 class DecodeCache:
     """Per-layer key/value cache for incremental causal decoding, bound to the
     model that fills it and to that model's parameter arrays at the time it is
-    made. ``k`` and ``v`` hold per layer (1, heads, max_len, head_dim) views
-    whose first ``length`` positions hold the keys and values of the int64 ids
-    ``tokens[:length]``. ``layers`` holds per layer what the decode step reads:
-    the parameter arrays in ``parameter_shapes`` order, then the keys and values
-    as (max_len, hidden) rows and as (heads, head_dim, max_len) and (heads,
-    max_len, head_dim) views."""
+    made. ``layers`` holds per layer what the decode step reads: the parameter
+    arrays in ``parameter_shapes`` order, then the keys and values as (max_len,
+    hidden) rows and as (heads, head_dim, max_len) and (heads, max_len,
+    head_dim) views. Their first ``length`` positions hold the keys and values
+    of the int64 ids ``tokens[:length]``."""
 
     def __init__(self, model: "Transformer"):
         cfg = model.config
@@ -243,11 +242,9 @@ class DecodeCache:
         self.arrays = model._arrays()
         self.length = 0
         self.tokens = np.zeros(cfg.max_len, dtype=np.int64)
-        self.k, self.v, self.layers = [], [], []
+        self.layers = []
         for i in range(cfg.layers):
             k, v = np.zeros((2, cfg.max_len, cfg.heads, cfg.head_dim))
-            self.k.append(k.transpose(1, 0, 2)[None])
-            self.v.append(v.transpose(1, 0, 2)[None])
             params = [self.arrays[name] for name in parameter_shapes(cfg) if name.startswith(f"layers.{i}.")]
             self.layers.append((*params, k.reshape(cfg.max_len, -1), v.reshape(cfg.max_len, -1),
                                 k.transpose(1, 2, 0), v.transpose(1, 0, 2)))

@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -276,19 +276,9 @@ class EquivalenceReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "pmlm_exact_nats": self.pmlm_exact,
-            "aplm_mean_nats": self.aplm_mean,
-            "constant_c": self.constant_c,
-            "masked_side": self.masked_side,
-            "permutation_side": self.permutation_side,
-            "max_abs_gap": self.max_abs_gap,
-            "tolerance": self.tolerance,
-            "duplication_audit": self.duplication_audit,
-            "duplication_ok": self.duplication_ok,
-            "passed": self.passed,
-        }
+        d = asdict(self)
+        d["pmlm_exact_nats"], d["aplm_mean_nats"] = d.pop("pmlm_exact"), d.pop("aplm_mean")
+        return d
 
 
 def verify_equivalence(model: Transformer, x, tolerance: float = 1e-9) -> EquivalenceReport:

@@ -1,8 +1,7 @@
 """Adam optimizer over a named map of tensors.
 
-Decoupled weight decay (applied directly to the parameter, not through the
-moment estimates); bias-corrected first/second moments; step counter
-increments by exactly one per update.
+Bias-corrected first/second moments; step counter increments by exactly
+one per update.
 """
 
 from __future__ import annotations
@@ -23,9 +22,8 @@ class NonFiniteGradient(ValueError):
 
 
 class Adam:
-    def __init__(self, lr: float = 1e-3, weight_decay: float = 0.0):
+    def __init__(self, lr: float = 1e-3):
         self.lr = lr
-        self.weight_decay = weight_decay
         self.step_count = 0
         self.m: Dict[str, np.ndarray] = {}
         self.v: Dict[str, np.ndarray] = {}
@@ -58,8 +56,5 @@ class Adam:
             v += (1.0 - BETA2) * np.square(g)
             # the new values go to the update's own buffer, not into p.data: a
             # decode cache bound to the old arrays by identity then sees the step
-            data = p.data
-            if self.weight_decay:
-                data = data - self.lr * self.weight_decay * data
             update = np.asarray(self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS))
-            p.data = np.subtract(data, update, out=update)
+            p.data = np.subtract(p.data, update, out=update)

@@ -283,12 +283,10 @@ def _standardize(x: np.ndarray, empty=None):
     return xhat, inv
 
 
-def _scale_shift(y: np.ndarray, gain=None, bias=None) -> np.ndarray:
-    """y * gain + bias, computed in y; a missing gain or bias is left out."""
-    if gain is not None:
-        y *= gain
-    if bias is not None:
-        y += bias
+def _scale_shift(y: np.ndarray, gain, bias) -> np.ndarray:
+    """y * gain + bias, computed in y."""
+    y *= gain
+    y += bias
     return y
 
 
@@ -342,9 +340,9 @@ def softmax(a, scale: float = 1.0, bias=None) -> Tensor:
     return _node(data, (a, bias), vjp)
 
 
-def layer_norm(a, gain=None, bias=None) -> Tensor:
+def layer_norm(a, gain, bias) -> Tensor:
     """Normalize the last axis to mean 0 / variance 1, then scale by ``gain``
-    and shift by ``bias`` (each (a.shape[-1],)) when given."""
+    and shift by ``bias`` (each (a.shape[-1],))."""
     a = as_tensor(a)
     xhat, inv = _standardize(a.data)
     data = _scale_shift(xhat.copy(), _array(gain), _array(bias)).reshape(a.shape)
@@ -352,7 +350,7 @@ def layer_norm(a, gain=None, bias=None) -> Tensor:
     def vjp(g):
         # the row means of g * w and g * xhat * w, as products with w
         count = a.shape[-1]
-        w = np.ones(count) if gain is None else _array(gain)
+        w = _array(gain)
         gx = g * xhat
         ga = g * w
         ga -= (g @ w)[..., None] / count
@@ -444,7 +442,7 @@ array_ops = SimpleNamespace(
     add=lambda a, b: np.add(a, b, out=b),
     matmul=_matmul,
     softmax=lambda x, scale=1.0, bias=None: _softmax(np.multiply(x, scale, out=x), bias),
-    layer_norm=lambda x, gain=None, bias=None: _scale_shift(_standardize(x)[0], gain, bias).reshape(x.shape),
+    layer_norm=lambda x, gain, bias: _scale_shift(_standardize(x)[0], gain, bias).reshape(x.shape),
     gelu=_gelu,
     dropout=lambda x, rate, rng: x if rate <= 0.0 else _dropout(x, rng.random(x.shape) >= rate, rate),
     take=lambda a, indices, name="take": a[indices],
@@ -515,7 +513,7 @@ scratch_ops = SimpleNamespace(
     **dict(
         vars(array_ops),
         matmul=_scratch_matmul,
-        layer_norm=lambda x, gain=None, bias=None: (
+        layer_norm=lambda x, gain, bias: (
             _scale_shift(_standardize(x, empty=_scratch)[0], gain, bias).reshape(x.shape)
         ),
         gelu=lambda x: _gelu(x, _scratch),

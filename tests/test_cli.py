@@ -317,6 +317,14 @@ def test_verify_equivalence_passes_and_writes_report(workspace, capsys):
     assert payload["runs"][0]["constant_c"] == 120
 
 
+def test_verify_equivalence_report_runs_have_exactly_their_keys(tmp_path, capsys):
+    out = tmp_path / "equiv.json"
+    assert main(["verify-equivalence", "--n", "3", "--models", "2", "--out", str(out)]) == 0
+    keys = {"n", "pmlm_exact_nats", "aplm_mean_nats", "constant_c", "masked_side", "permutation_side",
+            "max_abs_gap", "tolerance", "duplication_audit", "duplication_ok", "passed"}
+    assert [set(run) for run in json.loads(out.read_text(encoding="utf-8"))["runs"]] == [keys, keys]
+
+
 def test_verify_equivalence_accepts_trained_checkpoint(workspace):
     code = main([
         "verify-equivalence", "--checkpoint", str(workspace / "upmlm.ckpt"),
@@ -569,6 +577,7 @@ def _checkpoint_claiming(layers: int) -> bytes:
         (_TRAIN, "{" + _RUN + ', "x": 1}}'),
         (_TRAIN, '{"corpus_path": "c.txt", "prior": {"kind": "uniform"}}'),
         (_TRAIN, "[1]"),
+        (_TRAIN, "{" + _RUN + ', "r0": 0.3}}'),
         (_GENERATE, '{"config":{"model":{"vocab_size":"12"}},"tensors":{}}\0'),
         (_GENERATE, '{"config":{"model":{"vocab_size":12,"heads":0}},"tensors":{}}\0'),
         (_GENERATE, '{"config":{"model":{"vocab_size":12,"intermediate_size":0}},"tensors":{}}\0'),
@@ -583,13 +592,15 @@ def _checkpoint_claiming(layers: int) -> bytes:
     ids=[
         "checkpoint_header_without_model", "checkpoint_header_list", "run_config_training_bogus",
         "run_config_prior_x", "run_config_without_checkpoint_path", "run_config_list",
+        "run_config_uniform_prior_with_r0",
         "checkpoint_vocab_size_string", "checkpoint_heads_0", "checkpoint_intermediate_size_0",
         "checkpoint_vocab_number", "checkpoint_vocab_of_ints",
         "checkpoint_vocab_shorter_than_vocab_size", "checkpoint_tokenizer_number",
         "checkpoint_30_layers", "checkpoint_1000_layers", "checkpoint_1e9_layers",
     ],
 )
-def test_bad_json_is_a_one_line_error(argv, content, tmp_path, capsys):
+def test_bad_json_is_a_one_line_error(argv, content, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # a run config's relative checkpoint path would land here
     path = tmp_path / "input"
     if isinstance(content, bytes):
         path.write_bytes(content)
@@ -600,6 +611,7 @@ def test_bad_json_is_a_one_line_error(argv, content, tmp_path, capsys):
     assert code == 2
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert len(captured.err) < 1000
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize(
@@ -634,6 +646,33 @@ def test_run_config_value_of_a_wrong_type_is_a_one_line_error(section, key, valu
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert f"'{key}' must be" in captured.err
     assert not (tmp_path / "o.ckpt").exists()
+
+
+@pytest.mark.parametrize(
+    "prior",
+    [
+        {"kind": "uniform", "r0": 0.3},
+        {"kind": "point_mass", "r0": 0.15, "a": 0.2, "b": 0.9},
+        {"kind": "truncated_uniform", "a": 0.1, "b": 0.5, "r0": 0.9},
+    ],
+    ids=["uniform_with_r0", "point_mass_with_bounds", "truncated_with_r0"],
+)
+def test_prior_with_a_parameter_its_kind_ignores_is_a_one_line_error(prior, workspace, tmp_path, capsys):
+    from pmlm.training import preset
+
+    config = preset(
+        "upmlm", str(workspace / "corpus.txt"), str(tmp_path / "o.ckpt"),
+        layers=1, heads=2, hidden_size=16, intermediate_size=32, max_len=16, steps=2, batch_size=2,
+    ).to_dict()
+    config["prior"] = prior
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = main(["train", "--config", str(path), "--quiet"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "prior takes no" in captured.err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 _TAMPERS = {

@@ -2,6 +2,7 @@
 sampler behavior, and replay determinism."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -175,9 +176,9 @@ def test_trace_jsonl_round_trip_fields():
 
 
 def test_greedy_argmax_and_tie_break():
-    assert sample_token(np.array([0.0, 5.0, 1.0]), GREEDY, exclude=()) == 1
+    assert sample_token(np.array([0.0, 0.0, 0.0, 0.0, 5.0, 1.0]), GREEDY) == 4
     # tie: lowest id wins
-    assert sample_token(np.array([2.0, 2.0, 2.0]), GREEDY, exclude=()) == 0
+    assert sample_token(np.array([0.0, 0.0, 0.0, 2.0, 2.0, 2.0]), GREEDY) == 3
 
 
 def test_top_k_one_equals_greedy():
@@ -185,25 +186,35 @@ def test_top_k_one_equals_greedy():
     logits = np.random.default_rng(1).normal(size=20)
     top1 = SamplerSpec(kind="top_k", k=1)
     for _ in range(10):
-        assert sample_token(logits, top1, rng, exclude=()) == sample_token(logits, GREEDY, exclude=())
+        assert sample_token(logits, top1, rng) == sample_token(logits, GREEDY)
 
 
 def test_temperature_sampling_frequencies():
     # softmax([ln 1, ln 3]) = [0.25, 0.75]
-    logits = np.array([math.log(1.0), math.log(3.0)])
+    logits = np.array([0.0, 0.0, 0.0, math.log(1.0), math.log(3.0)])
     rng = np.random.default_rng(2)
     spec = SamplerSpec(kind="temperature", temperature=1.0)
-    draws = [sample_token(logits, spec, rng, exclude=()) for _ in range(10_000)]
-    freq = np.mean(np.array(draws) == 1)
+    draws = [sample_token(logits, spec, rng) for _ in range(10_000)]
+    freq = np.mean(np.array(draws) == 4)
     assert abs(freq - 0.75) < 0.02
 
 
 def test_top_k_restricts_support():
-    logits = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+    logits = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0])
     rng = np.random.default_rng(3)
     spec = SamplerSpec(kind="top_k", k=2, temperature=1.0)
-    draws = {sample_token(logits, spec, rng, exclude=()) for _ in range(200)}
-    assert draws == {3, 4}
+    draws = {sample_token(logits, spec, rng) for _ in range(200)}
+    assert draws == {6, 7}
+
+
+def test_tiny_temperature_draws_the_argmax_without_warnings():
+    # logits / T overflows at T = 1e-320: the gaps to the best logit must be scaled instead
+    row = np.array([0.0, 0.0, 0.0, 1.0, 5.0, 2.0])
+    rng = np.random.default_rng(6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec in (SamplerSpec("temperature", 1e-320), SamplerSpec("top_k", 1e-320, 2)):
+            assert [sample_token(row, spec, rng) for _ in range(5)] == [4] * 5, spec
 
 
 def _top_k_by_lexsort(logits, k, temperature, rng):
@@ -232,14 +243,12 @@ def test_top_k_ties_go_to_the_lower_ids():
         assert got == _top_k_by_lexsort(logits, k, 0.8, np.random.default_rng(seed)), seed
 
 
-def _sample_token_before(logit_row, sampler, rng=None, exclude=(PAD_ID, MASK_ID, UNK_ID)):
+def _sample_token_before(logit_row, sampler, rng=None):
     """sample_token as it was written first: mask a copy of the whole row,
     rank the whole row for top-k, then draw among the finite entries."""
     logits = np.asarray(logit_row, dtype=np.float64).copy()
     keep = np.ones(logits.shape[0], dtype=bool)
-    for ex in exclude:
-        if 0 <= ex < logits.shape[0]:
-            keep[ex] = False
+    keep[[PAD_ID, MASK_ID, UNK_ID]] = False
     logits[~keep] = -np.inf
     if sampler.kind == "greedy":
         return int(np.argmax(logits))
@@ -255,15 +264,14 @@ def _sample_token_before(logit_row, sampler, rng=None, exclude=(PAD_ID, MASK_ID,
 
 def test_sample_token_makes_the_picks_of_the_first_implementation():
     """Same token and same generator state after every draw, on 2,000 seeded
-    rows with ties, per sampler; some rows exclude ids past the vocabulary."""
+    rows with ties, per sampler."""
     samplers = [GREEDY, SamplerSpec("temperature", 0.7), SamplerSpec("top_k", 1.0, 5), SamplerSpec("top_k", 0.9, 1),
                 SamplerSpec("top_k", 1.3, 60)]
     rows = np.round(np.random.default_rng(19).normal(scale=3.0, size=(2000, 60)), 1)
     for spec in samplers:
         rng, oracle = np.random.default_rng(20), np.random.default_rng(20)
         for i, row in enumerate(rows):
-            exclude = (PAD_ID, MASK_ID, UNK_ID) if i % 4 else (7, 59, 60, -1)
-            assert sample_token(row, spec, rng, exclude) == _sample_token_before(row, spec, oracle, exclude), (spec, i)
+            assert sample_token(row, spec, rng) == _sample_token_before(row, spec, oracle), (spec, i)
             assert rng.bit_generator.state == oracle.bit_generator.state
 
 
@@ -276,7 +284,7 @@ def test_special_tokens_never_sampled():
     row[5] = 1.0
     assert sample_token(row, GREEDY) == 5
     with pytest.raises(ValueError, match="excluded"):
-        sample_token(np.zeros(3), GREEDY, exclude=(0, 1, 2))
+        sample_token(np.zeros(3), GREEDY)
 
 
 def test_sampler_spec_validation():
@@ -290,7 +298,7 @@ def test_sampler_spec_validation():
 
 def test_stochastic_sampler_requires_rng():
     with pytest.raises(ValueError, match="rng"):
-        sample_token(np.zeros(5), SamplerSpec(kind="temperature"), rng=None, exclude=())
+        sample_token(np.zeros(5), SamplerSpec(kind="temperature"), rng=None)
 
 
 # ---------------------------------------------------------------------------

@@ -99,10 +99,10 @@ def test_sample_mask_never_masks_padding():
 
 
 def test_pattern_invariants_enforced():
-    with pytest.raises(ValueError, match="sorted"):
-        MaskPattern(indicator=np.array([1, 1, 0], dtype=bool), indices=(1, 0), k=2, n=3)
-    with pytest.raises(ValueError, match="disagrees"):
-        MaskPattern(indicator=np.array([1, 1, 0], dtype=bool), indices=(0,), k=1, n=3)
+    with pytest.raises(ValueError, match="one row"):
+        MaskPattern(np.array([[1, 0], [0, 1]], dtype=bool))
+    pattern = MaskPattern(np.array([0, 1, 0, 1, 1], dtype=bool))
+    assert (pattern.n, pattern.k, pattern.indices) == (5, 3, (1, 3, 4))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ def test_zero_gradient_leaves_params_unchanged():
     p = {"w": Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)}
     p["w"].grad = np.zeros(3)
     before = p["w"].data.copy()
-    opt = Adam(lr=0.1, weight_decay=0.0)
+    opt = Adam(lr=0.1)
     opt.step(p)
     np.testing.assert_array_equal(p["w"].data, before)
     assert opt.step_count == 1
@@ -50,9 +50,3 @@ def test_rejects_non_finite_gradient_naming_parameter():
     np.testing.assert_array_equal(p["ok"].data, before)
     assert opt.step_count == 0
 
-
-def test_decoupled_weight_decay_shrinks_without_gradient():
-    p = {"w": Tensor(np.array(2.0), requires_grad=True)}
-    p["w"].grad = np.array(0.0)
-    Adam(lr=0.1, weight_decay=0.5).step(p)
-    np.testing.assert_allclose(p["w"].data, 2.0 - 0.1 * 0.5 * 2.0, rtol=0, atol=1e-15)

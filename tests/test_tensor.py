@@ -46,7 +46,7 @@ def test_cross_entropy_two_way_tie():
 def test_layer_norm_rows_standardized():
     rng = np.random.default_rng(3)
     x = rng.normal(2.0, 3.0, size=(5, 16))
-    out = T.layer_norm(Tensor(x)).data
+    out = T.layer_norm(Tensor(x), np.ones(16), np.zeros(16)).data
     np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-8)
     np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-8)
 
@@ -57,13 +57,14 @@ def test_array_ops_match_tensor_ops_bit_for_bit():
     for shape in [(1, 1, 64), (16, 40, 64), (3, 7, 256), (5, 63)]:
         x = rng.normal(rng.normal() * 10, 3.0, size=shape)
         expected = (x - x.mean(axis=-1, keepdims=True)) * (1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-12))
-        np.testing.assert_array_equal(T.layer_norm(Tensor(x)).data, expected)
+        ones, zeros = np.ones(shape[-1]), np.zeros(shape[-1])
+        np.testing.assert_array_equal(T.layer_norm(Tensor(x), ones, zeros).data, expected)
         w, gain, bias = rng.normal(size=(shape[-1], 24)), rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
         mask = np.where(rng.random(shape) < 0.2, T.NEG_INF, 0.0)
         for ops in (T.array_ops, T.scratch_ops):  # (16, 40, 64) is the one large enough for scratch
             # softmax and add overwrite an argument, so each call gets its own copy
-            for op in ("layer_norm", "softmax", "gelu"):
-                np.testing.assert_array_equal(getattr(ops, op)(x.copy()), getattr(T, op)(Tensor(x)).data)
+            for op, args in (("layer_norm", (ones, zeros)), ("softmax", ()), ("gelu", ())):
+                np.testing.assert_array_equal(getattr(ops, op)(x.copy(), *args), getattr(T, op)(Tensor(x), *args).data)
             np.testing.assert_array_equal(ops.matmul(x, w, w[0]), T.matmul(x, w, bias=w[0]).data)
             np.testing.assert_array_equal(ops.layer_norm(x, gain, bias), T.layer_norm(x, gain, bias).data)
             np.testing.assert_array_equal(ops.softmax(x.copy(), 0.125, mask), T.softmax(x, 0.125, mask).data)
@@ -140,7 +141,7 @@ def test_overwriting_array_kernels_match_the_tensor_ops_bit_for_bit(data, x, sca
     add write into the copy they get, the others leave their input alone."""
     width = x.shape[-1]
     vectors = hnp.arrays(np.float64, (width,), elements=_VALUES)
-    gain, bias = data.draw(st.none() | vectors), data.draw(st.none() | vectors)
+    gain, bias = data.draw(vectors), data.draw(vectors)
     mask = data.draw(st.none() | _masks(x.shape))
     kept = x.copy()
     np.testing.assert_array_equal(T.array_ops.softmax(x.copy(), scale, mask), T.softmax(x, scale, mask).data)
@@ -175,7 +176,8 @@ def test_fused_forwards_equal_the_unfused_composition_bit_for_bit():
     x = rng.normal(size=(3, 4, 8, 16))
     w, b, gain = rng.normal(size=(16, 24)), rng.normal(size=24), rng.normal(size=16)
     np.testing.assert_array_equal(T.matmul(x, w, bias=b).data, (T.matmul(x, w) + b).data)
-    np.testing.assert_array_equal(T.layer_norm(x, gain, b[:16]).data, (T.layer_norm(x) * gain + b[:16]).data)
+    unfused = T.layer_norm(x, np.ones(16), np.zeros(16)) * gain + b[:16]
+    np.testing.assert_array_equal(T.layer_norm(x, gain, b[:16]).data, unfused.data)
     # attention: scale, then a [PAD]/causal mask (0 or -1e30), then a relative bias
     mask = np.where(rng.random((3, 1, 8, 16)) < 0.3, T.NEG_INF, 0.0)
     rel = rng.normal(size=(4, 8, 16))
@@ -266,7 +268,7 @@ def test_grad_layer_norm():
     rng = np.random.default_rng(8)
     x = Tensor(rng.normal(1.0, 2.0, size=(4, 6)), requires_grad=True)
     w = Tensor(rng.normal(size=(6,)), requires_grad=True)
-    _check_grad(lambda: T.sum_(T.layer_norm(x) * w), x, w)
+    _check_grad(lambda: T.sum_(T.layer_norm(x, np.ones(6), np.zeros(6)) * w), x, w)
 
 
 def test_grad_matmul_bias():
