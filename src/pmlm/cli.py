@@ -18,6 +18,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, write_atomic
 from .data import Vocabulary, detokenize, ingest, write_synthetic_corpus
 from .evaluation import (
+    PPL_MODES,
     bench_latency,
     ppl_bidirectional,
     ppl_causal,
@@ -25,6 +26,7 @@ from .evaluation import (
     render_ppl_table,
 )
 from .generation import (
+    SAMPLER_KINDS,
     GenerationConstraints,
     GenerationOrder,
     SamplerSpec,
@@ -32,7 +34,7 @@ from .generation import (
     generate,
     render_trace_table,
 )
-from .model import Transformer, TransformerConfig
+from .model import POSITIONAL_KINDS, Transformer, TransformerConfig
 from .objectives import verify_equivalence
 from .training import PRESET_NAMES, RunConfig, TrainingDiverged, preset, train
 
@@ -217,12 +219,10 @@ def cmd_verify_equivalence(args) -> int:
         cfg = TransformerConfig(
             vocab_size=12,
             max_len=max(8, args.n),
-            layers=2,
             heads=2,
             hidden_size=16,
             intermediate_size=32,
             dropout_rate=0.0,
-            attention_mode="bidirectional",
         )
         models = [Transformer.init(cfg, seed=args.seed + m) for m in range(args.models)]
         vocab_size = cfg.vocab_size
@@ -270,9 +270,9 @@ def cmd_bench_latency(args) -> int:
 
 
 def _add_sampler_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--sampler", choices=("greedy", "temperature", "top_k"), default="greedy")
-    p.add_argument("--temperature", type=float, default=1.0)
-    p.add_argument("--top-k", type=int, default=40, dest="top_k")
+    p.add_argument("--sampler", choices=SAMPLER_KINDS, default=SamplerSpec.kind)
+    p.add_argument("--temperature", type=float, default=SamplerSpec.temperature)
+    p.add_argument("--top-k", type=int, default=SamplerSpec.k, dest="top_k")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learning-rate", type=float, dest="learning_rate")
     p.add_argument("--seed", type=int)
     p.add_argument("--max-len", type=int, dest="max_len")
-    p.add_argument("--positional", choices=("absolute", "relative"), dest="positional_kind")
+    p.add_argument("--positional", choices=POSITIONAL_KINDS, dest="positional_kind")
     p.add_argument("--loss-log", dest="loss_log_path")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_train)
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-ppl", help="perplexity on a corpus")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--mode", choices=("sequential", "random"), default="sequential")
+    p.add_argument("--mode", choices=PPL_MODES, default=PPL_MODES[0])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval_ppl)

@@ -144,6 +144,8 @@ def ingest(
 
     When ``vocab`` is None a new vocabulary is built from this file;
     otherwise tokens missing from the supplied vocabulary map to [UNK].
+    A token equal to [PAD] or [MASK] is rejected, since it would encode
+    to that special id.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be positive, got {max_len}")
@@ -152,6 +154,11 @@ def ingest(
         text = p.read_text(encoding="utf-8")
     except OSError as e:
         raise ValueError(f"cannot read corpus file {p}: {e}") from e
+    if PAD_TOKEN in text or MASK_TOKEN in text:  # one scan of the text; the lines are read only on a hit
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            reserved = sorted({PAD_TOKEN, MASK_TOKEN}.intersection(tokenize(line, tokenizer_kind)))
+            if reserved:
+                raise ValueError(f"corpus file {p}:{lineno}: token(s) {reserved} are reserved for special ids")
     docs = [tokenize(line, tokenizer_kind) for line in text.splitlines() if line.strip()]
     docs = [d for d in docs if d]
     if not docs:

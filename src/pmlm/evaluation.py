@@ -208,14 +208,8 @@ def bench_latency(
     if not causal_model.is_causal or bidirectional_model.is_causal:
         raise ValueError("bench_latency needs one causal and one bidirectional model")
     ca, bi = causal_model.config, bidirectional_model.config
-    same = (
-        ca.layers == bi.layers
-        and ca.heads == bi.heads
-        and ca.hidden_size == bi.hidden_size
-        and ca.intermediate_size == bi.intermediate_size
-        and ca.vocab_size == bi.vocab_size
-    )
-    if not same:
+    sizes = ("layers", "heads", "hidden_size", "intermediate_size", "vocab_size")
+    if any(getattr(ca, f) != getattr(bi, f) for f in sizes):
         raise ValueError("bench_latency requires models of identical size")
     if length > ca.max_len or length > bi.max_len:
         raise ValueError(f"length {length} exceeds model max_len")

@@ -232,7 +232,7 @@ def generate(
             f"order covers {sorted(set(order.sigma))}, free positions are {sorted(free)}"
         )
     for pos, tok in constraints.anchors.items():
-        if tok >= model.config.vocab_size:
+        if not 0 <= tok < model.config.vocab_size:
             raise ValueError(f"anchor token {tok} outside vocabulary")
 
     seq = np.full(n, MASK_ID, dtype=np.int64)

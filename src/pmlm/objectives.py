@@ -41,8 +41,7 @@ from .masking import enumerate_masks  # noqa: F401  (perfbench/tracer.py patches
 from .model import Transformer
 from .tensor import Tensor
 
-PMLM_EXACT_LIMIT = 8
-APLM_LIMIT = 6
+EXACT_LIMIT = 8
 
 
 @dataclass
@@ -79,65 +78,33 @@ def conditional_log_probs(model: Transformer, x, positions: Sequence[int]) -> np
 # ---------------------------------------------------------------------------
 
 
-def _loss_value(batch_loss: Callable[..., Tensor], count: int, with_grad: bool, *args, **kwargs) -> LossValue:
-    """``batch_loss(*args, **kwargs)``, recording the graph only when ``with_grad`` is set."""
+def _loss_value(batch_loss: Callable[..., Tensor], count: int, with_grad: bool, *args) -> LossValue:
+    """``batch_loss(*args)``, recording the graph only when ``with_grad`` is set."""
     with nullcontext() if with_grad else T.no_grad():
-        loss = batch_loss(*args, **kwargs)
+        loss = batch_loss(*args)
     return LossValue(loss.item(), count, tensor=loss if with_grad else None)
 
 
-def ar_loss(
-    model: Transformer,
-    x,
-    *,
-    with_grad: bool = False,
-    train: bool = False,
-    rng: Optional[np.random.Generator] = None,
-) -> LossValue:
+def ar_loss(model: Transformer, x, *, with_grad: bool = False) -> LossValue:
     """Teacher-forced left-to-right loss: -(1/N) sum_n log p(x_n | x_<n).
 
     The input at position n is x_{n-1} (and [MASK] at the first position),
     so the logit row at n conditions only on the strictly earlier tokens.
     [PAD] positions are neither scored nor attended to.
     """
-    if not model.is_causal:
-        raise ValueError("ar_loss requires a causal model")
     ids = _as_ids(x)
     count = int(np.count_nonzero(ids != PAD_ID))
-    if count == 0:
-        raise ValueError("ar_loss: sequence is all padding")
-    return _loss_value(causal_batch_loss, count, with_grad, model, ids[None, :], train=train, rng=rng)
+    return _loss_value(causal_batch_loss, count, with_grad, model, ids[None, :])
 
 
-def mlm_loss(
-    model: Transformer,
-    x,
-    pattern: MaskPattern,
-    *,
-    with_grad: bool = False,
-    train: bool = False,
-    rng: Optional[np.random.Generator] = None,
-) -> LossValue:
+def mlm_loss(model: Transformer, x, pattern: MaskPattern, *, with_grad: bool = False) -> LossValue:
     """Masked-position loss: -(1/K) sum over masked positions of log p."""
-    if model.is_causal:
-        raise ValueError("mlm_loss requires a bidirectional model")
-    ids = _as_ids(x)
-    if pattern.n != len(ids):
-        raise ValueError(f"pattern length {pattern.n} does not match sequence length {len(ids)}")
     if pattern.k == 0:
         raise ValueError("mlm_loss is undefined for an empty mask (K=0)")
-    return _loss_value(masked_batch_loss, pattern.k, with_grad, model, ids[None, :], [pattern], train=train, rng=rng)
+    return _loss_value(masked_batch_loss, pattern.k, with_grad, model, _as_ids(x)[None, :], [pattern])
 
 
-def pmlm_training_step(
-    model: Transformer,
-    x,
-    prior: MaskingPrior,
-    rng: np.random.Generator,
-    *,
-    with_grad: bool = False,
-    train: bool = False,
-) -> LossValue:
+def pmlm_training_step(model: Transformer, x, prior: MaskingPrior, rng: np.random.Generator) -> LossValue:
     """One-sample estimator of the prior-expected masked loss.
 
     Draws r from the prior, masks i.i.d. at rate r, and scores the masked
@@ -149,8 +116,8 @@ def pmlm_training_step(
     r = sample_ratio(prior, rng)
     pattern = sample_mask(len(ids), r, rng, pad_flags=ids == PAD_ID)
     if pattern.k == 0:
-        return LossValue(0.0, 0, tensor=Tensor(0.0) if with_grad else None)
-    return mlm_loss(model, ids, pattern, with_grad=with_grad, train=train, rng=rng)
+        return LossValue(0.0, 0)
+    return mlm_loss(model, ids, pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -158,14 +125,14 @@ def pmlm_training_step(
 # ---------------------------------------------------------------------------
 
 
-def _exact_input(x, op: str, limit: int) -> np.ndarray:
+def _exact_input(x, op: str) -> np.ndarray:
     ids = _as_ids(x)
     if len(ids) == 0:
         raise ValueError(f"{op} needs a sequence of at least one token")
     if np.any(ids == PAD_ID):
         raise ValueError(f"{op} does not support padded sequences")
-    if len(ids) > limit:
-        raise ValueError(f"{op} enumerates every masked set and is capped at n <= {limit}")
+    if len(ids) > EXACT_LIMIT:
+        raise ValueError(f"{op} enumerates every masked set and is capped at n <= {EXACT_LIMIT}")
     return ids
 
 
@@ -209,7 +176,7 @@ def pmlm_exact_loss(model: Transformer, x, prior: MaskingPrior) -> LossValue:
 
     The K=0 pattern contributes zero by definition. Requires 2^n forwards.
     """
-    ids = _exact_input(x, "pmlm_exact_loss", PMLM_EXACT_LIMIT)
+    ids = _exact_input(x, "pmlm_exact_loss")
     return LossValue(-_masked_sum(*_conditional_table(model, ids), prior), len(ids))
 
 
@@ -221,7 +188,7 @@ def aplm_exact_loss(model: Transformer, x) -> LossValue:
     no separate causal model is involved. Value is the mean NLL per token
     per order: -(1/(n n!)) sum over orders and steps.
     """
-    ids = _exact_input(x, "aplm_exact_loss", APLM_LIMIT)
+    ids = _exact_input(x, "aplm_exact_loss")
     _, table = _conditional_table(model, ids)
     return LossValue(-_order_mean(table) / len(ids), len(ids))
 
@@ -295,7 +262,7 @@ def verify_equivalence(model: Transformer, x, tolerance: float = 1e-9) -> Equiva
     """
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"verify_equivalence needs a finite tolerance above 0, got {tolerance}")
-    ids = _exact_input(x, "verify_equivalence", APLM_LIMIT)
+    ids = _exact_input(x, "verify_equivalence")
     n = len(ids)
     masks, table = _conditional_table(model, ids)
     masked_sum = _masked_sum(masks, table, MaskingPrior.uniform())

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .checkpoint import save_checkpoint
-from .data import Corpus, PAD_ID, ingest, json_object
+from .data import TOKENIZER_KINDS, Corpus, PAD_ID, ingest, json_object
 from .masking import MaskPattern, MaskingPrior, sample_mask, sample_ratio
 from .model import Transformer, TransformerConfig, init_parameters
 from .objectives import causal_batch_loss, masked_batch_loss
@@ -76,7 +76,7 @@ class RunConfig:
 
     def __post_init__(self):
         json_object(self.model, "run config model", _MODEL_FIELDS, types=TransformerConfig)
-        mode = self.model.get("attention_mode", "bidirectional")
+        mode = self.model.get("attention_mode", TransformerConfig.attention_mode)
         if mode == "causal" and self.prior is not None:
             raise ValueError(
                 "a masking prior only applies to masked (bidirectional) training; "
@@ -84,22 +84,14 @@ class RunConfig:
             )
         if mode == "bidirectional" and self.prior is None:
             raise ValueError("bidirectional training requires a masking prior")
-        if self.tokenizer_kind not in ("char", "whitespace"):
+        if self.tokenizer_kind not in TOKENIZER_KINDS:
             raise ValueError(f"unknown tokenizer kind '{self.tokenizer_kind}'")
 
     def model_config(self, vocab_size: int) -> TransformerConfig:
         return TransformerConfig(vocab_size=vocab_size, **self.model)
 
     def to_dict(self) -> dict:
-        return {
-            "corpus_path": self.corpus_path,
-            "checkpoint_path": self.checkpoint_path,
-            "model": dict(self.model),
-            "prior": self.prior.to_dict() if self.prior else None,
-            "training": asdict(self.training),
-            "tokenizer_kind": self.tokenizer_kind,
-            "loss_log_path": self.loss_log_path,
-        }
+        return {**asdict(self), "prior": self.prior.to_dict() if self.prior else None}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -122,30 +114,15 @@ def preset(name: str, corpus_path: str, checkpoint_path: str, **overrides) -> Ru
     """
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset '{name}'; choose from {PRESET_NAMES}")
-    model = {
-        "max_len": 64,
-        "layers": 2,
-        "heads": 4,
-        "hidden_size": 64,
-        "intermediate_size": 256,
-        "dropout_rate": 0.1,
-        "attention_mode": "bidirectional",
-        "positional_kind": "absolute",
-    }
-    prior: Optional[MaskingPrior] = MaskingPrior.uniform()
-    if name == "bert-like":
-        prior = MaskingPrior.point_mass(0.15)
-    if name == "gpt-like":
-        model["attention_mode"] = "causal"
-        prior = None
+    model = {"attention_mode": "causal"} if name == "gpt-like" else {}
+    prior = {"upmlm": MaskingPrior.uniform(), "bert-like": MaskingPrior.point_mass(0.15)}.get(name)
     training_kwargs = {}
     for key, value in overrides.items():
         if key in _MODEL_FIELDS:
             model[key] = value
         else:
             training_kwargs[key] = value
-    if "prior" in training_kwargs:
-        prior = training_kwargs.pop("prior")
+    prior = training_kwargs.pop("prior", prior)
     tokenizer_kind = training_kwargs.pop("tokenizer_kind", "char")
     loss_log_path = training_kwargs.pop("loss_log_path", None)
     return RunConfig(
@@ -191,7 +168,7 @@ def train(config: RunConfig, quiet: bool = False) -> TrainResult:
     corpus = ingest(
         config.corpus_path,
         tokenizer_kind=config.tokenizer_kind,
-        max_len=config.model.get("max_len", 64),
+        max_len=config.model.get("max_len", TransformerConfig.max_len),
     )
     model_cfg = config.model_config(len(corpus.vocab))
     seed = config.training.seed

@@ -325,6 +325,14 @@ def test_verify_equivalence_report_runs_have_exactly_their_keys(tmp_path, capsys
     assert [set(run) for run in json.loads(out.read_text(encoding="utf-8"))["runs"]] == [keys, keys]
 
 
+def test_verify_equivalence_reaches_n_8_and_names_its_cap_past_it(capsys):
+    assert main(["verify-equivalence", "--n", "8"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+    assert main(["verify-equivalence", "--n", "9"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "n <= 8" in err
+
+
 def test_verify_equivalence_accepts_trained_checkpoint(workspace):
     code = main([
         "verify-equivalence", "--checkpoint", str(workspace / "upmlm.ckpt"),
@@ -601,6 +609,7 @@ def _checkpoint_claiming(layers: int) -> bytes:
 )
 def test_bad_json_is_a_one_line_error(argv, content, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # a run config's relative checkpoint path would land here
+    (tmp_path / "c.txt").write_text("the cat sat\n", encoding="utf-8")  # so only the config's defect can fail
     path = tmp_path / "input"
     if isinstance(content, bytes):
         path.write_bytes(content)
@@ -610,8 +619,9 @@ def test_bad_json_is_a_one_line_error(argv, content, tmp_path, monkeypatch, caps
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "corpus file" not in captured.err
     assert len(captured.err) < 1000
-    assert list(tmp_path.iterdir()) == [path]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.txt", "input"]
 
 
 @pytest.mark.parametrize(
@@ -673,6 +683,24 @@ def test_prior_with_a_parameter_its_kind_ignores_is_a_one_line_error(prior, work
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "prior takes no" in captured.err
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_corpus_word_equal_to_a_special_token_is_a_one_line_error(tmp_path, capsys):
+    from pmlm.training import preset
+
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("the [PAD] cat [MASK] sat\n", encoding="utf-8")
+    config = preset(
+        "upmlm", str(corpus), str(tmp_path / "o.ckpt"), tokenizer_kind="whitespace",
+        layers=1, heads=2, hidden_size=16, intermediate_size=32, max_len=16, steps=2, batch_size=2,
+    ).to_dict()
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = main(["train", "--config", str(path), "--quiet"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: corpus file {corpus}:1: ") and captured.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.txt", "run.json"]
 
 
 _TAMPERS = {

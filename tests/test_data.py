@@ -6,6 +6,7 @@ import pytest
 from pmlm.data import (
     MASK_ID,
     PAD_ID,
+    SPECIAL_TOKENS,
     UNK_ID,
     Vocabulary,
     causal_inputs,
@@ -103,6 +104,18 @@ def test_ingest_rejects_a_max_len_below_one(max_len, tmp_path):
     path.write_text("abc\n", encoding="utf-8")
     with pytest.raises(ValueError, match="max_len"):
         ingest(path, "char", max_len=max_len)
+
+
+def test_ingest_rejects_a_word_equal_to_pad_or_mask(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("the cat\n\nthe [PAD] cat [MASK] sat\n", encoding="utf-8")
+    message = r"c\.txt:3: token\(s\) \['\[MASK\]', '\[PAD\]'\] are reserved"
+    with pytest.raises(ValueError, match=message):
+        ingest(path, "whitespace")
+    with pytest.raises(ValueError, match=message):
+        ingest(path, "whitespace", vocab=Vocabulary([*SPECIAL_TOKENS, "the", "cat", "sat"]))
+    # read as characters the line holds no reserved token
+    assert MASK_ID not in ingest(path, "char").sequences[1]
 
 
 def test_unknown_tokens_map_to_unk(tmp_path):

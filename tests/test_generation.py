@@ -134,6 +134,13 @@ def test_generate_rejects_causal_model_and_bad_anchors():
         GenerationConstraints(target_length=4, anchors={9: 5})
 
 
+@pytest.mark.parametrize("token", [-4, 12])
+def test_anchor_token_outside_the_vocabulary_is_rejected_with_no_position_left_to_fill(token):
+    constraints = GenerationConstraints(target_length=3, anchors={0: token, 1: 5, 2: 6})
+    with pytest.raises(ValueError, match="outside vocabulary"):
+        generate(tiny_model(), constraints, GenerationOrder(()))
+
+
 def test_trace_replay_reproduces_run():
     m = tiny_model(seed=7)
     constraints = GenerationConstraints(target_length=8, anchors={2: 6})

@@ -279,8 +279,8 @@ def test_aplm_matches_independent_permutation_walk():
 
 
 def test_aplm_guard():
-    with pytest.raises(ValueError, match="n <= 6"):
-        aplm_exact_loss(tiny_model(), np.full(7, 3))
+    with pytest.raises(ValueError, match="n <= 8"):
+        aplm_exact_loss(tiny_model(), np.full(9, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +299,7 @@ def test_equivalence_single_position_gap_is_zero():
     np.testing.assert_allclose(report.permutation_side, blank, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_equivalence_holds_for_every_length(n):
     m = tiny_model(seed=20 + n)
     rng = np.random.default_rng(n)

@@ -61,11 +61,11 @@ def test_unknown_model_field_rejected():
 def test_presets_have_expected_shapes():
     up = preset("upmlm", "c.txt", "m.ckpt")
     assert up.prior.kind == "uniform"
-    assert up.model["attention_mode"] == "bidirectional"
+    assert up.model_config(10).attention_mode == "bidirectional"
     bert = preset("bert-like", "c.txt", "m.ckpt")
     assert bert.prior.kind == "point_mass" and bert.prior.r0 == 0.15
     gpt = preset("gpt-like", "c.txt", "m.ckpt")
-    assert gpt.prior is None and gpt.model["attention_mode"] == "causal"
+    assert gpt.prior is None and gpt.model_config(10).attention_mode == "causal"
     with pytest.raises(ValueError, match="preset"):
         preset("xlnet", "c.txt", "m.ckpt")
 
