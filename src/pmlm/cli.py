@@ -224,7 +224,7 @@ def cmd_verify_equivalence(args) -> int:
             intermediate_size=32,
             dropout_rate=0.0,
         )
-        models = [Transformer.init(cfg, seed=args.seed + m) for m in range(args.models)]
+        models = (Transformer.init(cfg, seed=args.seed + m) for m in range(args.models))  # each built when verified
         vocab_size = cfg.vocab_size
     rng = np.random.default_rng(args.seed)
     runs = []

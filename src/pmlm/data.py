@@ -58,8 +58,6 @@ class Vocabulary:
         counts: Counter = Counter()
         for doc in documents:
             counts.update(doc)
-        for special in SPECIAL_TOKENS:
-            counts.pop(special, None)
         content = sorted(counts, key=lambda tok: (-counts[tok], tok))
         return cls(list(SPECIAL_TOKENS) + content)
 
@@ -144,8 +142,8 @@ def ingest(
 
     When ``vocab`` is None a new vocabulary is built from this file;
     otherwise tokens missing from the supplied vocabulary map to [UNK].
-    A token equal to [PAD] or [MASK] is rejected, since it would encode
-    to that special id.
+    A token equal to a special token is rejected, since it would encode to
+    that special id.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be positive, got {max_len}")
@@ -154,9 +152,9 @@ def ingest(
         text = p.read_text(encoding="utf-8")
     except OSError as e:
         raise ValueError(f"cannot read corpus file {p}: {e}") from e
-    if PAD_TOKEN in text or MASK_TOKEN in text:  # one scan of the text; the lines are read only on a hit
+    if any(special in text for special in SPECIAL_TOKENS):  # the lines are read only on a hit
         for lineno, line in enumerate(text.splitlines(), start=1):
-            reserved = sorted({PAD_TOKEN, MASK_TOKEN}.intersection(tokenize(line, tokenizer_kind)))
+            reserved = sorted(set(SPECIAL_TOKENS).intersection(tokenize(line, tokenizer_kind)))
             if reserved:
                 raise ValueError(f"corpus file {p}:{lineno}: token(s) {reserved} are reserved for special ids")
     docs = [tokenize(line, tokenizer_kind) for line in text.splitlines() if line.strip()]

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import tensor as T
 from .data import Corpus, MASK_ID, PAD_ID, causal_inputs, used_width
-from .generation import GenerationConstraints, GenerationOrder, SamplerSpec, generate, sample_token
+from .generation import GenerationConstraints, GenerationOrder, SamplerSpec, generate
+from .generation import sample_token  # noqa: F401  (perfbench/tracer.py patches it here)
 from .model import Transformer, _map_slices
 
 PPL_MODES = ("sequential", "random")
@@ -181,14 +182,9 @@ def render_ppl_table(rows: Dict[str, Dict[str, Optional[float]]]) -> str:
 def _generate_causal_cached(
     model: Transformer, length: int, sampler: SamplerSpec, rng: np.random.Generator
 ) -> np.ndarray:
-    if not 0 <= length <= model.config.max_len:
-        raise ValueError(f"decode length {length} outside 0..{model.config.max_len}, the model's max_len")
-    seq = np.full(length + 1, MASK_ID, dtype=np.int64)  # [MASK], then the decoded tokens
-    cache = None
-    for t in range(length):
-        logits, cache = model.forward_incremental(seq[: t + 1], cache)
-        seq[t + 1] = sample_token(logits, sampler, rng)
-    return seq[1:]
+    """``generate`` left to right over ``length`` positions; kept because
+    ``perfbench/workloads.py`` calls it by name."""
+    return generate(model, GenerationConstraints(length), GenerationOrder(tuple(range(length))), sampler, rng)[0]
 
 
 def bench_latency(
@@ -217,36 +213,31 @@ def bench_latency(
         raise ValueError("count and length must be positive")
 
     T._erf()  # scipy's erf loads at the first GELU; load it here so neither timed loop pays the import
-    rng = np.random.default_rng(seed)
-    t0 = time.perf_counter()
-    causal_out = [_generate_causal_cached(causal_model, length, sampler, rng) for _ in range(count)]
-    causal_seconds = time.perf_counter() - t0
-
-    rng = np.random.default_rng(seed)
-    t0 = time.perf_counter()
-    bidir_out = []
-    for _ in range(count):
-        constraints = GenerationConstraints(target_length=length)
-        order = GenerationOrder.random(constraints.free_positions, rng)
-        seq, _ = generate(bidirectional_model, constraints, order, sampler, rng)
-        bidir_out.append(seq)
-    bidir_seconds = time.perf_counter() - t0
+    constraints = GenerationConstraints(target_length=length)
+    free = constraints.free_positions
+    seconds, sequences = {}, {}
+    for kind, model in (("causal", causal_model), ("bidirectional", bidirectional_model)):
+        rng = np.random.default_rng(seed)
+        t0 = time.perf_counter()
+        out = []
+        for _ in range(count):
+            order = GenerationOrder.left_to_right(free) if model.is_causal else GenerationOrder.random(free, rng)
+            out.append(generate(model, constraints, order, sampler, rng)[0])
+        seconds[kind] = time.perf_counter() - t0
+        sequences[kind] = [s.tolist() for s in out]
 
     return {
         "reports": [
-            {"model_kind": kind, "sequence_count": count, "sequence_length": length, "seconds": seconds,
-             "ratio_vs_baseline": seconds / causal_seconds}
-            for kind, seconds in (("causal", causal_seconds), ("bidirectional", bidir_seconds))
+            {"model_kind": kind, "sequence_count": count, "sequence_length": length, "seconds": seconds[kind],
+             "ratio_vs_baseline": seconds[kind] / seconds["causal"]}
+            for kind in seconds
         ],
         "count": count,
         "length": length,
         "cost_note": COST_NOTE,
         "reference_gpu_seconds": REFERENCE_GPU_SECONDS,
         "reference_gpu_ratio": REFERENCE_GPU_SECONDS["bidirectional"] / REFERENCE_GPU_SECONDS["causal"],
-        "sequences": {
-            "causal": [s.tolist() for s in causal_out],
-            "bidirectional": [s.tolist() for s in bidir_out],
-        },
+        "sequences": sequences,
     }
 
 

@@ -1,10 +1,9 @@
 """Arbitrary-order autoregressive generation.
 
 A sequence starts as all [MASK] except for anchor tokens fixed at chosen
-positions. Each step runs a full bidirectional forward on the current
-snapshot, samples a token for the next position in the generation order,
-writes it in, and repeats until no [MASK] remains. Left-to-right generation
-is the identity-order special case.
+positions. Each step samples the next position in the order from its logit
+row, writes the token in, and repeats until no [MASK] remains. A causal
+model decodes left to right after a prefix of anchors, from a key/value cache.
 """
 
 from __future__ import annotations
@@ -214,33 +213,38 @@ def generate(
     sampler: SamplerSpec = SamplerSpec(),
     rng: Optional[np.random.Generator] = None,
 ) -> Tuple[np.ndarray, GenerationTrace]:
-    """Fill every non-anchor position in the given order.
-
-    Starts from all-[MASK] plus anchors; each step runs one forward on the
-    current snapshot (every hidden state is recomputed; the last block and
-    the head only at the next position in the order), samples that row,
-    and reveals it. The order must cover exactly the non-anchor positions.
+    """Fill every non-anchor position in the given order, one per step: a
+    bidirectional model by one forward of the current snapshot (the last block
+    and the head only at that position), a causal model left to right after a
+    prefix of anchors, from one key/value cache. The order must cover exactly
+    the non-anchor positions.
     """
-    if model.is_causal:
-        raise ValueError("generate requires a bidirectional model")
     n = constraints.target_length
     check_length(model, n)
-    free = set(constraints.free_positions)
-    if set(order.sigma) != free:
+    free = constraints.free_positions
+    if sorted(order.sigma) != free:
         raise ValueError(
             "generation order and anchors must partition the positions: "
-            f"order covers {sorted(set(order.sigma))}, free positions are {sorted(free)}"
+            f"order covers {sorted(set(order.sigma))}, free positions are {free}"
         )
+    if model.is_causal and order.sigma != tuple(range(n - len(free), n)):
+        raise ValueError("a causal model generates only left to right, after anchors that form a prefix (the prompt)")
     for pos, tok in constraints.anchors.items():
         if not 0 <= tok < model.config.vocab_size:
             raise ValueError(f"anchor token {tok} outside vocabulary")
 
-    seq = np.full(n, MASK_ID, dtype=np.int64)
+    inputs = np.full(n + 1, MASK_ID, dtype=np.int64)  # [MASK], then the sequence: a causal model's inputs
+    seq = inputs[1:]
     for pos, tok in constraints.anchors.items():
         seq[pos] = tok
     trace = GenerationTrace(target_length=n, anchors=dict(constraints.anchors))
+    cache = None
     for step, pos in enumerate(order.sigma):
-        token = sample_token(model.logits(seq, rows=[pos])[0], sampler, rng)
+        if model.is_causal:
+            row, cache = model.forward_incremental(inputs[: pos + 1], cache)
+        else:
+            row = model.logits(seq, rows=[pos])[0]
+        token = sample_token(row, sampler, rng)
         seq[pos] = token
         trace.steps.append(TraceStep(step=step, position=pos, token=token, snapshot=tuple(seq.tolist())))
     return seq, trace

@@ -212,6 +212,23 @@ def test_generate_explicit_order_file(workspace):
     assert payload["order"] == [3, 1, 2, 4]
 
 
+def test_generate_decodes_a_causal_checkpoint_left_to_right_only(workspace, tmp_path, capsys):
+    ckpt = str(workspace / "gpt.ckpt")
+    trace = tmp_path / "ltr.jsonl"
+    assert main(["generate", "--checkpoint", ckpt, "--length", "12", "--order", "ltr", "--trace", str(trace)]) == 0
+    assert len(capsys.readouterr().out.splitlines()[0]) == 12  # char tokens: one character per position
+    records = [json.loads(line) for line in trace.read_text(encoding="utf-8").splitlines()]
+    assert [r["position"] for r in records] == list(range(1, 13))
+    anchors = tmp_path / "anchors.txt"
+    anchors.write_text("2:t\n", encoding="utf-8")  # not a prefix: position 1 is free
+    for extra in ([], ["--order", "ltr", "--anchors", str(anchors)]):
+        trace = tmp_path / "rejected.jsonl"
+        assert main(["generate", "--checkpoint", ckpt, "--length", "12", "--trace", str(trace), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "left to right" in err
+        assert not trace.exists()
+
+
 def test_eval_ppl_sequential_bidirectional(workspace):
     out = workspace / "ppl.json"
     assert main([
@@ -323,6 +340,18 @@ def test_verify_equivalence_report_runs_have_exactly_their_keys(tmp_path, capsys
     keys = {"n", "pmlm_exact_nats", "aplm_mean_nats", "constant_c", "masked_side", "permutation_side",
             "max_abs_gap", "tolerance", "duplication_audit", "duplication_ok", "passed"}
     assert [set(run) for run in json.loads(out.read_text(encoding="utf-8"))["runs"]] == [keys, keys]
+
+
+def test_verify_equivalence_builds_each_fresh_model_when_it_verifies_it(monkeypatch):
+    import pmlm.cli as cli_mod
+    from pmlm.model import Transformer
+
+    calls = []
+    init, verify = Transformer.init, cli_mod.verify_equivalence
+    monkeypatch.setattr(Transformer, "init", classmethod(lambda cls, *a, **k: calls.append("init") or init(*a, **k)))
+    monkeypatch.setattr(cli_mod, "verify_equivalence", lambda *a, **k: calls.append("verify") or verify(*a, **k))
+    assert main(["verify-equivalence", "--n", "2", "--models", "3"]) == 0
+    assert calls == ["init", "verify"] * 3
 
 
 def test_verify_equivalence_reaches_n_8_and_names_its_cap_past_it(capsys):

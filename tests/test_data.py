@@ -116,6 +116,11 @@ def test_ingest_rejects_a_word_equal_to_pad_or_mask(tmp_path):
         ingest(path, "whitespace", vocab=Vocabulary([*SPECIAL_TOKENS, "the", "cat", "sat"]))
     # read as characters the line holds no reserved token
     assert MASK_ID not in ingest(path, "char").sequences[1]
+    # [UNK] is reserved too: it would ingest as UNK_ID, like a word the vocabulary lacks
+    path.write_text("the cat\nthe [UNK] cat sat\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"c\.txt:2: token\(s\) \['\[UNK\]'\] are reserved"):
+        ingest(path, "whitespace")
+    assert UNK_ID not in ingest(path, "char").sequences[1]
 
 
 def test_unknown_tokens_map_to_unk(tmp_path):

@@ -380,13 +380,13 @@ def test_cached_decode_rejects_a_length_outside_the_model_before_decoding(monkey
     model = tiny_model(seed=12, attention_mode="causal")  # max_len 8
     steps = []
     monkeypatch.setattr(model, "forward_incremental", lambda *args: steps.append(args))
-    for length in (-1, 9):
-        with pytest.raises(ValueError, match=f"decode length {length} outside 0..8"):
+    for length, message in ((0, "target_length must be >= 1"), (-1, "target_length must be >= 1"),
+                            (9, "target_length 9 exceeds model max_len 8")):
+        with pytest.raises(ValueError, match=message):
             _generate_causal_cached(model, length, SamplerSpec(), np.random.default_rng(0))
     assert steps == []
     monkeypatch.undo()
     assert len(_generate_causal_cached(model, 8, SamplerSpec(), np.random.default_rng(0))) == 8
-    assert len(_generate_causal_cached(model, 0, SamplerSpec(), np.random.default_rng(0))) == 0
 
 
 def test_bench_latency_requires_matching_sizes_and_modes():

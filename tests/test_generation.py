@@ -121,17 +121,58 @@ def test_order_anchor_partition_enforced():
 
 
 def test_generate_rejects_causal_model_and_bad_anchors():
-    with pytest.raises(ValueError, match="bidirectional"):
-        generate(
-            tiny_model(attention_mode="causal"),
-            GenerationConstraints(target_length=2),
-            GenerationOrder.explicit([0, 1]),
-            GREEDY,
-        )
+    causal = tiny_model(attention_mode="causal")
+    for constraints, sigma in (
+        (GenerationConstraints(target_length=4), [1, 0, 2, 3]),  # not left to right
+        (GenerationConstraints(target_length=4, anchors={1: 5}), [0, 2, 3]),  # an anchor past a free position
+    ):
+        with pytest.raises(ValueError, match="causal model generates only left to right"):
+            generate(causal, constraints, GenerationOrder.explicit(sigma), GREEDY)
     with pytest.raises(ValueError, match="MASK"):
         GenerationConstraints(target_length=4, anchors={1: MASK_ID})
     with pytest.raises(ValueError, match="outside"):
         GenerationConstraints(target_length=4, anchors={9: 5})
+
+
+def _old_generate_causal_cached(model, length, sampler, rng):
+    """The causal decoder that lived beside ``generate`` before the two loops
+    were one, kept verbatim as an oracle."""
+    if not 0 <= length <= model.config.max_len:
+        raise ValueError(f"decode length {length} outside 0..{model.config.max_len}, the model's max_len")
+    seq = np.full(length + 1, MASK_ID, dtype=np.int64)  # [MASK], then the decoded tokens
+    cache = None
+    for t in range(length):
+        logits, cache = model.forward_incremental(seq[: t + 1], cache)
+        seq[t + 1] = sample_token(logits, sampler, rng)
+    return seq[1:]
+
+
+@pytest.mark.parametrize("positional", ["absolute", "relative"])
+@pytest.mark.parametrize(
+    "sampler", [GREEDY, SamplerSpec(kind="top_k", k=3), SamplerSpec(kind="temperature", temperature=0.9)],
+    ids=["greedy", "top_k", "temperature"],
+)
+def test_causal_generate_matches_the_old_cached_decoder(positional, sampler):
+    m = tiny_model(seed=13, attention_mode="causal", positional_kind=positional)  # max_len 8
+    draws = 0 if sampler.kind == "greedy" else 1  # rng draws per sampled token
+    for seed in range(4):
+        expected = _old_generate_causal_cached(m, 8, sampler, np.random.default_rng(seed))
+        constraints = GenerationConstraints(target_length=8)
+        seq, trace = generate(m, constraints, GenerationOrder.left_to_right(range(8)), sampler,
+                              np.random.default_rng(seed))
+        np.testing.assert_array_equal(seq, expected)
+        assert trace.order == tuple(range(8))
+        assert [s.token for s in trace.steps] == expected.tolist()
+
+        # a prompt of the oracle's first three tokens continues as the oracle did
+        rng = np.random.default_rng(seed)
+        rng.random(3 * draws)
+        prompt = GenerationConstraints(8, {i: int(t) for i, t in enumerate(expected[:3])})
+        seq, trace = generate(m, prompt, GenerationOrder.left_to_right(range(3, 8)), sampler, rng)
+        np.testing.assert_array_equal(seq, expected)
+        rng = np.random.default_rng(seed)
+        rng.random(3 * draws)
+        np.testing.assert_array_equal(replay_trace(m, trace, sampler, rng), expected)
 
 
 @pytest.mark.parametrize("token", [-4, 12])
