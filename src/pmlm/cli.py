@@ -137,6 +137,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if args.order_file and args.order != "file":
+        raise ValueError(f"--order-file requires --order file, got --order {args.order}")
     model, vocab, tokenizer_kind = _load_model(args.checkpoint)
     rng = np.random.default_rng(args.seed)
     anchors: Dict[int, int] = {}
@@ -210,6 +212,8 @@ def cmd_verify_equivalence(args) -> int:
     if args.models < 1:
         raise ValueError(f"--models must be at least 1, got {args.models}")
     if args.checkpoint:
+        if args.models != 1:
+            raise ValueError(f"--models counts fresh models; --checkpoint verifies one, got --models {args.models}")
         model, _, _ = _load_model(args.checkpoint)
         if model.is_causal:
             raise ValueError("verify-equivalence needs a bidirectional model")

@@ -188,7 +188,7 @@ def _truncated_log_alpha(n: int, k: int, a: float, b: float) -> float:
 def mask_matrix(n: int) -> np.ndarray:
     """All 2^n masked sets as a (2^n, n) bool matrix: row ``bits`` masks i iff bit i is set."""
     if n > ENUMERATION_LIMIT:
-        raise ValueError(f"enumerate_masks supports n <= {ENUMERATION_LIMIT}, got {n}")
+        raise ValueError(f"every exact enumeration is capped at n <= {ENUMERATION_LIMIT}, got {n}")
     if n < 0:
         raise ValueError("n must be non-negative")
     return (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)

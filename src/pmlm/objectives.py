@@ -25,7 +25,6 @@ side a recursion over the sets that averages all n! generation orders.
 
 from __future__ import annotations
 
-import itertools
 import math
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
@@ -40,8 +39,6 @@ from .masking import MaskingPrior, MaskPattern, mask_matrix, mask_probability, s
 from .masking import enumerate_masks  # noqa: F401  (perfbench/tracer.py patches it on this module)
 from .model import Transformer
 from .tensor import Tensor
-
-EXACT_LIMIT = 8
 
 
 @dataclass
@@ -131,8 +128,6 @@ def _exact_input(x, op: str) -> np.ndarray:
         raise ValueError(f"{op} needs a sequence of at least one token")
     if np.any(ids == PAD_ID):
         raise ValueError(f"{op} does not support padded sequences")
-    if len(ids) > EXACT_LIMIT:
-        raise ValueError(f"{op} enumerates every masked set and is capped at n <= {EXACT_LIMIT}")
     return ids
 
 
@@ -157,18 +152,33 @@ def _masked_sum(masks: np.ndarray, table: np.ndarray, prior: MaskingPrior) -> fl
     return float(np.sum(alpha[sizes[rows]] * table[rows].sum(axis=1) / sizes[rows]))
 
 
-def _order_mean(table: np.ndarray) -> float:
+def _order_mean(masks: np.ndarray, table: np.ndarray) -> float:
     """Mean total log-likelihood over all n! generation orders, each step
     predicting one position with the not-yet-revealed set S masked. A random
     order's first step over S predicts each pos in S with probability 1/|S|, so
     H(S) = (1/|S|) sum_{pos in S} [table[S, pos] + H(S - pos)], H(empty) = 0."""
-    n = table.shape[1]
     rows = table.tolist()
     h = [0.0] * len(rows)
-    for bits in range(1, len(rows)):
-        members = [pos for pos in range(n) if bits >> pos & 1]
+    for bits, m in enumerate(masks.tolist()[1:], 1):
+        members = [pos for pos, masked in enumerate(m) if masked]
         h[bits] = sum(rows[bits][pos] + h[bits & ~(1 << pos)] for pos in members) / len(members)
     return h[-1]
+
+
+def _order_counts(masks: np.ndarray) -> np.ndarray:
+    """How many of the n! generation orders predict pos with the set S masked,
+    as a (2^n, n) int64 table indexed [S, pos] like the table of conditionals.
+    O(X), the number of orders of the set X, takes ``_order_mean``'s step:
+    O(empty) = 1, O(X) = sum_{p in X} O(X - p). An order that predicts pos with
+    S masked reveals the complement of S, then pos, then the rest of S, so the
+    entry is O(full - S) O(S - pos) for pos in S and 0 elsewhere. The orders are
+    counted, not read from math.factorial, as the audit checks that closed form."""
+    orders = [1] * len(masks)
+    for bits, m in enumerate(masks.tolist()[1:], 1):
+        orders[bits] = sum(orders[bits & ~(1 << pos)] for pos, masked in enumerate(m) if masked)
+    orders = np.array(orders, dtype=np.int64)
+    bits = np.arange(len(masks))[:, None]
+    return np.where(masks, orders[(len(masks) - 1) ^ bits] * orders[bits & ~(1 << np.arange(masks.shape[1]))], 0)
 
 
 def pmlm_exact_loss(model: Transformer, x, prior: MaskingPrior) -> LossValue:
@@ -189,8 +199,7 @@ def aplm_exact_loss(model: Transformer, x) -> LossValue:
     per order: -(1/(n n!)) sum over orders and steps.
     """
     ids = _exact_input(x, "aplm_exact_loss")
-    _, table = _conditional_table(model, ids)
-    return LossValue(-_order_mean(table) / len(ids), len(ids))
+    return LossValue(-_order_mean(*_conditional_table(model, ids)) / len(ids), len(ids))
 
 
 # ---------------------------------------------------------------------------
@@ -198,31 +207,14 @@ def aplm_exact_loss(model: Transformer, x) -> LossValue:
 # ---------------------------------------------------------------------------
 
 
-def count_permutation_conditionals(n: int) -> Dict[Tuple[int, int], int]:
-    """Exhaustively count, over all n! orders, how many times each distinct
-    (masked set, predicted position) conditional occurs. Keys are
-    (bitmask of the masked set, position)."""
-    counts: Dict[Tuple[int, int], int] = {}
-    for sigma in itertools.permutations(range(n)):
-        bits = (1 << n) - 1
-        for pos in sigma:
-            key = (bits, pos)
-            counts[key] = counts.get(key, 0) + 1
-            bits &= ~(1 << pos)
-    return counts
-
-
 def audit_duplication_factors(n: int) -> Tuple[Dict[int, int], bool]:
-    """Group the permutation counts by masked-set size k and compare every
-    group against (n-k)! (k-1)! in exact integer arithmetic.
-
-    Returns ({k: expected factor}, all groups matched).
-    """
-    counts = count_permutation_conditionals(n)
+    """Compare, in exact integers, the order count of every (masked set of size
+    k, member position) conditional against (n-k)! (k-1)! and every other count
+    against 0. Returns ({k: expected factor}, all counts matched)."""
+    masks = mask_matrix(n)
     expected = {k: math.factorial(n - k) * math.factorial(k - 1) for k in range(1, n + 1)}
-    ok = all(count == expected[bin(bits).count("1")] for (bits, _pos), count in counts.items())
-    # every (masked set of size k, member position) pair must appear
-    return expected, ok and len(counts) == sum(math.comb(n, k) * k for k in range(1, n + 1))
+    factor = np.array([0, *expected.values()], dtype=np.int64)[masks.sum(axis=1)]
+    return expected, bool(np.array_equal(_order_counts(masks), np.where(masks, factor[:, None], 0)))
 
 
 @dataclass
@@ -255,7 +247,7 @@ def verify_equivalence(model: Transformer, x, tolerance: float = 1e-9) -> Equiva
     Both sides read one table of conditionals and weight it differently: the
     left sums it over the 2^n mask patterns with the analytic alpha, the right
     averages it over all n! orders by a recursion over the masked sets. The
-    duplication audit counts the orders' conditionals in integers, without it.
+    duplication audit counts the orders by the same recursion, in integers.
     The report records both normalization conventions: the permutation mean
     shown here, and the same sum divided by c = (n+1)!, under which the
     right side equals the left without the (n+1) factor.
@@ -266,7 +258,7 @@ def verify_equivalence(model: Transformer, x, tolerance: float = 1e-9) -> Equiva
     n = len(ids)
     masks, table = _conditional_table(model, ids)
     masked_sum = _masked_sum(masks, table, MaskingPrior.uniform())
-    perm_mean = _order_mean(table)
+    perm_mean = _order_mean(masks, table)
 
     gap = abs((n + 1) * masked_sum - perm_mean)
     audit, audit_ok = audit_duplication_factors(n)

@@ -212,6 +212,20 @@ def test_generate_explicit_order_file(workspace):
     assert payload["order"] == [3, 1, 2, 4]
 
 
+@pytest.mark.parametrize("order", [[], ["--order", "random"], ["--order", "ltr"]], ids=["default", "random", "ltr"])
+def test_generate_order_file_without_order_file_mode_is_a_one_line_error(order, workspace, tmp_path, capsys):
+    order_file = tmp_path / "order.txt"
+    order_file.write_text("4 3 2 1\n", encoding="utf-8")
+    out = tmp_path / "gen.json"
+    assert main([
+        "generate", "--checkpoint", str(workspace / "upmlm.ckpt"), "--length", "4",
+        "--order-file", str(order_file), *order, "--out", str(out),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "--order-file" in err
+    assert not out.exists()
+
+
 def test_generate_decodes_a_causal_checkpoint_left_to_right_only(workspace, tmp_path, capsys):
     ckpt = str(workspace / "gpt.ckpt")
     trace = tmp_path / "ltr.jsonl"
@@ -354,12 +368,12 @@ def test_verify_equivalence_builds_each_fresh_model_when_it_verifies_it(monkeypa
     assert calls == ["init", "verify"] * 3
 
 
-def test_verify_equivalence_reaches_n_8_and_names_its_cap_past_it(capsys):
-    assert main(["verify-equivalence", "--n", "8"]) == 0
+def test_verify_equivalence_reaches_n_10_and_names_its_cap_past_16(capsys):
+    assert main(["verify-equivalence", "--n", "10"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "PASS"
-    assert main(["verify-equivalence", "--n", "9"]) == 2
+    assert main(["verify-equivalence", "--n", "17"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1 and "n <= 8" in err
+    assert err.startswith("error:") and err.count("\n") == 1 and "n <= 16" in err
 
 
 def test_verify_equivalence_accepts_trained_checkpoint(workspace):
@@ -368,6 +382,18 @@ def test_verify_equivalence_accepts_trained_checkpoint(workspace):
         "--n", "3", "--seed", "1",
     ])
     assert code == 0
+
+
+def test_verify_equivalence_rejects_models_with_a_checkpoint(workspace, tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    assert main([
+        "verify-equivalence", "--checkpoint", str(workspace / "upmlm.ckpt"),
+        "--n", "3", "--models", "5", "--out", str(out),
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1 and "--models" in captured.err
+    assert "PASS" not in captured.out
+    assert not out.exists()
 
 
 def test_bench_latency_emits_two_column_table(workspace, capsys):

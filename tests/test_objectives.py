@@ -16,15 +16,15 @@ from scipy.special import log_softmax as sp_log_softmax
 import pmlm.model as model_mod
 from pmlm import tensor as T
 from pmlm.data import MASK_ID, PAD_ID
-from pmlm.masking import MaskingPrior, MaskPattern
+from pmlm.masking import MaskingPrior, MaskPattern, mask_matrix
 from pmlm.model import Transformer, TransformerConfig
 from pmlm.objectives import (
+    _order_counts,
     aplm_exact_loss,
     ar_loss,
     audit_duplication_factors,
     causal_batch_loss,
     conditional_log_probs,
-    count_permutation_conditionals,
     masked_batch_loss,
     mlm_loss,
     pmlm_exact_loss,
@@ -223,8 +223,8 @@ def test_pmlm_exact_matches_independent_enumeration(prior):
 
 
 def test_pmlm_exact_guard():
-    with pytest.raises(ValueError, match="n <= 8"):
-        pmlm_exact_loss(tiny_model(max_len=16), np.full(9, 3), MaskingPrior.uniform())
+    with pytest.raises(ValueError, match="n <= 16"):
+        pmlm_exact_loss(tiny_model(max_len=17), np.full(17, 3), MaskingPrior.uniform())
 
 
 def test_training_step_mean_converges_to_exact():
@@ -279,8 +279,8 @@ def test_aplm_matches_independent_permutation_walk():
 
 
 def test_aplm_guard():
-    with pytest.raises(ValueError, match="n <= 8"):
-        aplm_exact_loss(tiny_model(), np.full(9, 3))
+    with pytest.raises(ValueError, match="n <= 16"):
+        aplm_exact_loss(tiny_model(max_len=17), np.full(17, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +299,9 @@ def test_equivalence_single_position_gap_is_zero():
     np.testing.assert_allclose(report.permutation_side, blank, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 10, 12])
 def test_equivalence_holds_for_every_length(n):
-    m = tiny_model(seed=20 + n)
+    m = tiny_model(seed=20 + n, max_len=max(8, n))
     rng = np.random.default_rng(n)
     x = rng.integers(3, 12, size=n)
     report = verify_equivalence(m, x)
@@ -321,12 +321,32 @@ def test_equivalence_relates_the_two_loss_values():
     np.testing.assert_allclose((4 + 1) * pm, 4 * ap, rtol=0, atol=1e-10)
 
 
+def walk_order_counts(n):
+    """Oracle: walk all n! orders and count, at [masked set, position], each
+    step that predicts the position with that set still masked."""
+    counts = np.zeros((1 << n, n), dtype=np.int64)
+    for sigma in itertools.permutations(range(n)):
+        bits = (1 << n) - 1
+        for pos in sigma:
+            counts[bits, pos] += 1
+            bits &= ~(1 << pos)
+    return counts
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_order_counts_match_the_walk_over_every_order(n):
+    got = _order_counts(mask_matrix(n))
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, walk_order_counts(n))
+
+
 def test_duplication_counts_specific_group():
     # n=5, masked set of size 2: each (set, member) pair appears 3! 1! = 6 times
-    counts = count_permutation_conditionals(5)
+    counts = _order_counts(mask_matrix(5))
     bits = (1 << 1) | (1 << 3)
-    assert counts[(bits, 1)] == 6
-    assert counts[(bits, 3)] == 6
+    assert counts[bits, 1] == 6
+    assert counts[bits, 3] == 6
+    assert counts[bits, 0] == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
