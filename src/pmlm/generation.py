@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .data import MASK_ID, PAD_ID, UNK_ID, Vocabulary, detokenize
-from .model import Transformer
+from .model import Transformer, _array_ops
 
 EXCLUDED_CANDIDATES = (PAD_ID, MASK_ID, UNK_ID)
 
@@ -214,10 +214,12 @@ def generate(
     rng: Optional[np.random.Generator] = None,
 ) -> Tuple[np.ndarray, GenerationTrace]:
     """Fill every non-anchor position in the given order, one per step: a
-    bidirectional model by one forward of the current snapshot (the last block
-    and the head only at that position), a causal model left to right after a
-    prefix of anchors, from one key/value cache. The order must cover exactly
-    the non-anchor positions.
+    bidirectional model by one no-grad run of the block on the current
+    snapshot (the last block and the head only at that position), a causal
+    model left to right after a prefix of anchors, from one key/value cache.
+    The order must cover exactly the non-anchor positions. The inputs are
+    checked once, here: with ``sample_token``'s candidate ids, that covers
+    every token the steps give the block, so they skip ``forward``'s checks.
     """
     n = constraints.target_length
     check_length(model, n)
@@ -238,12 +240,14 @@ def generate(
     for pos, tok in constraints.anchors.items():
         seq[pos] = tok
     trace = GenerationTrace(target_length=n, anchors=dict(constraints.anchors))
-    cache = None
+    ops, arrays, cache = _array_ops(model.config, n, n), model._arrays(), None
     for step, pos in enumerate(order.sigma):
-        if model.is_causal:
-            row, cache = model.forward_incremental(inputs[: pos + 1], cache)
+        if not model.is_causal:
+            row = model._run(ops, arrays, seq[None, :], rows=np.array([[pos]]))[0, 0]
+        elif cache is None:
+            row, cache = model.forward_incremental(inputs[: pos + 1])
         else:
-            row = model.logits(seq, rows=[pos])[0]
+            row = model._extend(cache, inputs[: pos + 1])
         token = sample_token(row, sampler, rng)
         seq[pos] = token
         trace.steps.append(TraceStep(step=step, position=pos, token=token, snapshot=tuple(seq.tolist())))

@@ -526,8 +526,15 @@ class Transformer:
             raise ValueError("forward_incremental: prefix does not extend the cached prefix")
         if n == start:
             raise ValueError("forward_incremental: no new positions beyond the cache")
+        return self._extend(cache, ids), cache
 
+    def _extend(self, cache: DecodeCache, ids: np.ndarray) -> np.ndarray:
+        """Logit row for the last position of the prefix ``ids`` (n,), once
+        ``_decode_rows`` has run the positions past the cache's and the cache
+        holds them: the step ``forward_incremental`` runs after its checks. It
+        checks nothing: ``ids`` must extend the cached prefix by valid tokens."""
+        start, n = cache.length, ids.shape[0]
         logits = self._decode_rows(cache, ids, start)
         cache.tokens[start:n] = ids[start:]
         cache.length = n
-        return logits[-1], cache
+        return logits[-1]

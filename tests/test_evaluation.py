@@ -356,14 +356,14 @@ def test_greedy_cached_decode_follows_the_full_forward_at_preset_size(positional
     the full forward's row within 1e-9, and each token is its argmax."""
     cfg = dataclasses.replace(preset("gpt-like", "", "").model_config(40), positional_kind=positional)
     model = Transformer.init(cfg, seed=3)
-    incremental, steps = model.forward_incremental, []
+    extend, steps = model._extend, []
 
-    def spy(prefix, cache=None):
-        row, cache = incremental(prefix, cache)
+    def spy(cache, prefix):  # every cached step, forward_incremental's first one too, ends in _extend
+        row = extend(cache, prefix)
         steps.append((prefix.copy(), row))
-        return row, cache
+        return row
 
-    monkeypatch.setattr(model, "forward_incremental", spy)
+    monkeypatch.setattr(model, "_extend", spy)
     tokens = _generate_causal_cached(model, 64, SamplerSpec(), np.random.default_rng(0))
     prefix = np.concatenate([[MASK_ID], tokens[:-1]])
     full = model.logits(prefix)

@@ -2,6 +2,7 @@
 sampler behavior, and replay determinism."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -12,11 +13,13 @@ from pmlm.generation import (
     GenerationConstraints,
     GenerationOrder,
     SamplerSpec,
+    TraceStep,
     generate,
     generate_left_to_right,
     replay_trace,
     sample_token,
 )
+from pmlm.model import Transformer
 
 from helpers import tiny_model
 
@@ -173,6 +176,88 @@ def test_causal_generate_matches_the_old_cached_decoder(positional, sampler):
         rng = np.random.default_rng(seed)
         rng.random(3 * draws)
         np.testing.assert_array_equal(replay_trace(m, trace, sampler, rng), expected)
+
+
+def _checked_generate(model, constraints, order, sampler, rng):
+    """generate's loop as it was while every step went through ``logits`` or
+    ``forward_incremental``, which check the whole sequence again; kept as an
+    oracle. Returns the sequence and the trace steps."""
+    n = constraints.target_length
+    inputs = np.full(n + 1, MASK_ID, dtype=np.int64)
+    seq = inputs[1:]
+    for pos, tok in constraints.anchors.items():
+        seq[pos] = tok
+    steps, cache = [], None
+    for step, pos in enumerate(order.sigma):
+        if model.is_causal:
+            row, cache = model.forward_incremental(inputs[: pos + 1], cache)
+        else:
+            row = model.logits(seq, rows=[pos])[0]
+        token = sample_token(row, sampler, rng)
+        seq[pos] = token
+        steps.append(TraceStep(step=step, position=pos, token=token, snapshot=tuple(seq.tolist())))
+    return seq, steps
+
+
+@pytest.mark.parametrize("length", [8, 64])  # at 64 the block runs on tensor.scratch_ops
+@pytest.mark.parametrize("mode", ["bidirectional", "causal"])
+@pytest.mark.parametrize(
+    "sampler", [GREEDY, SamplerSpec(kind="top_k", k=3), SamplerSpec(kind="temperature", temperature=0.9)],
+    ids=["greedy", "top_k", "temperature"],
+)
+def test_generate_matches_a_loop_through_the_checked_entry_points(length, mode, sampler):
+    m = tiny_model(seed=17, attention_mode=mode, max_len=length)
+    for seed in range(3):
+        if mode == "causal":  # a prompt
+            constraints = GenerationConstraints(length, {0: 4, 1: 7, 2: 3})
+            order = GenerationOrder.left_to_right(constraints.free_positions)
+        else:  # anchors, in a random order
+            constraints = GenerationConstraints(length, {1: 5, length - 3: 9, length // 2: 11})
+            order = GenerationOrder.random(constraints.free_positions, np.random.default_rng(seed))
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        seq, trace = generate(m, constraints, order, sampler, rng)
+        expected, steps = _checked_generate(m, constraints, order, sampler, oracle)
+        np.testing.assert_array_equal(seq, expected)
+        assert trace.steps == steps
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "mode, constraints, sigma, message",
+    [
+        (mode, *case)
+        for mode in ("bidirectional", "causal")
+        for case in (
+            (GenerationConstraints(4, {0: 12}), [1, 2, 3], "anchor token 12 outside vocabulary"),
+            (GenerationConstraints(9), range(9), "target_length 9 exceeds model max_len 8"),
+            (GenerationConstraints(4, {0: 5}), [1, 2], "generation order and anchors must partition the positions"),
+        )
+    ]
+    + [
+        ("causal", GenerationConstraints(4, {1: 5}), [0, 2, 3],
+         "a causal model generates only left to right, after anchors that form a prefix (the prompt)"),
+    ],
+)
+def test_generate_rejects_bad_input_before_the_block_runs(monkeypatch, mode, constraints, sigma, message):
+    calls = []
+
+    def spy(name):
+        original = getattr(Transformer, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(Transformer, name, wrapper)
+
+    spy("_run")
+    spy("_decode_rows")
+    m = tiny_model(attention_mode=mode)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generate(m, constraints, GenerationOrder.explicit(sigma), GREEDY)
+    assert calls == []
+    generate(m, GenerationConstraints(2), GenerationOrder.explicit([0, 1]), GREEDY)
+    assert len(calls) == 2  # the spies see the block's steps
 
 
 @pytest.mark.parametrize("token", [-4, 12])
