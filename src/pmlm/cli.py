@@ -215,8 +215,6 @@ def cmd_verify_equivalence(args) -> int:
         if args.models != 1:
             raise ValueError(f"--models counts fresh models; --checkpoint verifies one, got --models {args.models}")
         model, _, _ = _load_model(args.checkpoint)
-        if model.is_causal:
-            raise ValueError("verify-equivalence needs a bidirectional model")
         models = [model]
         vocab_size = model.config.vocab_size
     else:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import Corpus, MASK_ID, PAD_ID, causal_inputs, used_width
-from .generation import GenerationConstraints, GenerationOrder, SamplerSpec, generate
+from .generation import GenerationConstraints, GenerationOrder, SamplerSpec, check_length, generate
 from .generation import sample_token  # noqa: F401  (perfbench/tracer.py patches it here)
 from .model import Transformer, _map_slices
 
@@ -207,8 +207,8 @@ def bench_latency(
     sizes = ("layers", "heads", "hidden_size", "intermediate_size", "vocab_size")
     if any(getattr(ca, f) != getattr(bi, f) for f in sizes):
         raise ValueError("bench_latency requires models of identical size")
-    if length > ca.max_len or length > bi.max_len:
-        raise ValueError(f"length {length} exceeds model max_len")
+    for model in (causal_model, bidirectional_model):
+        check_length(model, length)
     if count < 1 or length < 1:
         raise ValueError("count and length must be positive")
 

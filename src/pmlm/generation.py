@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .data import MASK_ID, PAD_ID, UNK_ID, Vocabulary, detokenize
-from .model import Transformer, _array_ops
+from .model import DecodeCache, Transformer, _array_ops
 
 EXCLUDED_CANDIDATES = (PAD_ID, MASK_ID, UNK_ID)
 
@@ -219,7 +219,8 @@ def generate(
     model left to right after a prefix of anchors, from one key/value cache.
     The order must cover exactly the non-anchor positions. The inputs are
     checked once, here: with ``sample_token``'s candidate ids, that covers
-    every token the steps give the block, so they skip ``forward``'s checks.
+    every token the steps give the block, so they skip the checks of
+    ``forward`` and ``forward_incremental``.
     """
     n = constraints.target_length
     check_length(model, n)
@@ -240,14 +241,13 @@ def generate(
     for pos, tok in constraints.anchors.items():
         seq[pos] = tok
     trace = GenerationTrace(target_length=n, anchors=dict(constraints.anchors))
-    ops, arrays, cache = _array_ops(model.config, n, n), model._arrays(), None
+    ops, arrays = _array_ops(model.config, n, n), model._arrays()
+    cache = DecodeCache(model) if model.is_causal else None
     for step, pos in enumerate(order.sigma):
-        if not model.is_causal:
-            row = model._run(ops, arrays, seq[None, :], rows=np.array([[pos]]))[0, 0]
-        elif cache is None:
-            row, cache = model.forward_incremental(inputs[: pos + 1])
-        else:
+        if model.is_causal:
             row = model._extend(cache, inputs[: pos + 1])
+        else:
+            row = model._run(ops, arrays, seq[None, :], rows=np.array([[pos]]))[0, 0]
         token = sample_token(row, sampler, rng)
         seq[pos] = token
         trace.steps.append(TraceStep(step=step, position=pos, token=token, snapshot=tuple(seq.tolist())))

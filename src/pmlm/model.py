@@ -456,13 +456,16 @@ class Transformer:
         x = ops.layer_norm(h, p["ln_f.gain"], p["ln_f.bias"])
         return ops.matmul(x, p["out.w"], bias=p["out.b"])
 
-    def _decode_rows(self, cache: DecodeCache, ids: np.ndarray, start: int) -> np.ndarray:
-        """Logits (n - start, vocab) of positions start..n-1 of the prefix ``ids``
-        (n,), which attend to the cached keys and values of 0..start-1 and add
-        their own: the block of ``_run`` on (rows, hidden) arrays with the bits of
-        its no-grad forward, whose in-place kernels get only arrays made here."""
+    def _extend(self, cache: DecodeCache, ids: np.ndarray) -> np.ndarray:
+        """Logit row for the last position of the prefix ``ids`` (n,). The
+        positions past the cache's attend to its keys and values and add their
+        own, which the cache then holds: the block of ``_run`` on (rows, hidden)
+        arrays with the bits of its no-grad forward, whose in-place kernels get
+        only arrays made here. The one cached decode step; it checks nothing, so
+        ``ids`` must extend the cached prefix by valid tokens."""
         cfg, p = self.config, cache.arrays
-        n, r = ids.shape[0], ids.shape[0] - start
+        start, n = cache.length, ids.shape[0]
+        r = n - start
         queries = np.arange(start, n)
         h = p["tok_emb"][ids[start:]]
         bias = None
@@ -483,7 +486,10 @@ class Transformer:
             attn = T._softmax(np.multiply(e, scale, out=e), bias)
             h += T._matmul((attn @ values[:, :n]).transpose(1, 0, 2).reshape(r, cfg.hidden_size), wo, bo)
             h += T._matmul(T._gelu(T._matmul(norm(h, g2, b2), w_in, b_in)), w_out, b_out)
-        return T._matmul(norm(h, p["ln_f.gain"], p["ln_f.bias"]), p["out.w"], p["out.b"])
+        logits = T._matmul(norm(h, p["ln_f.gain"], p["ln_f.bias"]), p["out.w"], p["out.b"])
+        cache.tokens[start:n] = ids[start:]
+        cache.length = n
+        return logits[-1]
 
     # ------------------------------------------------------------------
     # incremental forward (causal decode path)
@@ -496,13 +502,12 @@ class Transformer:
 
         Only causal attention admits this: later tokens cannot change the
         hidden states of earlier ones, so each call checks the positions the
-        cache has not seen and runs the block on just those, as the rows of
-        ``_decode_rows``. The cache must come from an earlier call on this
+        cache has not seen and runs the block on just those through
+        ``_extend``. The cache must come from an earlier call on this
         model with the same parameter arrays. Bidirectional models must rerun
         a full forward after every new token and are rejected here.
         """
-        cfg = self.config
-        if cfg.attention_mode != "causal":
+        if not self.is_causal:
             raise ValueError(
                 "forward_incremental requires causal attention; bidirectional "
                 "models update every hidden state per step and need a full forward"
@@ -516,25 +521,12 @@ class Transformer:
             raise ValueError("forward_incremental: cache filled by another model")
         elif not all(a is t.data for a, t in zip(cache.arrays.values(), self.params.values())):
             raise ValueError("forward_incremental: cache filled before the model's parameters were rebound")
-        start, n = cache.length, ids.shape[0]
-        new = ids[start:].tolist()
-        if not (new and n <= cfg.max_len and PAD_ID < min(new) and max(new) < cfg.vocab_size):
-            self._validate_tokens(ids[None, :], start)  # the quick test failed: name the fault, in order
-            if PAD_ID in new:
-                raise ValueError("forward_incremental: prefix must not contain [PAD]")
+        start = cache.length
+        self._validate_tokens(ids[None, :], start)
+        if PAD_ID in ids[start:]:
+            raise ValueError("forward_incremental: prefix must not contain [PAD]")
         if ids[:start].tobytes() != cache.tokens[:start].tobytes():  # also when n < start
             raise ValueError("forward_incremental: prefix does not extend the cached prefix")
-        if n == start:
+        if ids.shape[0] == start:
             raise ValueError("forward_incremental: no new positions beyond the cache")
         return self._extend(cache, ids), cache
-
-    def _extend(self, cache: DecodeCache, ids: np.ndarray) -> np.ndarray:
-        """Logit row for the last position of the prefix ``ids`` (n,), once
-        ``_decode_rows`` has run the positions past the cache's and the cache
-        holds them: the step ``forward_incremental`` runs after its checks. It
-        checks nothing: ``ids`` must extend the cached prefix by valid tokens."""
-        start, n = cache.length, ids.shape[0]
-        logits = self._decode_rows(cache, ids, start)
-        cache.tokens[start:n] = ids[start:]
-        cache.length = n
-        return logits[-1]

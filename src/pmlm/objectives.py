@@ -63,6 +63,8 @@ def conditional_log_probs(model: Transformer, x, positions: Sequence[int]) -> np
     The model input carries [MASK] at every position in ``positions`` and the
     true tokens elsewhere; one bidirectional forward scores all of them.
     """
+    if model.is_causal:
+        raise ValueError("conditional_log_probs requires a bidirectional model: a causal row cannot see later positions")
     ids = _as_ids(x)
     pos = list(positions)
     inputs = ids.copy()

@@ -384,6 +384,18 @@ def test_verify_equivalence_accepts_trained_checkpoint(workspace):
     assert code == 0
 
 
+def test_verify_equivalence_rejects_a_causal_checkpoint(workspace, tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    assert main([
+        "verify-equivalence", "--checkpoint", str(workspace / "gpt.ckpt"), "--n", "3", "--out", str(out),
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "requires a bidirectional model" in captured.err
+    assert "PASS" not in captured.out
+    assert not out.exists()
+
+
 def test_verify_equivalence_rejects_models_with_a_checkpoint(workspace, tmp_path, capsys):
     out = tmp_path / "verify.json"
     assert main([

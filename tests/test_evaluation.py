@@ -358,7 +358,7 @@ def test_greedy_cached_decode_follows_the_full_forward_at_preset_size(positional
     model = Transformer.init(cfg, seed=3)
     extend, steps = model._extend, []
 
-    def spy(cache, prefix):  # every cached step, forward_incremental's first one too, ends in _extend
+    def spy(cache, prefix):  # every cached step is one _extend
         row = extend(cache, prefix)
         steps.append((prefix.copy(), row))
         return row
@@ -379,7 +379,7 @@ def test_greedy_cached_decode_follows_the_full_forward_at_preset_size(positional
 def test_cached_decode_rejects_a_length_outside_the_model_before_decoding(monkeypatch):
     model = tiny_model(seed=12, attention_mode="causal")  # max_len 8
     steps = []
-    monkeypatch.setattr(model, "forward_incremental", lambda *args: steps.append(args))
+    monkeypatch.setattr(model, "_extend", lambda *args: steps.append(args))
     for length, message in ((0, "target_length must be >= 1"), (-1, "target_length must be >= 1"),
                             (9, "target_length 9 exceeds model max_len 8")):
         with pytest.raises(ValueError, match=message):

@@ -251,7 +251,7 @@ def test_generate_rejects_bad_input_before_the_block_runs(monkeypatch, mode, con
         monkeypatch.setattr(Transformer, name, wrapper)
 
     spy("_run")
-    spy("_decode_rows")
+    spy("_extend")
     m = tiny_model(attention_mode=mode)
     with pytest.raises(ValueError, match=re.escape(message)):
         generate(m, constraints, GenerationOrder.explicit(sigma), GREEDY)

@@ -2,6 +2,7 @@
 incremental decoding against the full-forward oracle."""
 
 import os
+import re
 import sys
 import threading
 import time
@@ -226,6 +227,29 @@ def test_incremental_checks_the_new_positions_with_the_forward_messages():
             m.forward_incremental(np.array(prefix), cache)
     row, _ = m.forward_incremental(np.array([3, 4, 5]), cache)  # the rejected calls left the cache as it was
     np.testing.assert_allclose(row, m.logits(np.array([3, 4, 5]))[-1], rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "cached, prefix, message",
+    [
+        (None, [], "forward: empty token sequence"),
+        (None, [3] * 9, "forward: sequence length 9 exceeds max_len 8"),
+        ([3, 4], [3, 4, -1], "forward: token id -1 at position 2 outside vocabulary of size 12"),
+        ([3, 4], [3, 4, 5, 12], "forward: token id 12 at position 3 outside vocabulary of size 12"),
+        ([3, 4], [3, 4, 5, PAD_ID], "forward_incremental: prefix must not contain [PAD]"),
+        ([3, 4], [3, 4, PAD_ID, 12], "forward: token id 12 at position 3 outside vocabulary of size 12"),
+        ([3, 4], [3, 5, 6], "forward_incremental: prefix does not extend the cached prefix"),
+        ([3, 4], [3, 4], "forward_incremental: no new positions beyond the cache"),
+    ],
+    ids=["empty", "past-max-len", "negative-id", "id-past-vocab", "pad", "pad-and-id-past-vocab",
+         "not-extending", "no-new-positions"],
+)
+def test_incremental_rejects_bad_prefixes_with_these_exact_messages(cached, prefix, message):
+    m = tiny_model(seed=11, attention_mode="causal")  # vocab 12, max_len 8
+    cache = None if cached is None else m.forward_incremental(np.array(cached))[1]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        m.forward_incremental(np.array(prefix, dtype=np.int64), cache)
+    assert cache is None or cache.length == len(cached)
 
 
 def test_incremental_rejects_a_cache_of_another_model_or_of_rebound_parameters():

@@ -480,6 +480,26 @@ def test_conditional_log_probs_matches_oracle():
     np.testing.assert_allclose(got, [oracle[1], oracle[3]], rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize(
+    "enumeration",
+    [
+        lambda m, x: conditional_log_probs(m, x, [1, 2]),
+        lambda m, x: pmlm_exact_loss(m, x, MaskingPrior.uniform()),
+        aplm_exact_loss,
+        verify_equivalence,
+    ],
+    ids=["conditional_log_probs", "pmlm_exact_loss", "aplm_exact_loss", "verify_equivalence"],
+)
+def test_exact_enumerations_reject_a_causal_model_before_any_forward(monkeypatch, enumeration):
+    """A causal row does not condition on the later positions, so its table of
+    conditionals would pass the identity without being the conditionals."""
+    calls, run = [], Transformer._run
+    monkeypatch.setattr(Transformer, "_run", lambda *args, **kwargs: calls.append(args) or run(*args, **kwargs))
+    with pytest.raises(ValueError, match="conditional_log_probs requires a bidirectional model"):
+        enumeration(tiny_model(seed=37, attention_mode="causal"), np.array([3, 4, 5, 6]))
+    assert calls == []
+
+
 # the batch's all-[PAD] tail is cut before the forward; these pin that the
 # cut changes neither the loss nor any parameter gradient
 TRIM_BATCHES = {
