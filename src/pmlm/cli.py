@@ -121,6 +121,9 @@ def cmd_make_corpus(args) -> int:
 
 def cmd_train(args) -> int:
     if args.config:
+        given = [a.option_strings[0] for a in args.run_flags if getattr(args, a.dest) is not None]
+        if given:
+            raise ValueError(f"--config holds the whole run and excludes {', '.join(given)}")
         config = RunConfig.from_json_file(args.config)
     else:
         if not (args.preset and args.corpus and args.checkpoint):
@@ -246,16 +249,7 @@ def cmd_verify_equivalence(args) -> int:
 
 
 def cmd_bench_latency(args) -> int:
-    max_len = max(args.length, 64)
-    base = dict(
-        vocab_size=args.vocab_size,
-        max_len=max_len,
-        layers=args.layers,
-        heads=args.heads,
-        hidden_size=args.hidden_size,
-        intermediate_size=args.intermediate_size,
-        dropout_rate=0.0,
-    )
+    base = dict(vocab_size=30, max_len=max(args.length, 64), dropout_rate=0.0)  # the other sizes are the presets'
     causal = Transformer.init(TransformerConfig(attention_mode="causal", **base), seed=args.seed)
     bidir = Transformer.init(TransformerConfig(attention_mode="bidirectional", **base), seed=args.seed)
     result = bench_latency(
@@ -288,19 +282,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_make_corpus)
 
     p = sub.add_parser("train", help="train a preset or a JSON run config")
-    p.add_argument("--config", help="JSON run config (overrides all other flags)")
-    p.add_argument("--preset", choices=PRESET_NAMES)
-    p.add_argument("--corpus")
-    p.add_argument("--checkpoint")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-len", type=int, dest="max_len")
-    p.add_argument("--positional", choices=POSITIONAL_KINDS, dest="positional_kind")
-    p.add_argument("--loss-log", dest="loss_log_path")
+    p.add_argument("--config", help="JSON run config (excludes every flag below but --quiet)")
+    run_flags = [
+        p.add_argument("--preset", choices=PRESET_NAMES),
+        p.add_argument("--corpus"),
+        p.add_argument("--checkpoint"),
+        p.add_argument("--steps", type=int),
+        p.add_argument("--batch-size", type=int, dest="batch_size"),
+        p.add_argument("--learning-rate", type=float, dest="learning_rate"),
+        p.add_argument("--seed", type=int),
+        p.add_argument("--max-len", type=int, dest="max_len"),
+        p.add_argument("--positional", choices=POSITIONAL_KINDS, dest="positional_kind"),
+        p.add_argument("--loss-log", dest="loss_log_path"),
+    ]
     p.add_argument("--quiet", action="store_true")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, run_flags=run_flags)
 
     p = sub.add_parser("generate", help="generate text in an arbitrary order")
     p.add_argument("--checkpoint", required=True)
@@ -332,15 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify_equivalence)
 
-    p = sub.add_parser("bench-latency", help="cached causal vs full-recompute bidirectional decode")
+    p = sub.add_parser("bench-latency", help="cached causal vs full-recompute bidirectional decode at preset size")
     p.add_argument("--count", type=int, default=4)
     p.add_argument("--length", type=int, default=48)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--hidden-size", type=int, default=64, dest="hidden_size")
-    p.add_argument("--intermediate-size", type=int, default=256, dest="intermediate_size")
-    p.add_argument("--vocab-size", type=int, default=30, dest="vocab_size")
     p.add_argument("--out")
     _add_sampler_args(p)
     p.set_defaults(func=cmd_bench_latency)

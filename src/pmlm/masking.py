@@ -204,11 +204,6 @@ def enumerate_masks(n: int) -> List[MaskPattern]:
 # ---------------------------------------------------------------------------
 
 
-def uniform_alpha_fraction(n: int, k: int) -> Fraction:
-    """alpha under the uniform prior as an exact rational: (n-k)! k! / (n+1)!."""
-    return Fraction(math.factorial(n - k) * math.factorial(k), math.factorial(n + 1))
-
-
 def beta_factorial_identity_holds(n: int, k: int) -> bool:
     """B(n-k+1, k+1) * (n+1)! == (n-k)! k! in exact arithmetic.
 

@@ -34,6 +34,9 @@ PRESET_NAMES = ("upmlm", "bert-like", "gpt-like")
 
 _MODEL_FIELDS = tuple(f.name for f in fields(TransformerConfig) if f.name != "vocab_size")
 
+#: Steps between the parameter snapshots that a diverged run falls back to.
+SNAPSHOT_EVERY = 200
+
 
 class TrainingDiverged(RuntimeError):
     pass
@@ -45,7 +48,6 @@ class TrainingSettings:
     batch_size: int = 16
     learning_rate: float = 1e-3
     seed: int = 0
-    snapshot_every: int = 200
 
     def __post_init__(self):
         if self.seed is None:
@@ -54,8 +56,6 @@ class TrainingSettings:
             raise ValueError("steps and batch_size must be positive")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
-        if self.snapshot_every < 1:
-            raise ValueError(f"snapshot_every must be at least 1, got {self.snapshot_every}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainingSettings":
@@ -192,7 +192,7 @@ def train(config: RunConfig, quiet: bool = False) -> TrainResult:
         save_checkpoint(config.checkpoint_path, model, extra)
         return TrainingDiverged(
             f"{problem} at step {step}; last good checkpoint "
-            f"(step {max(0, step - step % config.training.snapshot_every)}) retained"
+            f"(step {max(0, step - step % SNAPSHOT_EVERY)}) retained"
         )
 
     loss_log_path = Path(config.loss_log_path) if config.loss_log_path else None
@@ -231,7 +231,7 @@ def train(config: RunConfig, quiet: bool = False) -> TrainResult:
             if log:
                 log.write(json.dumps({"step": step, "loss": loss}) + "\n")
                 log.flush()
-            if (step + 1) % config.training.snapshot_every == 0:
+            if (step + 1) % SNAPSHOT_EVERY == 0:
                 snapshot = {name: p.data.copy() for name, p in model.params.items()}
             if not quiet and (step % 100 == 0 or step == config.training.steps - 1):
                 print(f"step {step:>6}  loss {loss:.6f}", flush=True)

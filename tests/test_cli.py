@@ -410,16 +410,31 @@ def test_verify_equivalence_rejects_models_with_a_checkpoint(workspace, tmp_path
 
 def test_bench_latency_emits_two_column_table(workspace, capsys):
     out = workspace / "bench.json"
-    code = main([
-        "bench-latency", "--count", "1", "--length", "4", "--seed", "0",
-        "--layers", "1", "--hidden-size", "16", "--heads", "2",
-        "--intermediate-size", "32", "--out", str(out),
-    ])
+    code = main(["bench-latency", "--count", "1", "--length", "4", "--seed", "0", "--out", str(out)])
     assert code == 0
     text = capsys.readouterr().out
     assert "Models" in text and "Cost Time" in text
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert [r["model_kind"] for r in payload["reports"]] == ["causal", "bidirectional"]
+
+
+@pytest.mark.parametrize("length, max_len", [(4, 64), (80, 80)])
+def test_bench_latency_runs_preset_size_models(length, max_len, monkeypatch, capsys):
+    import pmlm.cli as cli_mod
+    from pmlm.model import TransformerConfig
+
+    real, configs = cli_mod.bench_latency, []
+
+    def spy(causal, bidirectional, **kwargs):
+        configs.extend([causal.config, bidirectional.config])
+        return real(causal, bidirectional, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "bench_latency", spy)
+    assert main(["bench-latency", "--count", "1", "--length", str(length)]) == 0
+    assert configs == [
+        TransformerConfig(vocab_size=30, max_len=max_len, dropout_rate=0.0, attention_mode=mode)
+        for mode in ("causal", "bidirectional")
+    ]
 
 
 def test_unreadable_checkpoint_is_reported(workspace, capsys):
@@ -435,9 +450,6 @@ def test_unreadable_checkpoint_is_reported(workspace, capsys):
         ["verify-equivalence", "--tolerance", "inf"],
         ["verify-equivalence", "--tolerance", "nan"],
         ["verify-equivalence", "--tolerance", "-1"],
-        ["bench-latency", "--count", "1", "--length", "4", "--heads", "0"],
-        ["bench-latency", "--count", "1", "--length", "4", "--hidden-size", "0"],
-        ["bench-latency", "--count", "1", "--length", "4", "--intermediate-size", "0"],
         ["verify-equivalence", "--n", "-3"],
         ["train", "--preset", "upmlm", "--corpus", "{tmp}/c.txt", "--checkpoint", "{tmp}/m.ckpt", "--seed", "-1"],
         ["generate", "--checkpoint", "{tmp}/m.ckpt", "--length", "4", "--seed", "-1"],
@@ -453,7 +465,6 @@ def test_unreadable_checkpoint_is_reported(workspace, capsys):
     ids=[
         "verify_n_0", "verify_models_0", "make_corpus_negative_bytes",
         "verify_tolerance_inf", "verify_tolerance_nan", "verify_tolerance_negative",
-        "bench_latency_heads_0", "bench_latency_hidden_size_0", "bench_latency_intermediate_size_0",
         "verify_n_negative", "train_seed_negative", "generate_seed_negative", "eval_ppl_seed_negative",
         "bench_latency_length_unallocatable", "train_batch_size_unallocatable", "train_max_len_unallocatable",
     ],
@@ -536,21 +547,58 @@ def test_run_config_with_a_nan_learning_rate_is_a_one_line_error(workspace, tmp_
     assert not (tmp_path / "o.ckpt").exists()
 
 
-def test_run_config_with_snapshot_every_zero_is_a_one_line_error(workspace, tmp_path, capsys):
+def test_run_config_naming_snapshot_every_is_a_one_line_error(workspace, tmp_path, capsys):
     from pmlm.training import preset
 
     config = preset(
         "upmlm", str(workspace / "corpus.txt"), str(tmp_path / "o.ckpt"),
         layers=1, heads=2, hidden_size=16, intermediate_size=32, max_len=16, steps=1, batch_size=2,
     ).to_dict()
-    config["training"]["snapshot_every"] = 0
+    config["training"]["snapshot_every"] = 200
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     code = main(["train", "--config", str(path), "--quiet"])
     err = capsys.readouterr().err
     assert code == 2
-    assert err == "error: snapshot_every must be at least 1, got 0\n"
+    assert err == "error: run config training has unknown key(s) ['snapshot_every']\n"
     assert not (tmp_path / "o.ckpt").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--preset", "gpt-like"], "--preset"),
+        (["--corpus", "{corpus}"], "--corpus"),
+        (["--checkpoint", "{tmp}/other.ckpt"], "--checkpoint"),
+        (["--steps", "7"], "--steps"),
+        (["--batch-size", "2"], "--batch-size"),
+        (["--learning-rate", "0.01"], "--learning-rate"),
+        (["--seed", "3"], "--seed"),
+        (["--max-len", "16"], "--max-len"),
+        (["--positional", "relative"], "--positional"),
+        (["--loss-log", "{tmp}/loss.jsonl"], "--loss-log"),
+        (["--steps", "7", "--preset", "gpt-like", "--checkpoint", "{tmp}/other.ckpt", "--quiet"],
+         "--preset, --checkpoint, --steps"),
+    ],
+    ids=["preset", "corpus", "checkpoint", "steps", "batch_size", "learning_rate", "seed", "max_len",
+         "positional", "loss_log", "several"],
+)
+def test_config_with_another_run_flag_is_a_one_line_error(flags, named, workspace, tmp_path, capsys):
+    from pmlm.training import preset
+
+    config = preset(
+        "upmlm", str(workspace / "corpus.txt"), str(tmp_path / "o.ckpt"),
+        layers=1, heads=2, hidden_size=16, intermediate_size=32, max_len=16, steps=2, batch_size=2,
+    )
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config.to_dict()), encoding="utf-8")
+    flags = [f.replace("{tmp}", str(tmp_path)).replace("{corpus}", str(workspace / "corpus.txt")) for f in flags]
+    code = main(["train", "--config", str(path), *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: --config holds the whole run and excludes {named}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("temperature", ["nan", "inf"])

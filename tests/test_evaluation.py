@@ -239,18 +239,29 @@ def test_reports_are_unchanged_at_one_sequence_per_slice(monkeypatch):
 def test_reports_are_the_same_on_one_and_two_workers(monkeypatch):
     """Sequential and random bidirectional reports and causal reports compare
     equal whether one thread scores slices of 2 sequences or two threads
-    score slices of 1, and the two-worker runs really use two threads."""
+    score slices of 1, and the two-worker runs really use two threads.
+
+    A tiny slice runs well inside the interpreter's switch interval, so the
+    calling thread could take every slice before a pool thread starts; in
+    the two-worker pass the first forward waits until a second thread enters.
+    It is the first sequence's, 8 snapshots in 8 slices, so a second comes."""
     seqs = [[3, 4, 5, 6, 7, 8, 9, 10], [6, 7, 8, 9, 3], [4, 4, 10, 11, 5, 3, 9, 8], [11, 3], [5, 3, 6]]
     corpus = make_corpus(seqs, max_len=8)
     m = tiny_model(seed=21)
     mc = tiny_model(seed=21, attention_mode="causal")
     # 2 sequences of width 8 fit, at 8 * 8 * intermediate_size bytes each
     monkeypatch.setattr(model_mod, "_SLICE_BYTES", 2 * 8 * 8 * m.config.intermediate_size)
-    threads = set()
+    threads, lock, second = set(), threading.Lock(), threading.Event()
 
     def spying(forward):
         def spy(tokens, **kwargs):
-            threads.add(threading.get_ident())
+            with lock:
+                hold = workers == 2 and not threads
+                threads.add(threading.get_ident())
+                if len(threads) == 2:
+                    second.set()
+            if hold:
+                assert second.wait(10), "no second thread ran a forward within 10 s"
             return forward(tokens, **kwargs)
         return spy
 

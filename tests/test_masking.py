@@ -17,10 +17,14 @@ from pmlm.masking import (
     mask_probability,
     sample_mask,
     sample_ratio,
-    uniform_alpha_fraction,
 )
 
 from helpers import truncated_alpha_fraction
+
+
+def uniform_alpha_fraction(n: int, k: int) -> Fraction:
+    """alpha under the uniform prior as an exact rational: (n-k)! k! / (n+1)!."""
+    return Fraction(math.factorial(n - k) * math.factorial(k), math.factorial(n + 1))
 
 
 def quad_alpha(n: int, k: int, a: float = 0.0, b: float = 1.0) -> float:
