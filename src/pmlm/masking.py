@@ -172,15 +172,19 @@ def mask_probability(pattern: MaskPattern, prior: MaskingPrior) -> MaskWeight:
     return MaskWeight(_truncated_log_alpha(n, k, prior.a, prior.b))
 
 
+def _beta_integral(n: int, k: int, a: float, b: float) -> Fraction:
+    """The integral of r^k (1-r)^(n-k) over [a, b] as an exact rational, taken term by term on
+    the binomial expansion of (1-r)^(n-k): sum_j C(n-k, j) (-1)^j (b^e - a^e) / e, e = k+j+1."""
+    fa, fb = Fraction(a), Fraction(b)
+    return sum(math.comb(n - k, j) * (-1) ** j * (fb**e - fa**e) / e for j, e in enumerate(range(k + 1, n + 2)))
+
+
 @lru_cache(maxsize=None)
 def _truncated_log_alpha(n: int, k: int, a: float, b: float) -> float:
-    """log of (1/(b-a)) sum_j C(n-k, j) (-1)^j (b^e - a^e) / e, e = k+j+1, summed in Fractions.
-
-    Only t in alpha = 2^s (1 + t), |t| < 1/2, is rounded: log1p(t) + s log 2 neither underflows nor cancels.
+    """log of ``_beta_integral(n, k, a, b) / (b - a)``, exact until one rounding: only t in
+    alpha = 2^s (1 + t), |t| < 1/2, is rounded, so log1p(t) + s log 2 neither underflows nor cancels.
     """
-    fa, fb = Fraction(a), Fraction(b)
-    terms = enumerate(range(k + 1, n + 2))
-    x = sum(math.comb(n - k, j) * (-1) ** j * (fb**e - fa**e) / e for j, e in terms) / (fb - fa)
+    x = _beta_integral(n, k, a, b) / (Fraction(b) - Fraction(a))
     s = round(math.log2(x.numerator) - math.log2(x.denominator))
     return math.log1p(float(x * Fraction(2) ** -s - 1)) + s * math.log(2)
 
@@ -207,11 +211,9 @@ def enumerate_masks(n: int) -> List[MaskPattern]:
 def beta_factorial_identity_holds(n: int, k: int) -> bool:
     """B(n-k+1, k+1) * (n+1)! == (n-k)! k! in exact arithmetic.
 
-    The Beta value is the integral of r^k (1-r)^(n-k) over [0, 1], taken
-    term by term on the binomial expansion of (1-r)^(n-k) as an exact
-    rational, without the factorial closed form it is checked against:
-    sum_j C(n-k, j) (-1)^j / (k+j+1).
+    The Beta value is ``_beta_integral`` over [0, 1], the exact sum the
+    truncated prior reads, taken without the factorial closed form it is
+    checked against.
     """
-    beta = sum(Fraction((-1) ** j * math.comb(n - k, j), k + j + 1) for j in range(n - k + 1))
-    product = beta * math.factorial(n + 1)
+    product = _beta_integral(n, k, 0, 1) * math.factorial(n + 1)
     return product.denominator == 1 and product == math.factorial(n - k) * math.factorial(k)

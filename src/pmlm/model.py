@@ -366,20 +366,16 @@ class Transformer:
             logits = ops.reshape(logits, shape + (cfg.vocab_size,))
         return logits if recording else Tensor(logits)
 
-    def logits(self, tokens, *, rows=None) -> np.ndarray:
+    def logits(self, tokens) -> np.ndarray:
         """Evaluation-mode forward on plain arrays, recording no graph: the
-        logits array of ``forward(tokens, rows=rows)`` under ``no_grad``, run as
-        forwards of at most ``_slice_size`` sequences at the caller's width on
-        ``_workers`` threads, so every logit has the bits of one unsliced forward.
-        ``rows`` that do not fit the whole batch go to one forward, which rejects them."""
+        logits array of ``forward(tokens)`` under ``no_grad``, run as forwards
+        of at most ``_slice_size`` sequences at the caller's width on
+        ``_workers`` threads, so every logit has the bits of one unsliced forward."""
         ids = np.asarray(tokens, dtype=np.int64)
-        rows = None if rows is None else np.asarray(rows, dtype=np.int64)
-        misfit = rows is not None and (rows.ndim not in (1, 2) or len(rows) != len(ids))
-        if ids.ndim != 2 or ids.shape[1] == 0 or misfit:
+        if ids.ndim != 2 or ids.shape[1] == 0:
             with T.no_grad():
-                return self.forward(ids, rows=rows).data
-        parts = _map_slices(lambda sl: self.forward(ids[sl], rows=None if rows is None else rows[sl]).data,
-                            self.config, *ids.shape)
+                return self.forward(ids).data
+        parts = _map_slices(lambda sl: self.forward(ids[sl]).data, self.config, *ids.shape)
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def _attention_bias(self, ops, p, ids: np.ndarray, queries: np.ndarray):

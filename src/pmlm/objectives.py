@@ -18,9 +18,10 @@ position. The causal loss uses [MASK] as the begin-of-sequence filler so
 the first token is predicted from an empty context.
 
 The two sides of the identity share one table of conditionals, one row per
-masked set, and differ only in their weighting: the masked side is a sum
-over the 2^n sets weighted by one alpha per set size, the autoregressive
-side a recursion over the sets that averages all n! generation orders.
+masked set, and differ only in their weighting: the masked side weights
+[S, pos] by alpha_K / K, K = |S|, the autoregressive side by the number of
+the n! generation orders that read it over n!, the exact ``_order_counts``
+that the duplication audit checks against (n-K)! (K-1)!.
 """
 
 from __future__ import annotations
@@ -154,33 +155,28 @@ def _masked_sum(masks: np.ndarray, table: np.ndarray, prior: MaskingPrior) -> fl
     return float(np.sum(alpha[sizes[rows]] * table[rows].sum(axis=1) / sizes[rows]))
 
 
-def _order_mean(masks: np.ndarray, table: np.ndarray) -> float:
-    """Mean total log-likelihood over all n! generation orders, each step
-    predicting one position with the not-yet-revealed set S masked. A random
-    order's first step over S predicts each pos in S with probability 1/|S|, so
-    H(S) = (1/|S|) sum_{pos in S} [table[S, pos] + H(S - pos)], H(empty) = 0."""
-    rows = table.tolist()
-    h = [0.0] * len(rows)
-    for bits, m in enumerate(masks.tolist()[1:], 1):
-        members = [pos for pos, masked in enumerate(m) if masked]
-        h[bits] = sum(rows[bits][pos] + h[bits & ~(1 << pos)] for pos in members) / len(members)
-    return h[-1]
-
-
 def _order_counts(masks: np.ndarray) -> np.ndarray:
     """How many of the n! generation orders predict pos with the set S masked,
     as a (2^n, n) int64 table indexed [S, pos] like the table of conditionals.
-    O(X), the number of orders of the set X, takes ``_order_mean``'s step:
-    O(empty) = 1, O(X) = sum_{p in X} O(X - p). An order that predicts pos with
-    S masked reveals the complement of S, then pos, then the rest of S, so the
-    entry is O(full - S) O(S - pos) for pos in S and 0 elsewhere. The orders are
-    counted, not read from math.factorial, as the audit checks that closed form."""
+    O(X), the number of orders of the set X, is the recursion over the masked
+    sets: O(empty) = 1, O(X) = sum_{p in X} O(X - p). An order that predicts pos
+    with S masked reveals the complement of S, then pos, then the rest of S, so
+    the entry is O(full - S) O(S - pos) for pos in S and 0 elsewhere. The orders
+    are counted, not read from math.factorial, as the audit checks that closed form."""
     orders = [1] * len(masks)
     for bits, m in enumerate(masks.tolist()[1:], 1):
         orders[bits] = sum(orders[bits & ~(1 << pos)] for pos, masked in enumerate(m) if masked)
     orders = np.array(orders, dtype=np.int64)
     bits = np.arange(len(masks))[:, None]
     return np.where(masks, orders[(len(masks) - 1) ^ bits] * orders[bits & ~(1 << np.arange(masks.shape[1]))], 0)
+
+
+def _order_mean(masks: np.ndarray, table: np.ndarray) -> float:
+    """Mean total log-likelihood over all n! generation orders, each step
+    predicting one position with the not-yet-revealed set S masked: every
+    conditional weighted by the ``_order_counts`` of the orders that read it,
+    over n! (each count is below 2^53, so exact in float64)."""
+    return float(np.sum(_order_counts(masks) * table)) / math.factorial(masks.shape[1])
 
 
 def pmlm_exact_loss(model: Transformer, x, prior: MaskingPrior) -> LossValue:
@@ -248,8 +244,9 @@ def verify_equivalence(model: Transformer, x, tolerance: float = 1e-9) -> Equiva
 
     Both sides read one table of conditionals and weight it differently: the
     left sums it over the 2^n mask patterns with the analytic alpha, the right
-    averages it over all n! orders by a recursion over the masked sets. The
-    duplication audit counts the orders by the same recursion, in integers.
+    weights it by ``_order_counts``, the number of the n! orders that read each
+    conditional, over n!. The duplication audit checks those same counts
+    against their closed form in exact integers.
     The report records both normalization conventions: the permutation mean
     shown here, and the same sum divided by c = (n+1)!, under which the
     right side equals the left without the (n+1) factor.

@@ -189,7 +189,8 @@ def test_sliced_nll_equals_one_unsliced_forward_bit_for_bit(positional, attentio
     inputs[targets == PAD_ID] = PAD_ID
     rows = np.array([0, 5, 1, 2, 0, 3, 2])
     full = T.cross_entropy_rows(T.Tensor(m.logits(inputs)), targets).data
-    picked = T.cross_entropy_rows(T.Tensor(m.logits(inputs, rows=rows)), targets[np.arange(7), rows]).data
+    with T.no_grad():
+        picked = T.cross_entropy_rows(m.forward(inputs, rows=rows), targets[np.arange(7), rows]).data
     scored = targets != PAD_ID
     for size in (1, 2, 3):
         monkeypatch.setattr(model_mod, "_slice_size", lambda cfg, width, workers: size)

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from pmlm import tensor as T
 from pmlm.data import MASK_ID, PAD_ID, UNK_ID
 from pmlm.generation import (
     GenerationConstraints,
@@ -192,7 +193,8 @@ def _checked_generate(model, constraints, order, sampler, rng):
         if model.is_causal:
             row, cache = model.forward_incremental(inputs[: pos + 1], cache)
         else:
-            row = model.logits(seq, rows=[pos])[0]
+            with T.no_grad():
+                row = model.forward(seq, rows=[pos]).data[0]
         token = sample_token(row, sampler, rng)
         seq[pos] = token
         steps.append(TraceStep(step=step, position=pos, token=token, snapshot=tuple(seq.tolist())))

@@ -13,6 +13,7 @@ import pytest
 import pmlm.model as model_mod
 from pmlm import tensor as T
 from pmlm.data import PAD_ID
+from pmlm.evaluation import _batched_nll
 from pmlm.generation import GenerationConstraints, GenerationOrder, SamplerSpec, generate
 from pmlm.model import (
     Transformer,
@@ -117,8 +118,8 @@ def test_no_grad_forward_has_the_bits_of_the_recording_forward(mode, positional)
         with T.no_grad():
             plain = m.forward(ids, **kwargs)
         np.testing.assert_array_equal(plain.data, recorded.data)
-    for kwargs in ({}, {"rows": [4, 0]}):
-        np.testing.assert_array_equal(m.logits(ids[0], **kwargs), m.forward(ids[0], **kwargs).data)
+    np.testing.assert_array_equal(m.logits(ids[0]), m.forward(ids[0]).data)
+    np.testing.assert_array_equal(selected_rows(m, ids[0], [4, 0]), m.forward(ids[0], rows=[4, 0]).data)
     if mode == "causal":
         # the cached decode over a fresh cache runs the same block on arrays
         row, _ = m.forward_incremental(ids[0])
@@ -297,6 +298,12 @@ def test_cached_decode_writes_neither_the_prefix_nor_a_parameter(positional):
 # ---------------------------------------------------------------------------
 
 
+def selected_rows(m, tokens, rows):
+    """The no-grad forward's logits at ``rows`` only."""
+    with T.no_grad():
+        return m.forward(tokens, rows=rows).data
+
+
 @pytest.mark.parametrize("mode", ["bidirectional", "causal"])
 @pytest.mark.parametrize("positional", ["absolute", "relative"])
 def test_selected_rows_match_the_full_forward(mode, positional):
@@ -315,15 +322,15 @@ def test_selected_rows_match_the_full_forward(mode, positional):
         np.array([[6], [0], [7]]),
     ]
     for rows in cases:
-        selected = m.logits(ids, rows=rows)
+        selected = selected_rows(m, ids, rows)
         assert selected.shape == rows.shape + (12,)
         np.testing.assert_allclose(selected, full[batch, rows], rtol=0, atol=1e-12)
-    one_per_sequence = m.logits(ids, rows=[5, 2, 0])
+    one_per_sequence = selected_rows(m, ids, [5, 2, 0])
     assert one_per_sequence.shape == (3, 12)
     np.testing.assert_allclose(one_per_sequence, full[batch[:, 0], [5, 2, 0]], rtol=0, atol=1e-12)
     single = m.logits(ids[0])
     for rows in ([6], [5, 0, 5], list(range(8))[::-1]):
-        np.testing.assert_allclose(m.logits(ids[0], rows=rows), single[rows], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(selected_rows(m, ids[0], rows), single[rows], rtol=0, atol=1e-12)
     # flat rows of the (3 * 8) batch: ragged across sequences, every
     # non-[PAD] row (skipping the tail of sequence 1), sequence 0 alone, none
     for flat_rows in ([0, 7, 9, 12, 23], np.flatnonzero(ids != PAD_ID), np.arange(8), np.array([], dtype=int)):
@@ -337,13 +344,13 @@ def test_rows_must_fit_the_tokens():
     m = tiny_model(seed=13)
     ids = np.full((2, 4), 3)
     with pytest.raises(ValueError, match="outside a sequence of length 4"):
-        m.logits(ids, rows=[[0], [4]])
+        selected_rows(m, ids, [[0], [4]])
     with pytest.raises(ValueError, match="outside"):
-        m.logits(ids[0], rows=[-1])
+        selected_rows(m, ids[0], [-1])
     with pytest.raises(ValueError, match="do not fit"):
-        m.logits(ids, rows=[0, 1, 2])
+        selected_rows(m, ids, [0, 1, 2])
     with pytest.raises(ValueError, match="do not fit"):
-        m.logits(ids[0], rows=[[0]])
+        selected_rows(m, ids[0], [[0]])
     with pytest.raises(ValueError, match="rows or flat_rows, not both"):
         m.forward(ids, rows=[0, 1], flat_rows=[0, 5])
     with pytest.raises(ValueError, match="outside the 8 positions"):
@@ -356,15 +363,14 @@ def test_rows_must_fit_the_tokens():
 @pytest.mark.parametrize("positional", ["absolute", "relative"])
 def test_sliced_logits_have_the_bits_of_one_forward(mode, positional, monkeypatch):
     """Slices of 1, 2 and 3 sequences give the bits of one forward of the
-    whole batch, with [PAD] tails, on full rows and on rows of shape (B,)
-    and (B, r), and no forward gets more sequences than the slice size."""
+    whole batch, with [PAD] tails, and no forward gets more sequences than
+    the slice size. Sliced row scoring is ``_batched_nll``'s, tested with it."""
     m = tiny_model(seed=14, attention_mode=mode, positional_kind=positional)
-    rng = np.random.default_rng(6)
-    ids = rng.integers(3, 12, size=(7, 8))
+    ids = np.random.default_rng(6).integers(3, 12, size=(7, 8))
     for b, width in enumerate([3, 8, 2, 5, 1, 8, 4]):
         ids[b, width:] = PAD_ID
-    cases = [None, np.array([0, 5, 1, 2, 0, 3, 2]), np.stack([rng.permutation(8)[:3] for _ in range(7)])]
-    whole = [m.logits(ids, rows=rows) for rows in cases]
+    with T.no_grad():
+        whole = m.forward(ids).data
     forward, sizes = m.forward, []
 
     def spy(tokens, **kwargs):
@@ -374,21 +380,9 @@ def test_sliced_logits_have_the_bits_of_one_forward(mode, positional, monkeypatc
     monkeypatch.setattr(m, "forward", spy)
     for size in (1, 2, 3):
         monkeypatch.setattr(model_mod, "_slice_size", lambda cfg, width, workers: size)
-        for rows, expected in zip(cases, whole):
-            sizes.clear()
-            np.testing.assert_array_equal(m.logits(ids, rows=rows), expected)
-            assert sizes == [size] * (7 // size) + [7 % size] * (7 % size > 0)
-
-
-def test_rows_that_do_not_fit_a_sliced_batch_are_rejected(monkeypatch):
-    """A slice loop that cut ``rows`` with the tokens would drop the rows
-    past the batch; they are checked against the whole batch instead."""
-    m = tiny_model(seed=15)
-    monkeypatch.setattr(model_mod, "_slice_size", lambda cfg, width, workers: 2)
-    ids = np.full((4, 8), 3)
-    for rows in ([0, 1, 2, 3, 4], [0, 1, 2], np.zeros((5, 2)), np.zeros((3, 2)), np.zeros((4, 1, 1)), 0):
-        with pytest.raises(ValueError, match=r"rows of shape .* do not fit tokens of shape \(4, 8\)"):
-            m.logits(ids, rows=rows)
+        sizes.clear()
+        np.testing.assert_array_equal(m.logits(ids), whole)
+        assert sizes == [size] * (7 // size) + [7 % size] * (7 % size > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +425,12 @@ class _ForwardSpy:
 def test_two_workers_give_the_logits_of_one_bit_for_bit(mode, positional, monkeypatch):
     """Two workers split the call's budget, so slices of 2 sequences run on
     two threads where one worker runs slices of 4; both give the bits of one
-    unsliced forward, on full rows and on rows of shape (B,) and (B, r)."""
+    unsliced forward, on the logits and on ``_batched_nll``'s rows (B,)."""
     m = tiny_model(seed=17, attention_mode=mode, positional_kind=positional)
     ids = _padded_batch(7)
-    rng = np.random.default_rng(8)
-    cases = [None, np.array([0, 5, 1, 2, 0, 3, 2]), np.stack([rng.permutation(8)[:3] for _ in range(7)])]
+    cases = [lambda: m.logits(ids), lambda: _batched_nll(m, ids, ids, rows=np.array([0, 5, 1, 2, 0, 3, 2]))]
     monkeypatch.setattr(model_mod, "_workers", lambda sequences: 1)
-    whole = [m.logits(ids, rows=rows) for rows in cases]
+    whole = [case() for case in cases]
     # 4 sequences of width 8 fit, at 8 * 8 * intermediate_size bytes each
     monkeypatch.setattr(model_mod, "_SLICE_BYTES", 4 * 8 * 8 * m.config.intermediate_size)
     spy = _ForwardSpy(m, monkeypatch)
@@ -445,9 +438,9 @@ def test_two_workers_give_the_logits_of_one_bit_for_bit(mode, positional, monkey
         monkeypatch.setattr(model_mod, "_workers", lambda sequences: min(workers, sequences))
         spy.threads.clear()
         spy.sizes.clear()
-        for rows, expected in zip(cases, whole):
-            np.testing.assert_array_equal(m.logits(ids, rows=rows), expected)
-        assert sorted(spy.sizes) == sorted(([size] * (7 // size) + [7 % size]) * 3)
+        for case, expected in zip(cases, whole):
+            np.testing.assert_array_equal(case(), expected)
+        assert sorted(spy.sizes) == sorted(([size] * (7 // size) + [7 % size]) * 2)
         assert len(spy.threads) == workers
 
 
@@ -471,8 +464,9 @@ def test_the_no_grad_path_writes_no_array_the_caller_can_see(mode, positional, m
         out = []
         for workers in (1, 2):
             monkeypatch.setattr(model_mod, "_workers", lambda parts: min(workers, parts))
-            out += [m.logits(ids, rows=r) for r in (None, rows, table)]
+            out += [m.logits(ids), _batched_nll(m, ids, ids, rows=rows)]
         with T.no_grad():
+            out.append(m.forward(ids, rows=table).data)
             out.append(m.forward(ids, flat_rows=flat_rows).data)
             out.append(m.forward(ids, train=True, rng=np.random.default_rng(11)).data)
         if m.is_causal:
@@ -515,7 +509,7 @@ def test_results_the_caller_holds_outlive_later_no_grad_calls(mode, positional, 
         out = []
         for workers in (1, 2):
             monkeypatch.setattr(model_mod, "_workers", lambda parts: min(workers, parts))
-            out += [m.logits(ids), m.logits(ids[::-1], rows=np.arange(7) % 8)]
+            out += [m.logits(ids), _batched_nll(m, ids[::-1], ids[::-1], rows=np.arange(7) % 8)]
         with T.no_grad():
             out.append(m.forward(ids, flat_rows=np.array([0, 9, 17, 30, 55])).data)
             out.append(m.forward(ids, train=True, rng=np.random.default_rng(16)).data)

@@ -14,6 +14,7 @@ import pytest
 from scipy.special import log_softmax as sp_log_softmax
 
 import pmlm.model as model_mod
+import pmlm.objectives as objectives_mod
 from pmlm import tensor as T
 from pmlm.data import MASK_ID, PAD_ID
 from pmlm.masking import MaskingPrior, MaskPattern, mask_matrix
@@ -263,18 +264,20 @@ def test_aplm_two_positions_hand_enumeration():
     np.testing.assert_allclose(aplm_exact_loss(m, x).value, -total / 4, rtol=0, atol=1e-13)
 
 
-def test_aplm_matches_independent_permutation_walk():
+@pytest.mark.parametrize("positional", ["absolute", "relative"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_aplm_matches_independent_permutation_walk(n, positional):
     """Oracle without memoization: every conditional recomputed directly."""
-    m = tiny_model(seed=16)
-    rng = np.random.default_rng(1)
-    x = rng.integers(3, 12, size=5)
+    m = tiny_model(seed=16, positional_kind=positional)
+    rng = np.random.default_rng(n)
+    x = rng.integers(3, 12, size=n)
     total = 0.0
-    for sigma in itertools.permutations(range(5)):
-        remaining = list(range(5))
+    for sigma in itertools.permutations(range(n)):
+        remaining = list(range(n))
         for pos in sigma:
             total += oracle_logp(m, x, remaining)[pos]
             remaining.remove(pos)
-    expected = -total / (5 * math.factorial(5))
+    expected = -total / (n * math.factorial(n))
     np.testing.assert_allclose(aplm_exact_loss(m, x).value, expected, rtol=0, atol=1e-10)
 
 
@@ -347,6 +350,26 @@ def test_duplication_counts_specific_group():
     assert counts[bits, 1] == 6
     assert counts[bits, 3] == 6
     assert counts[bits, 0] == 0
+
+
+def test_the_audit_vouches_for_the_permutation_side(monkeypatch):
+    """The permutation side weights the conditionals by the audited order
+    counts, so one count off by one fails the audit and opens the gap."""
+    counts = objectives_mod._order_counts
+
+    def off_by_one(masks):
+        out = counts(masks)
+        out[-1, 0] += 1  # every position is masked in the last set
+        return out
+
+    m = tiny_model(seed=19)
+    x = np.array([4, 9, 6])
+    assert verify_equivalence(m, x).passed
+    monkeypatch.setattr(objectives_mod, "_order_counts", off_by_one)
+    report = verify_equivalence(m, x)
+    assert not report.duplication_ok
+    assert report.max_abs_gap > report.tolerance
+    assert not report.passed
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
