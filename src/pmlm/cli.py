@@ -44,8 +44,8 @@ def _write_json(path: Optional[str], payload: dict) -> None:
         write_atomic(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
-def parse_anchor_file(path: str, vocab: Vocabulary, tokenizer_kind: str) -> Dict[int, int]:
-    """Lines of ``<position>:<token>`` with 1-based positions."""
+def parse_anchor_file(path: str, vocab: Vocabulary, tokenizer_kind: str, length: int) -> Dict[int, int]:
+    """Lines of ``<position>:<token>`` with 1-based positions up to ``length``."""
     anchors: Dict[int, int] = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -60,6 +60,8 @@ def parse_anchor_file(path: str, vocab: Vocabulary, tokenizer_kind: str) -> Dict
             raise ValueError(f"{path}:{lineno}: position '{head}' is not an integer") from None
         if pos < 1:
             raise ValueError(f"{path}:{lineno}: positions are 1-based, got {pos}")
+        if pos > length:
+            raise ValueError(f"{path}:{lineno}: position {pos} is past --length {length}")
         if tokenizer_kind == "whitespace":
             tok = tok.strip()
         if tokenizer_kind == "char" and len(tok) != 1:
@@ -74,7 +76,8 @@ def parse_anchor_file(path: str, vocab: Vocabulary, tokenizer_kind: str) -> Dict
     return anchors
 
 
-def parse_order_file(path: str) -> list[int]:
+def parse_order_file(path: str, length: int) -> list[int]:
+    """Whitespace-separated 1-based positions up to ``length``, as 0-based ones."""
     text = Path(path).read_text(encoding="utf-8")
     positions = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -85,6 +88,8 @@ def parse_order_file(path: str) -> list[int]:
                 raise ValueError(f"{path}:{lineno}: order entry '{field}' is not an integer") from None
             if pos < 1:
                 raise ValueError(f"{path}:{lineno}: order positions are 1-based, got {pos}")
+            if pos > length:
+                raise ValueError(f"{path}:{lineno}: position {pos} is past --length {length}")
             positions.append(pos - 1)
     if not positions:
         raise ValueError(f"{path}: order file is empty")
@@ -140,25 +145,23 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    if args.order_file and args.order != "file":
-        raise ValueError(f"--order-file requires --order file, got --order {args.order}")
+    if args.order_file and args.order:
+        raise ValueError(f"--order-file sets the order and excludes --order {args.order}")
     model, vocab, tokenizer_kind = _load_model(args.checkpoint)
     rng = np.random.default_rng(args.seed)
     anchors: Dict[int, int] = {}
     if args.anchors:
         if vocab is None:
             raise ValueError("checkpoint carries no vocabulary; anchors cannot be resolved")
-        anchors = parse_anchor_file(args.anchors, vocab, tokenizer_kind)
+        anchors = parse_anchor_file(args.anchors, vocab, tokenizer_kind, args.length)
     constraints = GenerationConstraints(target_length=args.length, anchors=anchors)
     check_length(model, args.length)
-    if args.order == "random":
-        order = GenerationOrder.random(constraints.free_positions, rng)
+    if args.order_file:
+        order = GenerationOrder.explicit(parse_order_file(args.order_file, args.length))
     elif args.order == "ltr":
         order = GenerationOrder.left_to_right(constraints.free_positions)
     else:
-        if not args.order_file:
-            raise ValueError("--order file requires --order-file")
-        order = GenerationOrder.explicit(parse_order_file(args.order_file))
+        order = GenerationOrder.random(constraints.free_positions, rng)
     sampler = _sampler_from_args(args)
     seq, trace = generate(model, constraints, order, sampler, rng)
 
@@ -301,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate text in an arbitrary order")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--length", type=int, required=True)
-    p.add_argument("--order", choices=("random", "ltr", "file"), default="random")
-    p.add_argument("--order-file", dest="order_file")
+    p.add_argument("--order", choices=("random", "ltr"), help="random when neither --order nor --order-file is given")
+    p.add_argument("--order-file", dest="order_file", help="file of 1-based positions in generation order")
     p.add_argument("--anchors", help="file of '<position>:<token>' lines, 1-based")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", help="write a JSONL trace (one step per line)")

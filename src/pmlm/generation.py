@@ -85,7 +85,6 @@ class GenerationConstraints:
 
 @dataclass(frozen=True)
 class TraceStep:
-    step: int
     position: int
     token: int
     snapshot: Tuple[int, ...]
@@ -105,9 +104,9 @@ class GenerationTrace:
         """One JSON object per step; positions and steps are 1-based to match
         the tabular rendering."""
         lines = []
-        for s in self.steps:
+        for i, s in enumerate(self.steps):
             rec = {
-                "step": s.step + 1,
+                "step": i + 1,
                 "position": s.position + 1,
                 "token": s.token,
                 "snapshot_ids": list(s.snapshot),
@@ -130,13 +129,13 @@ def render_trace_table(trace: GenerationTrace, vocab: Optional[Vocabulary] = Non
     """Aligned step/prediction-index/state table for a generation trace."""
     header = f"{'Step':>4}  {'Index':>5}  State"
     rows = [header, "-" * len(header)]
-    for s in trace.steps:
+    for i, s in enumerate(trace.steps):
         state = (
             snapshot_text(s.snapshot, vocab, tokenizer_kind)
             if vocab is not None
             else " ".join("_" if t == MASK_ID else str(t) for t in s.snapshot)
         )
-        rows.append(f"{s.step + 1:>4}  {s.position + 1:>5}  {state}")
+        rows.append(f"{i + 1:>4}  {s.position + 1:>5}  {state}")
     order = "->".join(str(p + 1) for p in trace.order)
     rows.append(f"Generation order: {order}")
     return "\n".join(rows)
@@ -243,14 +242,14 @@ def generate(
     trace = GenerationTrace(target_length=n, anchors=dict(constraints.anchors))
     ops, arrays = _array_ops(model.config, n, n), model._arrays()
     cache = DecodeCache(model) if model.is_causal else None
-    for step, pos in enumerate(order.sigma):
+    for pos in order.sigma:
         if model.is_causal:
             row = model._extend(cache, inputs[: pos + 1])
         else:
             row = model._run(ops, arrays, seq[None, :], rows=np.array([[pos]]))[0, 0]
         token = sample_token(row, sampler, rng)
         seq[pos] = token
-        trace.steps.append(TraceStep(step=step, position=pos, token=token, snapshot=tuple(seq.tolist())))
+        trace.steps.append(TraceStep(position=pos, token=token, snapshot=tuple(seq.tolist())))
     return seq, trace
 
 
@@ -288,11 +287,11 @@ def replay_trace(
     """
     constraints = GenerationConstraints(trace.target_length, trace.anchors)
     seq, replayed = generate(model, constraints, GenerationOrder.explicit(trace.order), sampler, rng)
-    for s, r in zip(trace.steps, replayed.steps):
+    for step, (s, r) in enumerate(zip(trace.steps, replayed.steps)):
         if r.token != s.token:
             raise ValueError(
-                f"trace replay diverged at step {s.step}: recorded token {s.token}, replayed {r.token}"
+                f"trace replay diverged at step {step}: recorded token {s.token}, replayed {r.token}"
             )
         if r.snapshot != s.snapshot:
-            raise ValueError(f"trace replay snapshot mismatch at step {s.step}")
+            raise ValueError(f"trace replay snapshot mismatch at step {step}")
     return seq

@@ -121,21 +121,17 @@ def init_parameters(cfg: TransformerConfig, rng: np.random.Generator) -> Dict[st
     return params
 
 
-def relative_attention_bias(distance_table, n: int, window: int, *, queries=None, ops=T):
+def relative_attention_bias(distance_table, n: int, *, queries=None, ops=T):
     """Per-head additive attention bias from clamped relative distances.
 
-    distance_table (2*window+1, heads); entry [i][j] of the result is
-    table[clamp(j - queries[i], -window, window) + window] for key j in
-    0..n-1, so the bias depends only on the clamped offset and is
-    translation invariant away from the clamp. ``queries`` holds the query
-    positions, (r,) or (B, r), and defaults to 0..n-1.
+    distance_table (2*window+1, heads), so window is rows // 2; entry [i][j]
+    of the result is table[clamp(j - queries[i], -window, window) + window]
+    for key j in 0..n-1, so the bias depends only on the clamped offset and
+    is translation invariant away from the clamp. ``queries`` holds the
+    query positions, (r,) or (B, r), and defaults to 0..n-1.
     Returns (heads, r, n) or (B, heads, r, n).
     """
-    rows = distance_table.shape[0]
-    if window < 1 or rows != 2 * window + 1:
-        raise ValueError(
-            f"distance table must have 2*window+1 rows with window >= 1, got {rows} rows"
-        )
+    window = distance_table.shape[0] // 2
     queries = np.arange(n) if queries is None else np.asarray(queries)
     idx = np.clip(np.arange(n) - queries[..., None], -window, window) + window
     d = idx.ndim + 1  # heads move from the last axis to just before the query axis
@@ -312,7 +308,6 @@ class Transformer:
         *,
         rows=None,
         flat_rows=None,
-        train: bool = False,
         rng: Optional[np.random.Generator] = None,
     ) -> Tensor:
         """Logits for every position: (N, vocab) or (B, N, vocab).
@@ -328,6 +323,9 @@ class Transformer:
         of the flattened (B·n) batch, any number per sequence, and gives
         (R, vocab); training reads its loss rows this way.
 
+        A forward given ``rng`` trains, with dropout at ``config.dropout_rate``
+        drawn from it; without ``rng`` no dropout runs.
+
         Only a forward with gradients enabled records a graph. Under
         ``no_grad`` the block runs on ``tensor.array_ops`` over the parameter
         arrays (``tensor.scratch_ops`` once its arrays are large), and just
@@ -340,9 +338,6 @@ class Transformer:
         if single:
             ids = ids[None, :]
         self._validate_tokens(ids)
-        drop = cfg.dropout_rate if train else 0.0
-        if drop > 0.0 and rng is None:
-            raise ValueError("forward: training with dropout requires an rng")
         if rows is not None:
             rows = np.asarray(rows, dtype=np.int64)
             if rows.ndim > len(shape) or (not single and rows.shape[:1] != shape[:1]):
@@ -361,7 +356,7 @@ class Transformer:
             shape = flat_rows.shape
         recording = T.grad_enabled()
         ops, p = (T, self.params) if recording else (_array_ops(cfg, ids.size, ids.shape[1]), self._arrays())
-        logits = self._run(ops, p, ids, rows=rows, flat_rows=flat_rows, drop=drop, rng=rng)
+        logits = self._run(ops, p, ids, rows=rows, flat_rows=flat_rows, rng=rng)
         if logits.shape != shape + (cfg.vocab_size,):
             logits = ops.reshape(logits, shape + (cfg.vocab_size,))
         return logits if recording else Tensor(logits)
@@ -392,17 +387,18 @@ class Transformer:
             future = np.expand_dims(np.where(np.arange(n) > queries[..., None], T.NEG_INF, 0.0), -3)
             bias = future if bias is None else bias + future
         if self.config.positional_kind == "relative":
-            rel = relative_attention_bias(p["rel_bias"], n, self.config.relative_window, queries=queries, ops=ops)
+            rel = relative_attention_bias(p["rel_bias"], n, queries=queries, ops=ops)
             # a mask entry (0 or -1e30) absorbs rel, so rel + mask gives the
             # scores the same bits as adding the mask first, then rel
             bias = rel if bias is None else rel + bias
         return bias
 
-    def _run(self, ops, p, ids: np.ndarray, *, rows=None, flat_rows=None, drop: float = 0.0, rng=None):
+    def _run(self, ops, p, ids: np.ndarray, *, rows=None, flat_rows=None, rng=None):
         """The full forward, embedding, blocks and head over ``ops``: logits
         (B, n, vocab) for every position of ``ids`` (B, n), (B, r, vocab) for
         the positions ``rows`` (B, r) only, or (R, vocab) for the positions
-        ``flat_rows`` (R,) of the flattened (B·n) batch only.
+        ``flat_rows`` (R,) of the flattened (B·n) batch only. With ``rng``,
+        dropout runs at ``config.dropout_rate`` on masks drawn from it.
 
         Past the keys and values, the last block reads a position's own
         residual only, so the rest of it runs on the selected rows: ``rows``
@@ -415,6 +411,7 @@ class Transformer:
         and parameters are never written.
         """
         cfg = self.config
+        drop = 0.0 if rng is None else cfg.dropout_rate
         batch, n = ids.shape
         queries = np.arange(n)
         h = ops.take(p["tok_emb"], ids, name="tok_emb")
@@ -468,7 +465,7 @@ class Transformer:
         if cfg.positional_kind == "absolute":
             h += p["pos_emb"][start:n]
         else:
-            bias = relative_attention_bias(p["rel_bias"], n, cfg.relative_window, queries=queries, ops=T.array_ops)
+            bias = relative_attention_bias(p["rel_bias"], n, queries=queries, ops=T.array_ops)
         if r > 1:  # one new row is the last position, which sees every key
             future = np.where(np.arange(n) > queries[:, None], T.NEG_INF, 0.0)
             bias = future if bias is None else bias + future

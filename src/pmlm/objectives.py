@@ -281,7 +281,7 @@ def verify_equivalence(model: Transformer, x, tolerance: float = 1e-9) -> Equiva
 # ---------------------------------------------------------------------------
 
 
-def _shard_nll(model: Transformer, inputs, targets, weights, *, train: bool, rng) -> Tensor:
+def _shard_nll(model: Transformer, inputs, targets, weights, *, rng) -> Tensor:
     """sum(weights * NLL of targets) from one forward over the shard's used
     width; the all-[PAD] tail carries no loss weight and no attention weight.
     Past its attention, the last block and the head run only on the rows
@@ -289,12 +289,12 @@ def _shard_nll(model: Transformer, inputs, targets, weights, *, train: bool, rng
     w = used_width(inputs, targets)
     weights = weights[:, :w].reshape(-1)
     rows = np.flatnonzero(weights)
-    logits = model.forward(inputs[:, :w], flat_rows=rows, train=train, rng=rng)
+    logits = model.forward(inputs[:, :w], flat_rows=rows, rng=rng)
     nll = T.cross_entropy_rows(logits, targets[:, :w].reshape(-1)[rows])
     return T.sum_(nll * Tensor(weights[rows]))
 
 
-def _weighted_nll(model: Transformer, inputs, targets, weights, *, train: bool, rng) -> Tensor:
+def _weighted_nll(model: Transformer, inputs, targets, weights, *, rng) -> Tensor:
     """``_shard_nll`` summed over fixed shards of ``_slice_size(cfg, max_len, 1)``
     sequences, a function of the config alone, so a seeded run keeps its bits on
     any worker count. A one-shard batch is that shard's loss. Otherwise each
@@ -304,12 +304,12 @@ def _weighted_nll(model: Transformer, inputs, targets, weights, *, train: bool, 
     size = M._slice_size(model.config, model.config.max_len, 1)
     shards = [slice(s, s + size) for s in range(0, len(inputs), size)]
     if len(shards) == 1:
-        return _shard_nll(model, inputs, targets, weights, train=train, rng=rng)
+        return _shard_nll(model, inputs, targets, weights, rng=rng)
     rngs = [None] * len(shards) if rng is None else [
         np.random.default_rng(seed) for seed in rng.integers(2**63, size=len(shards))]
     workers = M._workers(len(shards))
     losses = M._map(lambda i: _shard_nll(model, inputs[shards[i]], targets[shards[i]], weights[shards[i]],
-                                         train=train, rng=rngs[i]), len(shards), workers)
+                                         rng=rngs[i]), len(shards), workers)
     params = tuple(model.params.values())
 
     def vjp(g):
@@ -327,11 +327,10 @@ def masked_batch_loss(
     batch: np.ndarray,
     patterns: List[MaskPattern],
     *,
-    train: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
     """Mean over sequences of the per-sequence masked loss, from the forwards
-    of ``_weighted_nll``'s shards.
+    of ``_weighted_nll``'s shards, which train, with dropout, given ``rng``.
 
     Sequences whose pattern is empty contribute zero but still count toward
     the batch mean. Each shard's forward stops at its used width.
@@ -344,18 +343,18 @@ def masked_batch_loss(
                          f"{len(patterns)} of lengths {sorted({p.n for p in patterns})}")
     masks = np.stack([p.indicator for p in patterns])
     weights = masks / (b * np.maximum(masks.sum(axis=1, keepdims=True), 1))  # 0 where k = 0
-    return _weighted_nll(model, np.where(masks, MASK_ID, batch), batch, weights, train=train, rng=rng)
+    return _weighted_nll(model, np.where(masks, MASK_ID, batch), batch, weights, rng=rng)
 
 
 def causal_batch_loss(
     model: Transformer,
     batch: np.ndarray,
     *,
-    train: bool = False,
     rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
     """Mean over sequences of the per-sequence left-to-right loss, from the
-    forwards of ``_weighted_nll``'s shards, each stopping at its used width."""
+    forwards of ``_weighted_nll``'s shards, each stopping at its used width;
+    given ``rng`` they train, with dropout drawn from it."""
     if not model.is_causal:
         raise ValueError("causal_batch_loss requires a causal model")
     b, n = batch.shape
@@ -364,4 +363,4 @@ def causal_batch_loss(
     if np.any(counts == 0):
         raise ValueError("causal_batch_loss: a sequence is all padding")
     weights = (~pad) / (b * counts[:, None])
-    return _weighted_nll(model, causal_inputs(batch), batch, weights, train=train, rng=rng)
+    return _weighted_nll(model, causal_inputs(batch), batch, weights, rng=rng)

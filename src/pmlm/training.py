@@ -50,8 +50,8 @@ class TrainingSettings:
     seed: int = 0
 
     def __post_init__(self):
-        if self.seed is None:
-            raise ValueError("a training seed is required")
+        if self.seed is None or self.seed < 0:
+            raise ValueError(f"training seed must be a non-negative integer, got {self.seed}")
         if self.steps < 1 or self.batch_size < 1:
             raise ValueError("steps and batch_size must be positive")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -212,10 +212,10 @@ def train(config: RunConfig, quiet: bool = False) -> TrainResult:
             batch = np.array([corpus.sequences[i] for i in idx])
             try:
                 if model.is_causal:
-                    loss_t = causal_batch_loss(model, batch, train=True, rng=drop_rng)
+                    loss_t = causal_batch_loss(model, batch, rng=drop_rng)
                 else:
                     patterns = _sample_patterns(batch, config.prior, mask_rng)
-                    loss_t = masked_batch_loss(model, batch, patterns, train=True, rng=drop_rng)
+                    loss_t = masked_batch_loss(model, batch, patterns, rng=drop_rng)
             except NonFiniteLogits as e:
                 raise diverged(str(e).removeprefix("cross_entropy: "), step) from e
             loss = loss_t.item()

@@ -205,15 +205,14 @@ def test_generate_explicit_order_file(workspace):
     out = workspace / "ordered.json"
     assert main([
         "generate", "--checkpoint", str(workspace / "upmlm.ckpt"),
-        "--length", "4", "--order", "file", "--order-file", str(order),
-        "--seed", "0", "--out", str(out),
+        "--length", "4", "--order-file", str(order), "--seed", "0", "--out", str(out),
     ]) == 0
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert payload["order"] == [3, 1, 2, 4]
 
 
-@pytest.mark.parametrize("order", [[], ["--order", "random"], ["--order", "ltr"]], ids=["default", "random", "ltr"])
-def test_generate_order_file_without_order_file_mode_is_a_one_line_error(order, workspace, tmp_path, capsys):
+@pytest.mark.parametrize("order", [["--order", "random"], ["--order", "ltr"]], ids=["random", "ltr"])
+def test_generate_order_file_with_order_is_a_one_line_error(order, workspace, tmp_path, capsys):
     order_file = tmp_path / "order.txt"
     order_file.write_text("4 3 2 1\n", encoding="utf-8")
     out = tmp_path / "gen.json"
@@ -223,6 +222,20 @@ def test_generate_order_file_without_order_file_mode_is_a_one_line_error(order, 
     ]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and "--order-file" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, text, line", [("--anchors", "1:t\n6:t\n", 2), ("--order-file", "2 1 3 6\n", 1)],
+                         ids=["anchors", "order"])
+def test_generate_file_position_past_length_names_the_line(flag, text, line, workspace, tmp_path, capsys):
+    path = tmp_path / "positions.txt"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "gen.json"
+    assert main([
+        "generate", "--checkpoint", str(workspace / "upmlm.ckpt"), "--length", "5", flag, str(path),
+        "--out", str(out),
+    ]) == 2
+    assert capsys.readouterr().err == f"error: {path}:{line}: position 6 is past --length 5\n"
     assert not out.exists()
 
 
@@ -530,20 +543,28 @@ def test_bad_training_flag_is_a_one_line_error_and_writes_no_checkpoint(flags, w
     assert not ckpt.exists()
 
 
-def test_run_config_with_a_nan_learning_rate_is_a_one_line_error(workspace, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("learning_rate", math.nan, "learning_rate must be finite and positive, got nan"),
+        ("seed", -1, "training seed must be a non-negative integer, got -1"),
+    ],
+    ids=["nan_learning_rate", "negative_seed"],
+)
+def test_run_config_with_a_bad_training_value_is_a_one_line_error(key, value, message, workspace, tmp_path, capsys):
     from pmlm.training import preset
 
     config = preset(
         "upmlm", str(workspace / "corpus.txt"), str(tmp_path / "o.ckpt"),
         layers=1, heads=2, hidden_size=16, intermediate_size=32, max_len=16, steps=1, batch_size=2,
     ).to_dict()
-    config["training"]["learning_rate"] = math.nan
+    config["training"][key] = value
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config), encoding="utf-8")  # json writes the bare NaN that it also reads
     code = main(["train", "--config", str(path), "--quiet"])
     err = capsys.readouterr().err
     assert code == 2
-    assert err == "error: learning_rate must be finite and positive, got nan\n"
+    assert err == f"error: {message}\n"
     assert not (tmp_path / "o.ckpt").exists()
 
 

@@ -189,7 +189,7 @@ def _checked_generate(model, constraints, order, sampler, rng):
     for pos, tok in constraints.anchors.items():
         seq[pos] = tok
     steps, cache = [], None
-    for step, pos in enumerate(order.sigma):
+    for pos in order.sigma:
         if model.is_causal:
             row, cache = model.forward_incremental(inputs[: pos + 1], cache)
         else:
@@ -197,7 +197,7 @@ def _checked_generate(model, constraints, order, sampler, rng):
                 row = model.forward(seq, rows=[pos]).data[0]
         token = sample_token(row, sampler, rng)
         seq[pos] = token
-        steps.append(TraceStep(step=step, position=pos, token=token, snapshot=tuple(seq.tolist())))
+        steps.append(TraceStep(position=pos, token=token, snapshot=tuple(seq.tolist())))
     return seq, steps
 
 
@@ -285,7 +285,7 @@ def test_trace_replay_detects_tampering():
     seq, trace = generate(m, constraints, order, GREEDY)
     bad = trace.steps[2]
     trace.steps[2] = type(bad)(
-        step=bad.step, position=bad.position, token=(bad.token % 9) + 3 if (bad.token % 9) + 3 != bad.token else 4, snapshot=bad.snapshot
+        position=bad.position, token=(bad.token % 9) + 3 if (bad.token % 9) + 3 != bad.token else 4, snapshot=bad.snapshot
     )
     with pytest.raises(ValueError, match="diverged|snapshot"):
         replay_trace(m, trace, GREEDY)

@@ -96,13 +96,11 @@ def test_dropout_off_is_deterministic_and_on_differs():
     x = np.array([3, 4, 5, 6])
     np.testing.assert_array_equal(m.logits(x), m.logits(x))
     with T.no_grad():
-        a = m.forward(x, train=True, rng=np.random.default_rng(0)).data
-        b = m.forward(x, train=True, rng=np.random.default_rng(0)).data
-        c = m.forward(x, train=True, rng=np.random.default_rng(1)).data
+        a = m.forward(x, rng=np.random.default_rng(0)).data
+        b = m.forward(x, rng=np.random.default_rng(0)).data
+        c = m.forward(x, rng=np.random.default_rng(1)).data
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
-    with pytest.raises(ValueError, match="rng"):
-        m.forward(x, train=True)
 
 
 @pytest.mark.parametrize("mode", ["bidirectional", "causal"])
@@ -138,7 +136,7 @@ def test_no_grad_forward_builds_no_graph_node(monkeypatch):
     monkeypatch.setattr(T, "_node", counted)
     ids = np.array([[3, 4, 5, 6], [7, 8, PAD_ID, PAD_ID]])
     with T.no_grad():
-        for kwargs in ({}, {"rows": [1, 0]}, {"flat_rows": [2, 4]}, {"train": True, "rng": np.random.default_rng(0)}):
+        for kwargs in ({}, {"rows": [1, 0]}, {"flat_rows": [2, 4]}, {"rng": np.random.default_rng(0)}):
             out = m.forward(ids, **kwargs)
             assert out._parents == () and out._vjp is None and not out.requires_grad
     assert calls == []
@@ -150,9 +148,9 @@ def test_no_grad_dropout_draws_the_recording_forwards_mask():
     m = tiny_model(seed=16, dropout_rate=0.3)
     ids = np.array([[3, 4, 5, 6, 7], [8, 9, 10, PAD_ID, PAD_ID]])
     for kwargs in ({}, {"flat_rows": [0, 3, 6]}):
-        recorded = m.forward(ids, train=True, rng=np.random.default_rng(7), **kwargs).data
+        recorded = m.forward(ids, rng=np.random.default_rng(7), **kwargs).data
         with T.no_grad():
-            plain = m.forward(ids, train=True, rng=np.random.default_rng(7), **kwargs).data
+            plain = m.forward(ids, rng=np.random.default_rng(7), **kwargs).data
         np.testing.assert_array_equal(plain, recorded)
     assert not np.array_equal(recorded, m.logits(ids).reshape(-1, 12)[[0, 3, 6]])
     x = np.random.default_rng(8).normal(size=(6, 5))
@@ -468,7 +466,7 @@ def test_the_no_grad_path_writes_no_array_the_caller_can_see(mode, positional, m
         with T.no_grad():
             out.append(m.forward(ids, rows=table).data)
             out.append(m.forward(ids, flat_rows=flat_rows).data)
-            out.append(m.forward(ids, train=True, rng=np.random.default_rng(11)).data)
+            out.append(m.forward(ids, rng=np.random.default_rng(11)).data)
         if m.is_causal:
             _, cache = m.forward_incremental(ids[1, :3])
             earlier = [a[:3].copy() for layer in cache.layers for a in layer[-4:-2]]  # key and value rows
@@ -512,7 +510,7 @@ def test_results_the_caller_holds_outlive_later_no_grad_calls(mode, positional, 
             out += [m.logits(ids), _batched_nll(m, ids[::-1], ids[::-1], rows=np.arange(7) % 8)]
         with T.no_grad():
             out.append(m.forward(ids, flat_rows=np.array([0, 9, 17, 30, 55])).data)
-            out.append(m.forward(ids, train=True, rng=np.random.default_rng(16)).data)
+            out.append(m.forward(ids, rng=np.random.default_rng(16)).data)
         if m.is_causal:
             row, cache = m.forward_incremental(ids[1, :4])
             out += [row, m.forward_incremental(ids[1], cache)[0]]
@@ -715,23 +713,26 @@ def test_no_grad_is_per_thread():
 
 def test_relative_bias_diagonal_is_shared():
     table = Tensor(np.random.default_rng(4).normal(size=(9, 2)))
-    bias = relative_attention_bias(table, 5, 4).data
+    bias = relative_attention_bias(table, 5).data
     for h in range(2):
         np.testing.assert_array_equal(np.diag(bias[h]), np.full(5, bias[h, 0, 0]))
 
 
-def test_relative_bias_clamps_long_distances():
-    table = Tensor(np.random.default_rng(5).normal(size=(5, 2)))
-    bias = relative_attention_bias(table, 5, 2).data
-    # offsets +3 and +4 clamp to +2, so columns 3 and 4 of row 0 agree
-    np.testing.assert_array_equal(bias[:, 0, 4], bias[:, 0, 3])
-    np.testing.assert_array_equal(bias[:, 0, 3], bias[:, 0, 2])
-    np.testing.assert_array_equal(bias[:, 4, 0], bias[:, 4, 1])
+@pytest.mark.parametrize("rows", [3, 5, 7, 9])
+def test_relative_bias_clamps_long_distances(rows):
+    window = rows // 2
+    n = window + 3
+    table = Tensor(np.random.default_rng(5).normal(size=(rows, 2)))
+    bias = relative_attention_bias(table, n).data
+    # offsets past +-window read the table's last or first row
+    for j in range(n):
+        np.testing.assert_array_equal(bias[:, 0, j], table.data[min(j, window) + window])
+        np.testing.assert_array_equal(bias[:, n - 1, j], table.data[max(j - n + 1, -window) + window])
 
 
 def test_relative_bias_translation_invariant_interior():
     table = Tensor(np.random.default_rng(6).normal(size=(7, 3)))
-    bias = relative_attention_bias(table, 6, 3).data
+    bias = relative_attention_bias(table, 6).data
     for i in range(5):
         for j in range(5):
             np.testing.assert_array_equal(bias[:, i, j], bias[:, i + 1, j + 1])

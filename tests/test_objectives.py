@@ -469,7 +469,7 @@ def test_masked_batch_loss_graph_nodes_per_primitive():
     batch = np.random.default_rng(13).integers(3, 20, size=(4, 12))
     batch[2, 9:] = PAD_ID
     patterns = [MaskPattern.from_indices(12, idx) for idx in ([1, 5], [], [0, 8], [11])]
-    loss = masked_batch_loss(m, batch, patterns, train=True, rng=np.random.default_rng(1))
+    loss = masked_batch_loss(m, batch, patterns, rng=np.random.default_rng(1))
     nodes, seen, stack = Counter(), set(), [loss]
     while stack:
         t = stack.pop()
@@ -714,5 +714,5 @@ def test_non_finite_logits_in_a_later_shard_raise_once_every_started_shard_is_do
 
     monkeypatch.setattr(m, "forward", slow_when_finite)
     with pytest.raises(NonFiniteLogits), np.errstate(invalid="ignore"):
-        masked_batch_loss(m, batch, patterns, train=True, rng=np.random.default_rng(2))
+        masked_batch_loss(m, batch, patterns, rng=np.random.default_rng(2))
     assert running == [] and len(started) == 2
