@@ -1,17 +1,20 @@
 """Checkpoint format: UTF-8 JSON header, a single NUL separator, then the
-little-endian float64 tensors back to back in name order, nothing after.
+little-endian float64 parameters back to back in name order, nothing after.
 
-The header is ``{"config": {...}, "tensors": {name: {shape, dtype, byte_offset}}}``
-serialized with sorted keys and no whitespace, so identical model state
-always produces identical bytes and save -> load -> save round-trips
-byte-for-byte. ``config`` always carries the model configuration under
-"model" and may carry extra entries (vocabulary, tokenizer kind, prior).
+The header is ``{"config": {...}}`` serialized with sorted keys and no
+whitespace, so identical model state always produces identical bytes and
+save -> load -> save round-trips byte-for-byte. ``config`` always carries
+the model configuration under "model" and may carry extra entries
+(vocabulary, tokenizer kind, prior). The model configuration fixes every
+parameter's name and shape (``parameter_shapes``), so the header lists none.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -21,29 +24,14 @@ from .data import json_object
 from .model import Transformer, TransformerConfig, parameter_shapes
 from .tensor import Tensor
 
-_DTYPE_TAG = "f64"
-_TENSOR_KEYS = ("shape", "dtype", "byte_offset")
-
 
 def checkpoint_bytes(model: Transformer, extra_config: Optional[dict] = None) -> bytes:
-    tensors = {}
-    chunks = []
-    offset = 0
-    for name in sorted(model.params):
-        data = np.ascontiguousarray(model.params[name].data, dtype="<f8")
-        tensors[name] = {
-            "shape": list(data.shape),
-            "dtype": _DTYPE_TAG,
-            "byte_offset": offset,
-        }
-        raw = data.tobytes()
-        chunks.append(raw)
-        offset += len(raw)
     config = {"model": model.config.to_dict()}
     if extra_config:
         config.update(extra_config)
-    header = json.dumps({"config": config, "tensors": tensors}, sort_keys=True, separators=(",", ":"))
-    return header.encode("utf-8") + b"\x00" + b"".join(chunks)
+    header = json.dumps({"config": config}, sort_keys=True, separators=(",", ":"))
+    payload = b"".join(np.asarray(model.params[n].data, dtype="<f8").tobytes() for n in sorted(model.params))
+    return header.encode("utf-8") + b"\x00" + payload
 
 
 def write_atomic(path, content: bytes) -> Path:
@@ -75,41 +63,23 @@ def load_checkpoint(path) -> Tuple[Transformer, dict]:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ValueError(f"checkpoint {path}: malformed header: {e}") from e
     payload = raw[sep + 1 :]
-    json_object(header, f"checkpoint {path}: header", ("config", "tensors"), ("config", "tensors"))
+    json_object(header, f"checkpoint {path}: header", ("config",), ("config",))
     json_object(header["config"], f"checkpoint {path}: header config", required=("model",))
     config = TransformerConfig.from_dict(header["config"]["model"])
-    entries = json_object(header["tensors"], f"checkpoint {path}: header tensors")
-    if config.layers > len(entries):  # every layer has tensors: reject before naming them all
-        raise ValueError(f"checkpoint {path}: config has {config.layers} layers, header {len(entries)} tensors")
-    expected = parameter_shapes(config)
-    if set(entries) != set(expected):
-        missing, extra = sorted(set(expected) - set(entries)), sorted(set(entries) - set(expected))
-        raise ValueError(
-            f"checkpoint {path}: tensor names do not match the stored config "
-            f"({len(missing)} missing, first {missing[:3]}; {len(extra)} extra, first {extra[:3]})"
-        )
+    # sized from a one-layer table, so a header that claims 10^9 layers is rejected before naming them
+    one = {name: math.prod(shape) for name, shape in parameter_shapes(replace(config, layers=1)).items()}
+    per_layer = sum(count for name, count in one.items() if name.startswith("layers."))
+    expected = 8 * (sum(one.values()) + (config.layers - 1) * per_layer)
+    if len(payload) != expected:
+        raise ValueError(f"checkpoint {path}: payload has {len(payload)} bytes, its config needs {expected}")
+    shapes = parameter_shapes(config)
     params: Dict[str, Tensor] = {}
-    offset = 0  # the tensors lie back to back in name order, as checkpoint_bytes writes them
-    for name in sorted(entries):
-        meta = json_object(entries[name], f"checkpoint {path}: tensor '{name}'", _TENSOR_KEYS, _TENSOR_KEYS)
-        if meta["dtype"] != _DTYPE_TAG:
-            raise ValueError(f"checkpoint {path}: tensor '{name}' has dtype {meta['dtype']}, expected {_DTYPE_TAG}")
-        shape = expected[name]
-        if meta["shape"] != list(shape) or not all(type(d) is int for d in meta["shape"]):
-            raise ValueError(f"checkpoint {path}: tensor '{name}' has shape {meta['shape']}, expected {list(shape)}")
-        if meta["byte_offset"] != offset or type(meta["byte_offset"]) is not int:
-            raise ValueError(
-                f"checkpoint {path}: tensor '{name}' starts at byte {meta['byte_offset']}, expected {offset} "
-                "(tensors lie back to back in name order)"
-            )
-        count = int(np.prod(shape))
-        if offset + 8 * count > len(payload):
-            raise ValueError(f"checkpoint {path}: payload ends inside tensor '{name}'")
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-        offset += 8 * count
-        params[name] = Tensor(arr.reshape(shape).astype(np.float64), requires_grad=True)
-        if not np.all(np.isfinite(params[name].data)):
+    offset = 0  # the parameters lie back to back in name order, as checkpoint_bytes writes them
+    for name in sorted(shapes):
+        count = math.prod(shapes[name])
+        data = np.frombuffer(payload, dtype="<f8", count=count, offset=offset).reshape(shapes[name])
+        if not np.isfinite(data).all():
             raise ValueError(f"checkpoint {path}: tensor '{name}' contains non-finite values")
-    if offset != len(payload):
-        raise ValueError(f"checkpoint {path}: {len(payload) - offset} trailing bytes after the last tensor")
+        params[name] = Tensor(data.astype(np.float64), requires_grad=True)
+        offset += 8 * count
     return Transformer(config, params), header["config"]

@@ -16,7 +16,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .checkpoint import load_checkpoint, write_atomic
-from .data import Vocabulary, detokenize, ingest, write_synthetic_corpus
+from .data import TOKENIZER_KINDS, Vocabulary, detokenize, ingest, write_synthetic_corpus
 from .evaluation import (
     PPL_MODES,
     bench_latency,
@@ -76,8 +76,10 @@ def parse_anchor_file(path: str, vocab: Vocabulary, tokenizer_kind: str, length:
     return anchors
 
 
-def parse_order_file(path: str, length: int) -> list[int]:
-    """Whitespace-separated 1-based positions up to ``length``, as 0-based ones."""
+def parse_order_file(path: str, constraints: GenerationConstraints) -> list[int]:
+    """Whitespace-separated 1-based positions, each free position of
+    ``constraints`` once, as 0-based ones."""
+    length = constraints.target_length
     text = Path(path).read_text(encoding="utf-8")
     positions = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -90,9 +92,16 @@ def parse_order_file(path: str, length: int) -> list[int]:
                 raise ValueError(f"{path}:{lineno}: order positions are 1-based, got {pos}")
             if pos > length:
                 raise ValueError(f"{path}:{lineno}: position {pos} is past --length {length}")
+            if pos - 1 in constraints.anchors:
+                raise ValueError(f"{path}:{lineno}: position {pos} is an anchor; the order lists free positions only")
+            if pos - 1 in positions:
+                raise ValueError(f"{path}:{lineno}: position {pos} appears twice")
             positions.append(pos - 1)
     if not positions:
         raise ValueError(f"{path}: order file is empty")
+    left_out = [p + 1 for p in constraints.free_positions if p not in positions]
+    if left_out:
+        raise ValueError(f"{path}: order leaves out free position(s) {left_out}")
     return positions
 
 
@@ -104,8 +113,8 @@ def _load_model(path: str):
         if not (isinstance(vocab, list) and len(vocab) == size and all(isinstance(t, str) for t in vocab)):
             raise ValueError(f"checkpoint {path}: vocab must be a list of {size} strings, one per token id")
         vocab = Vocabulary(vocab)
-    if not isinstance(tokenizer_kind, str):
-        raise ValueError(f"checkpoint {path}: tokenizer must be a string, got {type(tokenizer_kind).__name__}")
+    if tokenizer_kind not in TOKENIZER_KINDS:
+        raise ValueError(f"checkpoint {path}: tokenizer must be one of {TOKENIZER_KINDS}")
     return model, vocab, tokenizer_kind
 
 
@@ -157,7 +166,7 @@ def cmd_generate(args) -> int:
     constraints = GenerationConstraints(target_length=args.length, anchors=anchors)
     check_length(model, args.length)
     if args.order_file:
-        order = GenerationOrder.explicit(parse_order_file(args.order_file, args.length))
+        order = GenerationOrder.explicit(parse_order_file(args.order_file, constraints))
     elif args.order == "ltr":
         order = GenerationOrder.left_to_right(constraints.free_positions)
     else:

@@ -239,6 +239,30 @@ def test_generate_file_position_past_length_names_the_line(flag, text, line, wor
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, anchors, line, message",
+    [
+        ("1 1 2\n", "", ":1", "position 1 appears twice"),
+        ("1 2\n", "", "", "order leaves out free position(s) [3]"),
+        ("1 2 3\n", "2:t\n", ":1", "position 2 is an anchor; the order lists free positions only"),
+    ],
+    ids=["repeated", "leaves_out_a_free_position", "lists_an_anchor"],
+)
+def test_generate_order_file_that_misses_the_free_positions_names_the_file(
+    text, anchors, line, message, workspace, tmp_path, capsys
+):
+    order, anchor_file = tmp_path / "order.txt", tmp_path / "anchors.txt"
+    order.write_text(text, encoding="utf-8")
+    anchor_file.write_text(anchors, encoding="utf-8")
+    out = tmp_path / "gen.json"
+    assert main([
+        "generate", "--checkpoint", str(workspace / "upmlm.ckpt"), "--length", "3", "--order-file", str(order),
+        "--anchors", str(anchor_file), "--out", str(out),
+    ]) == 2
+    assert capsys.readouterr().err == f"error: {order}{line}: {message}\n"
+    assert not out.exists()
+
+
 def test_generate_decodes_a_causal_checkpoint_left_to_right_only(workspace, tmp_path, capsys):
     ckpt = str(workspace / "gpt.ckpt")
     trace = tmp_path / "ltr.jsonl"
@@ -712,6 +736,15 @@ def _checkpoint_claiming(layers: int) -> bytes:
     return json.dumps(header).encode() + raw[sep:]
 
 
+_NAMES_ITS_FIELD = {
+    "checkpoint_vocab_size_string": "'vocab_size'",
+    "checkpoint_heads_0": "heads",
+    "checkpoint_intermediate_size_0": "intermediate_size",
+    "checkpoint_tokenizer_number": "tokenizer must be one of ('char', 'whitespace')",
+    "checkpoint_tokenizer_bogus": "tokenizer must be one of ('char', 'whitespace')",
+}
+
+
 @pytest.mark.parametrize(
     "argv, content",
     [
@@ -722,13 +755,14 @@ def _checkpoint_claiming(layers: int) -> bytes:
         (_TRAIN, '{"corpus_path": "c.txt", "prior": {"kind": "uniform"}}'),
         (_TRAIN, "[1]"),
         (_TRAIN, "{" + _RUN + ', "r0": 0.3}}'),
-        (_GENERATE, '{"config":{"model":{"vocab_size":"12"}},"tensors":{}}\0'),
-        (_GENERATE, '{"config":{"model":{"vocab_size":12,"heads":0}},"tensors":{}}\0'),
-        (_GENERATE, '{"config":{"model":{"vocab_size":12,"intermediate_size":0}},"tensors":{}}\0'),
+        (_GENERATE, '{"config":{"model":{"vocab_size":"12"}}}\0'),
+        (_GENERATE, '{"config":{"model":{"vocab_size":12,"heads":0}}}\0'),
+        (_GENERATE, '{"config":{"model":{"vocab_size":12,"intermediate_size":0}}}\0'),
         (_GENERATE, _checkpoint(vocab=5)),
         (_GENERATE, _checkpoint(vocab=[*SPECIAL_TOKENS, *range(9)])),
         (_GENERATE, _checkpoint(vocab=_VOCAB[:4])),
         (_GENERATE, _checkpoint(vocab=_VOCAB, tokenizer=3)),
+        (_GENERATE, _checkpoint(vocab=_VOCAB, tokenizer="bogus")),
         (_GENERATE, _checkpoint_claiming(30)),
         (_GENERATE, _checkpoint_claiming(1000)),
         (_GENERATE, _checkpoint_claiming(10**9)),
@@ -739,11 +773,11 @@ def _checkpoint_claiming(layers: int) -> bytes:
         "run_config_uniform_prior_with_r0",
         "checkpoint_vocab_size_string", "checkpoint_heads_0", "checkpoint_intermediate_size_0",
         "checkpoint_vocab_number", "checkpoint_vocab_of_ints",
-        "checkpoint_vocab_shorter_than_vocab_size", "checkpoint_tokenizer_number",
+        "checkpoint_vocab_shorter_than_vocab_size", "checkpoint_tokenizer_number", "checkpoint_tokenizer_bogus",
         "checkpoint_30_layers", "checkpoint_1000_layers", "checkpoint_1e9_layers",
     ],
 )
-def test_bad_json_is_a_one_line_error(argv, content, tmp_path, monkeypatch, capsys):
+def test_bad_json_is_a_one_line_error(argv, content, tmp_path, monkeypatch, capsys, request):
     monkeypatch.chdir(tmp_path)  # a run config's relative checkpoint path would land here
     (tmp_path / "c.txt").write_text("the cat sat\n", encoding="utf-8")  # so only the config's defect can fail
     path = tmp_path / "input"
@@ -756,6 +790,7 @@ def test_bad_json_is_a_one_line_error(argv, content, tmp_path, monkeypatch, caps
     assert code == 2
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "corpus file" not in captured.err
+    assert _NAMES_ITS_FIELD.get(request.node.callspec.id, "") in captured.err
     assert len(captured.err) < 1000
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.txt", "input"]
 
@@ -840,14 +875,11 @@ def test_corpus_word_equal_to_a_special_token_is_a_one_line_error(tmp_path, caps
 
 
 _TAMPERS = {
-    "trailing_bytes": "trailing bytes",
-    "overlapping_offset": "back to back",
-    "gap_before_last_tensor": "back to back",
+    "trailing_bytes": "payload has {over} bytes, its config needs {size}",
     "malformed_header_json": "malformed header",
-    "wrong_dtype": "has dtype f32, expected f64",
-    "wrong_shape": "has shape [1, 1], expected",
-    "payload_ends_inside_a_tensor": "payload ends inside tensor 'tok_emb'",
+    "payload_ends_inside_a_tensor": "payload has {short} bytes, its config needs {size}",
     "non_finite_value": "tensor 'tok_emb' contains non-finite values",
+    "header_with_tensors_table": "header has unknown key(s) ['tensors']",
 }
 
 
@@ -856,23 +888,15 @@ def test_checkpoint_payload_out_of_place_is_a_one_line_error(tamper, workspace, 
     raw = (workspace / "upmlm.ckpt").read_bytes()
     sep = raw.find(b"\0")
     header, payload = json.loads(raw[:sep]), raw[sep + 1 :]
-    last = header["tensors"][max(header["tensors"])]  # tok_emb, the last in name order
+    size = len(payload)
     if tamper == "trailing_bytes":
         payload += bytes(8)
-    elif tamper == "overlapping_offset":
-        last["byte_offset"] -= 8
-        payload = payload[:-8]
-    elif tamper == "gap_before_last_tensor":
-        last["byte_offset"] += 8
-        payload += bytes(8)
-    elif tamper == "wrong_dtype":
-        last["dtype"] = "f32"
-    elif tamper == "wrong_shape":
-        last["shape"] = [1, 1]
     elif tamper == "payload_ends_inside_a_tensor":
         payload = payload[:-8]
-    elif tamper == "non_finite_value":
+    elif tamper == "non_finite_value":  # tok_emb is the last tensor in name order
         payload = payload[:-8] + np.array([np.nan], dtype="<f8").tobytes()
+    elif tamper == "header_with_tensors_table":  # as checkpoints from before the table was dropped carry
+        header["tensors"] = {"tok_emb": {"byte_offset": 0, "dtype": "f64", "shape": [1, 1]}}
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     if tamper == "malformed_header_json":
         head = head[:-1]
@@ -882,4 +906,4 @@ def test_checkpoint_payload_out_of_place_is_a_one_line_error(tamper, workspace, 
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
-    assert _TAMPERS[tamper] in captured.err
+    assert _TAMPERS[tamper].format(size=size, over=size + 8, short=size - 8) in captured.err
