@@ -65,7 +65,10 @@ def load_checkpoint(path) -> Tuple[Transformer, dict]:
     payload = raw[sep + 1 :]
     json_object(header, f"checkpoint {path}: header", ("config",), ("config",))
     json_object(header["config"], f"checkpoint {path}: header config", required=("model",))
-    config = TransformerConfig.from_dict(header["config"]["model"])
+    try:
+        config = TransformerConfig.from_dict(header["config"]["model"])
+    except ValueError as e:
+        raise ValueError(f"checkpoint {path}: {e}") from e
     # sized from a one-layer table, so a header that claims 10^9 layers is rejected before naming them
     one = {name: math.prod(shape) for name, shape in parameter_shapes(replace(config, layers=1)).items()}
     per_layer = sum(count for name, count in one.items() if name.startswith("layers."))

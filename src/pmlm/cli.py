@@ -230,6 +230,8 @@ def cmd_verify_equivalence(args) -> int:
         if args.models != 1:
             raise ValueError(f"--models counts fresh models; --checkpoint verifies one, got --models {args.models}")
         model, _, _ = _load_model(args.checkpoint)
+        if args.n > model.config.max_len:
+            raise ValueError(f"--n {args.n} exceeds the checkpoint's max_len {model.config.max_len}")
         models = [model]
         vocab_size = model.config.vocab_size
     else:

@@ -8,7 +8,6 @@ model decodes left to right after a prefix of anchors, from a key/value cache.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -146,14 +145,6 @@ def render_trace_table(trace: GenerationTrace, vocab: Optional[Vocabulary] = Non
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=64)
-def _candidates(size: int) -> np.ndarray:
-    """The ids 0..size-1 outside ``EXCLUDED_CANDIDATES``, as a read-only array."""
-    ids = np.setdiff1d(np.arange(size), EXCLUDED_CANDIDATES)
-    ids.flags.writeable = False
-    return ids
-
-
 def sample_token(
     logit_row: np.ndarray,
     sampler: SamplerSpec,
@@ -163,35 +154,37 @@ def sample_token(
 
     greedy takes the argmax (lowest id wins ties); temperature samples from
     softmax(logits / T); top_k renormalizes over the k best after temperature
-    scaling. The ``EXCLUDED_CANDIDATES`` are removed from the candidate set first.
+    scaling. The candidates are the ids past the leading ``EXCLUDED_CANDIDATES``.
     """
     logits = np.asarray(logit_row, dtype=np.float64)
     if logits.ndim != 1:
         raise ValueError(f"sample_token expects one logit row, got shape {logits.shape}")
     if not np.isfinite(logits).all():
         raise ValueError("sample_token: non-finite logits")
-    ids = _candidates(logits.shape[0])
-    if not ids.size:
+    first = len(EXCLUDED_CANDIDATES)
+    logits = logits[first:]  # a view: written to nowhere below
+    if not logits.size:
         raise ValueError("sample_token: every candidate token is excluded")
-    logits = logits[ids]
 
     if sampler.kind == "greedy":
-        return int(ids[logits.argmax()])
+        return first + int(logits.argmax())
 
-    if sampler.kind == "top_k" and sampler.k < ids.size:
+    best = None
+    if sampler.kind == "top_k" and sampler.k < logits.size:
         # rank by logit descending, ties by lower id; keep the k best in id order
         best = (-logits).argsort(kind="stable")[: sampler.k]
         best.sort()
-        ids, logits = ids[best], logits[best]
+        logits = logits[best]
     if rng is None:
         raise ValueError(f"sampler kind '{sampler.kind}' requires an rng")
-    # shift before dividing: a tiny T sends the gaps to -inf, whose weights are 0
-    with np.errstate(over="ignore"):
-        scaled = (logits - logits.max()) / sampler.temperature
-    weights = np.exp(scaled)
-    cdf = (weights / weights.sum()).cumsum()
-    pick = min(int(cdf.searchsorted(rng.random(), side="right")), ids.size - 1)
-    return int(ids[pick])
+    weights = logits - logits.max()
+    if sampler.temperature != 1.0:
+        with np.errstate(over="ignore"):  # shifted first: a tiny T sends the gaps to -inf, whose weights are 0
+            weights /= sampler.temperature
+    np.exp(weights, out=weights)
+    cdf = (weights / np.add.reduce(weights)).cumsum()
+    pick = min(int(cdf.searchsorted(rng.random(), side="right")), logits.size - 1)
+    return first + (pick if best is None else int(best[pick]))
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,9 @@ class TransformerConfig:
     def __post_init__(self):
         if self.vocab_size < 4:
             raise ValueError(f"vocab_size must be at least 4, got {self.vocab_size}")
-        if min(self.max_len, self.layers, self.intermediate_size, self.heads, self.hidden_size) < 1:
-            raise ValueError("max_len, layers, intermediate_size, heads and hidden_size must be positive")
+        for name in ("max_len", "layers", "heads", "hidden_size", "intermediate_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.hidden_size % self.heads != 0:
             raise ValueError(
                 f"hidden_size {self.hidden_size} not divisible by heads {self.heads}"
@@ -226,11 +227,11 @@ def _split_heads(ops, y, heads: int):
 class DecodeCache:
     """Per-layer key/value cache for incremental causal decoding, bound to the
     model that fills it and to that model's parameter arrays at the time it is
-    made. ``layers`` holds per layer what the decode step reads: the parameter
-    arrays in ``parameter_shapes`` order, then the keys and values as (max_len,
-    hidden) rows and as (heads, head_dim, max_len) and (heads, max_len,
-    head_dim) views. Their first ``length`` positions hold the keys and values
-    of the int64 ids ``tokens[:length]``."""
+    made. ``layers`` holds per layer what the decode step reads: the ln1 gain and bias, the
+    q|k|v weights side by side in one (hidden, 3·hidden) copy and their biases in one, the
+    layer's other parameter arrays in ``parameter_shapes`` order, then the keys and values as
+    (max_len, hidden) rows and as (heads, head_dim, max_len) and (heads, max_len, head_dim)
+    views. Their first ``length`` positions hold the keys and values of ``tokens[:length]``."""
 
     def __init__(self, model: "Transformer"):
         cfg = model.config
@@ -241,8 +242,9 @@ class DecodeCache:
         self.layers = []
         for i in range(cfg.layers):
             k, v = np.zeros((2, cfg.max_len, cfg.heads, cfg.head_dim))
-            params = [self.arrays[name] for name in parameter_shapes(cfg) if name.startswith(f"layers.{i}.")]
-            self.layers.append((*params, k.reshape(cfg.max_len, -1), v.reshape(cfg.max_len, -1),
+            p = [self.arrays[name] for name in parameter_shapes(cfg) if name.startswith(f"layers.{i}.")]
+            qkv = np.concatenate(p[2:8:2], axis=1), np.concatenate(p[3:8:2])  # p[2:8] is wq, bq, wk, bk, wv, bv
+            self.layers.append((*p[:2], *qkv, *p[8:], k.reshape(cfg.max_len, -1), v.reshape(cfg.max_len, -1),
                                 k.transpose(1, 2, 0), v.transpose(1, 0, 2)))
 
 
@@ -470,14 +472,13 @@ class Transformer:
             future = np.where(np.arange(n) > queries[:, None], T.NEG_INF, 0.0)
             bias = future if bias is None else bias + future
 
-        norm, scale = T.array_ops.layer_norm, 1.0 / math.sqrt(cfg.head_dim)
-        for g1, b1, wq, bq, wk, bk, wv, bv, wo, bo, g2, b2, w_in, b_in, w_out, b_out, k, v, keys, values in cache.layers:
-            x = norm(h, g1, b1)
-            k[start:n] = T._matmul(x, wk, bk)
-            v[start:n] = T._matmul(x, wv, bv)
-            e = T._matmul(x, wq, bq).reshape(r, cfg.heads, -1).transpose(1, 0, 2) @ keys[:, :, :n]
+        d, norm, scale = cfg.hidden_size, T.array_ops.layer_norm, 1.0 / math.sqrt(cfg.head_dim)
+        for g1, b1, w_qkv, b_qkv, wo, bo, g2, b2, w_in, b_in, w_out, b_out, k, v, keys, values in cache.layers:
+            qkv = T._matmul(norm(h, g1, b1), w_qkv, b_qkv)
+            k[start:n], v[start:n] = qkv[:, d : 2 * d], qkv[:, 2 * d :]
+            e = qkv[:, :d].reshape(r, cfg.heads, -1).transpose(1, 0, 2) @ keys[:, :, :n]
             attn = T._softmax(np.multiply(e, scale, out=e), bias)
-            h += T._matmul((attn @ values[:, :n]).transpose(1, 0, 2).reshape(r, cfg.hidden_size), wo, bo)
+            h += T._matmul((attn @ values[:, :n]).transpose(1, 0, 2).reshape(r, d), wo, bo)
             h += T._matmul(T._gelu(T._matmul(norm(h, g2, b2), w_in, b_in)), w_out, b_out)
         logits = T._matmul(norm(h, p["ln_f.gain"], p["ln_f.bias"]), p["out.w"], p["out.b"])
         cache.tokens[start:n] = ids[start:]

@@ -252,9 +252,9 @@ def _softmax(e: np.ndarray, bias=None) -> np.ndarray:
     """Stable softmax over the last axis of e + bias, computed in e. Rows sum to 1."""
     if bias is not None:
         e += bias
-    e -= e.max(axis=-1, keepdims=True)
+    e -= np.maximum.reduce(e, axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
@@ -268,8 +268,8 @@ def _standardize(x: np.ndarray, empty=None):
     count = x.shape[-1]
     if x.size == count:
         row = x.reshape(-1)
-        xhat = row - row.sum() / count
-        inv = 1.0 / math.sqrt((xhat * xhat).sum() / count + _LN_EPS)
+        xhat = row - np.add.reduce(row) / count
+        inv = 1.0 / math.sqrt(np.add.reduce(xhat * xhat) / count + _LN_EPS)
     else:
         mean = x.sum(axis=-1, keepdims=True) / count
         if empty is None:

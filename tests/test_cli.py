@@ -20,7 +20,8 @@ from helpers import tiny_model
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """A tiny corpus plus one bidirectional and one causal checkpoint."""
+    """A tiny corpus plus one bidirectional and one causal checkpoint, and
+    a bidirectional one of max_len 8 (short.ckpt)."""
     root = tmp_path_factory.mktemp("cli")
     corpus = root / "corpus.txt"
     assert main(["make-corpus", "--out", str(corpus), "--bytes", "3000", "--seed", "0"]) == 0
@@ -44,6 +45,7 @@ def workspace(tmp_path_factory):
         )
         == 0
     )
+    (root / "short.ckpt").write_bytes(checkpoint_bytes(tiny_model()))
     return root
 
 
@@ -433,6 +435,17 @@ def test_verify_equivalence_rejects_a_causal_checkpoint(workspace, tmp_path, cap
     assert not out.exists()
 
 
+def test_verify_equivalence_rejects_n_past_the_checkpoints_max_len(workspace, tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    assert main([
+        "verify-equivalence", "--checkpoint", str(workspace / "short.ckpt"), "--n", "12", "--out", str(out),
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --n 12 exceeds the checkpoint's max_len 8\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_verify_equivalence_rejects_models_with_a_checkpoint(workspace, tmp_path, capsys):
     out = tmp_path / "verify.json"
     assert main([
@@ -488,6 +501,7 @@ def test_unreadable_checkpoint_is_reported(workspace, capsys):
         ["verify-equivalence", "--tolerance", "nan"],
         ["verify-equivalence", "--tolerance", "-1"],
         ["verify-equivalence", "--n", "-3"],
+        ["verify-equivalence", "--checkpoint", "{workspace}/short.ckpt", "--n", "12"],
         ["train", "--preset", "upmlm", "--corpus", "{tmp}/c.txt", "--checkpoint", "{tmp}/m.ckpt", "--seed", "-1"],
         ["generate", "--checkpoint", "{tmp}/m.ckpt", "--length", "4", "--seed", "-1"],
         ["eval-ppl", "--checkpoint", "{tmp}/m.ckpt", "--corpus", "{tmp}/c.txt", "--seed", "-1"],
@@ -502,12 +516,15 @@ def test_unreadable_checkpoint_is_reported(workspace, capsys):
     ids=[
         "verify_n_0", "verify_models_0", "make_corpus_negative_bytes",
         "verify_tolerance_inf", "verify_tolerance_nan", "verify_tolerance_negative",
-        "verify_n_negative", "train_seed_negative", "generate_seed_negative", "eval_ppl_seed_negative",
+        "verify_n_negative", "verify_n_past_the_checkpoints_max_len", "train_seed_negative", "generate_seed_negative", "eval_ppl_seed_negative",
         "bench_latency_length_unallocatable", "train_batch_size_unallocatable", "train_max_len_unallocatable",
     ],
 )
 def test_bad_flag_is_a_one_line_error(argv, workspace, tmp_path, capsys):
-    code = main([a.replace("{tmp}", str(tmp_path)).replace("{corpus}", str(workspace / "corpus.txt")) for a in argv])
+    code = main([
+        a.replace("{tmp}", str(tmp_path)).replace("{corpus}", str(workspace / "corpus.txt"))
+        .replace("{workspace}", str(workspace)) for a in argv
+    ])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
@@ -737,9 +754,9 @@ def _checkpoint_claiming(layers: int) -> bytes:
 
 
 _NAMES_ITS_FIELD = {
-    "checkpoint_vocab_size_string": "'vocab_size'",
-    "checkpoint_heads_0": "heads",
-    "checkpoint_intermediate_size_0": "intermediate_size",
+    "checkpoint_vocab_size_string": "model config: 'vocab_size' must be int, got '12'",
+    "checkpoint_heads_0": "heads must be positive, got 0",
+    "checkpoint_intermediate_size_0": "intermediate_size must be positive, got 0",
     "checkpoint_tokenizer_number": "tokenizer must be one of ('char', 'whitespace')",
     "checkpoint_tokenizer_bogus": "tokenizer must be one of ('char', 'whitespace')",
 }
@@ -791,6 +808,8 @@ def test_bad_json_is_a_one_line_error(argv, content, tmp_path, monkeypatch, caps
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "corpus file" not in captured.err
     assert _NAMES_ITS_FIELD.get(request.node.callspec.id, "") in captured.err
+    if request.node.callspec.id.startswith("checkpoint_"):
+        assert captured.err.startswith(f"error: checkpoint {path}: ")
     assert len(captured.err) < 1000
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.txt", "input"]
 

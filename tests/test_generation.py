@@ -11,6 +11,7 @@ import pytest
 from pmlm import tensor as T
 from pmlm.data import MASK_ID, PAD_ID, UNK_ID
 from pmlm.generation import (
+    EXCLUDED_CANDIDATES,
     GenerationConstraints,
     GenerationOrder,
     SamplerSpec,
@@ -20,7 +21,7 @@ from pmlm.generation import (
     replay_trace,
     sample_token,
 )
-from pmlm.model import Transformer
+from pmlm.model import Transformer, TransformerConfig, parameter_shapes, relative_attention_bias
 
 from helpers import tiny_model
 
@@ -224,6 +225,91 @@ def test_generate_matches_a_loop_through_the_checked_entry_points(length, mode, 
         assert rng.bit_generator.state == oracle.bit_generator.state
 
 
+def _three_projection_extend(model, cache, ids):
+    """``Transformer._extend`` as it was while each layer ran separate q, k and
+    v products on the parameter arrays, kept as an oracle. Its keys and values
+    live in ``cache.oracle``, made at the cache's first step."""
+    cfg, p = model.config, cache.arrays
+    if cache.length == 0:
+        cache.oracle = []
+        for i in range(cfg.layers):
+            k, v = np.zeros((2, cfg.max_len, cfg.heads, cfg.head_dim))
+            params = [p[name] for name in parameter_shapes(cfg) if name.startswith(f"layers.{i}.")]
+            cache.oracle.append((*params, k.reshape(cfg.max_len, -1), v.reshape(cfg.max_len, -1),
+                                 k.transpose(1, 2, 0), v.transpose(1, 0, 2)))
+    start, n = cache.length, ids.shape[0]
+    r = n - start
+    queries = np.arange(start, n)
+    h = p["tok_emb"][ids[start:]]
+    bias = None
+    if cfg.positional_kind == "absolute":
+        h += p["pos_emb"][start:n]
+    else:
+        bias = relative_attention_bias(p["rel_bias"], n, queries=queries, ops=T.array_ops)
+    if r > 1:
+        future = np.where(np.arange(n) > queries[:, None], T.NEG_INF, 0.0)
+        bias = future if bias is None else bias + future
+
+    norm, scale = T.array_ops.layer_norm, 1.0 / math.sqrt(cfg.head_dim)
+    for g1, b1, wq, bq, wk, bk, wv, bv, wo, bo, g2, b2, w_in, b_in, w_out, b_out, k, v, keys, values in cache.oracle:
+        x = norm(h, g1, b1)
+        k[start:n] = T._matmul(x, wk, bk)
+        v[start:n] = T._matmul(x, wv, bv)
+        e = T._matmul(x, wq, bq).reshape(r, cfg.heads, -1).transpose(1, 0, 2) @ keys[:, :, :n]
+        attn = T._softmax(np.multiply(e, scale, out=e), bias)
+        h += T._matmul((attn @ values[:, :n]).transpose(1, 0, 2).reshape(r, cfg.hidden_size), wo, bo)
+        h += T._matmul(T._gelu(T._matmul(norm(h, g2, b2), w_in, b_in)), w_out, b_out)
+    logits = T._matmul(norm(h, p["ln_f.gain"], p["ln_f.bias"]), p["out.w"], p["out.b"])
+    cache.tokens[start:n] = ids[start:]
+    cache.length = n
+    return logits[-1]
+
+
+@pytest.mark.parametrize("size", ["test", "preset", "hidden_20"])
+@pytest.mark.parametrize("positional", ["absolute", "relative"])
+@pytest.mark.parametrize(
+    "sampler", [GREEDY, SamplerSpec(kind="top_k", k=5), SamplerSpec(kind="temperature", temperature=0.5)],
+    ids=["greedy", "top_k", "temperature"],
+)
+def test_fused_decode_step_matches_the_three_projection_step(size, positional, sampler, monkeypatch):
+    """generate over ``_extend`` and over the oracle gives the same sequence,
+    trace, generator state and logit rows: bit for bit at the test and preset
+    sizes, where the (hidden, 3·hidden) product has the three products' bits
+    on OpenBLAS; at hidden 20 it rounds some entries differently, so there the
+    rows agree within 1e-12."""
+    config = dict(attention_mode="causal", positional_kind=positional, dropout_rate=0.0)
+    if size == "test":
+        m = tiny_model(seed=31, max_len=16, **config)
+    else:
+        hidden = 64 if size == "preset" else 20
+        m = Transformer.init(TransformerConfig(vocab_size=60, hidden_size=hidden, intermediate_size=4 * hidden, **config), 31)
+    n = m.config.max_len
+    for anchors in ({}, {0: 4, 1: 7, 2: 3}):  # one-row steps only; a prompt, whose step runs four rows
+        constraints = GenerationConstraints(n, anchors)
+        order = GenerationOrder.left_to_right(constraints.free_positions)
+        runs = []
+        for step in (m._extend, lambda cache, ids: _three_projection_extend(m, cache, ids)):
+            rows = []
+
+            def recorded(cache, ids, step=step, rows=rows):
+                rows.append(step(cache, ids))
+                return rows[-1]
+
+            monkeypatch.setattr(m, "_extend", recorded)
+            rng = np.random.default_rng(5)
+            seq, trace = generate(m, constraints, order, sampler, rng)
+            runs.append((seq, trace.steps, rng.bit_generator.state, np.array(rows)))
+            monkeypatch.undo()
+        (seq, steps, state, rows), (want_seq, want_steps, want_state, want_rows) = runs
+        np.testing.assert_array_equal(seq, want_seq)
+        assert steps == want_steps and state == want_state
+        assert rows.shape == (len(order.sigma), m.config.vocab_size)
+        if size == "hidden_20":
+            np.testing.assert_allclose(rows, want_rows, rtol=0, atol=1e-12)
+        else:
+            np.testing.assert_array_equal(rows, want_rows)
+
+
 @pytest.mark.parametrize(
     "mode, constraints, sigma, message",
     [
@@ -408,6 +494,56 @@ def test_sample_token_makes_the_picks_of_the_first_implementation():
         for i, row in enumerate(rows):
             assert sample_token(row, spec, rng) == _sample_token_before(row, spec, oracle), (spec, i)
             assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+def _sample_token_over_candidates(logit_row, sampler, rng=None):
+    """sample_token as it was while it gathered a copy of the candidate logits
+    through an id array of ``0..size-1`` less ``EXCLUDED_CANDIDATES``, kept as an oracle."""
+    logits = np.asarray(logit_row, dtype=np.float64)
+    ids = np.setdiff1d(np.arange(logits.shape[0]), EXCLUDED_CANDIDATES)
+    if not ids.size:
+        raise ValueError("sample_token: every candidate token is excluded")
+    logits = logits[ids]
+    if sampler.kind == "greedy":
+        return int(ids[logits.argmax()])
+    if sampler.kind == "top_k" and sampler.k < ids.size:
+        best = (-logits).argsort(kind="stable")[: sampler.k]
+        best.sort()
+        ids, logits = ids[best], logits[best]
+    with np.errstate(over="ignore"):
+        scaled = (logits - logits.max()) / sampler.temperature
+    weights = np.exp(scaled)
+    cdf = (weights / weights.sum()).cumsum()
+    pick = min(int(cdf.searchsorted(rng.random(), side="right")), ids.size - 1)
+    return int(ids[pick])
+
+
+def test_sample_token_matches_the_candidate_array_sampler():
+    """Same id and generator state after every draw, with no warning and the
+    row left as it was, at vocabulary sizes 4 to 64 on rounded rows that tie
+    and on a row of equal logits; rows of three entries or fewer raise."""
+    samplers = [GREEDY] + [
+        SamplerSpec(kind, temperature, k)
+        for temperature in (1.0, 0.5, 2.0, 1e-300)
+        for kind, k in (("temperature", 40), ("top_k", 1), ("top_k", 5), ("top_k", 100))
+    ]
+    data = np.random.default_rng(41)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for size in range(4, 65):
+            rows = np.round(data.normal(scale=2.0, size=(16, size)), 1)
+            rows[0] = 0.5
+            kept = rows.copy()
+            for spec in samplers:
+                rng, oracle = np.random.default_rng(size), np.random.default_rng(size)
+                for i, row in enumerate(rows):
+                    assert sample_token(row, spec, rng) == _sample_token_over_candidates(row, spec, oracle), (size, spec, i)
+                    assert rng.bit_generator.state == oracle.bit_generator.state
+            np.testing.assert_array_equal(rows, kept)
+    for size in range(4):
+        for spec in samplers:
+            with pytest.raises(ValueError, match="every candidate token is excluded"):
+                sample_token(np.zeros(size), spec, np.random.default_rng(0))
 
 
 def test_special_tokens_never_sampled():

@@ -761,13 +761,15 @@ def test_config_rejects_bad_values():
         TransformerConfig(vocab_size=10, attention_mode="diagonal")
     with pytest.raises(ValueError, match="relative_window"):
         TransformerConfig(vocab_size=10, positional_kind="relative", relative_window=0)
-    with pytest.raises(ValueError, match="heads and hidden_size must be positive"):
+    with pytest.raises(ValueError, match="^heads must be positive, got 0$"):
         TransformerConfig(vocab_size=10, heads=0)
-    with pytest.raises(ValueError, match="heads and hidden_size must be positive"):
+    with pytest.raises(ValueError, match="^hidden_size must be positive, got 0$"):
         TransformerConfig(vocab_size=10, hidden_size=0)
     for width in (0, -1):
-        with pytest.raises(ValueError, match="intermediate_size, heads and hidden_size must be positive"):
+        with pytest.raises(ValueError, match=f"^intermediate_size must be positive, got {width}$"):
             TransformerConfig(vocab_size=10, intermediate_size=width)
+    with pytest.raises(ValueError, match="^layers must be positive, got 0$"):  # the first field at fault
+        TransformerConfig(vocab_size=10, layers=0, heads=0)
 
 
 def test_transformer_rejects_wrong_parameter_names():
