@@ -150,7 +150,7 @@ def ingest(
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ValueError(f"cannot read corpus file {p}: {e}") from e
     if any(special in text for special in SPECIAL_TOKENS):  # the lines are read only on a hit
         for lineno, line in enumerate(text.splitlines(), start=1):

@@ -108,9 +108,9 @@ def pmlm_training_step(model: Transformer, x, prior: MaskingPrior, rng: np.rando
     """One-sample estimator of the prior-expected masked loss.
 
     Draws r from the prior, masks i.i.d. at rate r, and scores the masked
-    positions. An all-unmasked draw contributes exactly zero (keeping the
-    estimator's expectation equal to the enumerated objective); resampling
-    on K=0 is a training-loop policy, not part of this estimator.
+    positions. An all-unmasked draw contributes exactly zero, keeping the
+    estimator's expectation equal to the enumerated objective. The training
+    loop draws each row's pattern by the same rule.
     """
     ids = _as_ids(x)
     r = sample_ratio(prior, rng)
@@ -297,14 +297,12 @@ def _shard_nll(model: Transformer, inputs, targets, weights, *, rng) -> Tensor:
 def _weighted_nll(model: Transformer, inputs, targets, weights, *, rng) -> Tensor:
     """``_shard_nll`` summed over fixed shards of ``_slice_size(cfg, max_len, 1)``
     sequences, a function of the config alone, so a seeded run keeps its bits on
-    any worker count. A one-shard batch is that shard's loss. Otherwise each
-    shard gets a dropout generator seeded from ``rng`` in shard order, the
-    shards run forward and backward on ``_workers`` threads, and one node over
-    the parameters adds their losses and gradients in shard order."""
+    any worker count. Each shard gets a dropout generator seeded from ``rng``
+    in shard order, the shards run forward and backward on ``_workers``
+    threads, and one node over the parameters adds their losses and gradients
+    in shard order, however many shards the batch has."""
     size = M._slice_size(model.config, model.config.max_len, 1)
     shards = [slice(s, s + size) for s in range(0, len(inputs), size)]
-    if len(shards) == 1:
-        return _shard_nll(model, inputs, targets, weights, rng=rng)
     rngs = [None] * len(shards) if rng is None else [
         np.random.default_rng(seed) for seed in rng.integers(2**63, size=len(shards))]
     workers = M._workers(len(shards))

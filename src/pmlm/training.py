@@ -84,6 +84,8 @@ class RunConfig:
             )
         if mode == "bidirectional" and self.prior is None:
             raise ValueError("bidirectional training requires a masking prior")
+        if self.prior == MaskingPrior.point_mass(0.0):
+            raise ValueError("a point_mass prior at r0 = 0 never masks a position, so training would learn nothing")
         if self.tokenizer_kind not in TOKENIZER_KINDS:
             raise ValueError(f"unknown tokenizer kind '{self.tokenizer_kind}'")
 
@@ -146,15 +148,11 @@ class TrainResult:
 
 
 def _sample_patterns(batch: np.ndarray, prior: MaskingPrior, rng: np.random.Generator) -> List[MaskPattern]:
-    """One mask pattern per row; a pattern that masks nothing is redrawn once."""
-    patterns = []
-    for row in batch:
-        pads = row == PAD_ID
-        pattern = sample_mask(len(row), sample_ratio(prior, rng), rng, pad_flags=pads)
-        if pattern.k == 0:
-            pattern = sample_mask(len(row), sample_ratio(prior, rng), rng, pad_flags=pads)
-        patterns.append(pattern)
-    return patterns
+    """One mask pattern per row, drawn as ``pmlm_training_step`` draws it: a
+    ratio from the prior, then each non-[PAD] position masked at that ratio.
+    An empty pattern is kept, so the batch loss estimates the enumerated
+    objective without bias."""
+    return [sample_mask(len(row), sample_ratio(prior, rng), rng, pad_flags=row == PAD_ID) for row in batch]
 
 
 def train(config: RunConfig, quiet: bool = False) -> TrainResult:

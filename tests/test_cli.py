@@ -875,6 +875,41 @@ def test_prior_with_a_parameter_its_kind_ignores_is_a_one_line_error(prior, work
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_never_masking_prior_is_a_one_line_error_and_writes_no_checkpoint(workspace, tmp_path, capsys):
+    from pmlm.training import preset
+
+    config = preset(
+        "upmlm", str(workspace / "corpus.txt"), str(tmp_path / "o.ckpt"),
+        layers=1, heads=2, hidden_size=16, intermediate_size=32, max_len=16, steps=2, batch_size=2,
+    ).to_dict()
+    config["prior"] = {"kind": "point_mass", "r0": 0}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = main(["train", "--config", str(path), "--quiet"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "never masks a position" in captured.err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("command", ["train", "eval-ppl"])
+def test_corpus_that_is_not_utf8_is_a_one_line_error_naming_the_file(command, workspace, tmp_path, capsys):
+    corpus = tmp_path / "c.txt"
+    corpus.write_bytes(b"\xffthe cat sat\n")
+    argv = {
+        "train": ["train", "--preset", "upmlm", "--corpus", str(corpus), "--checkpoint", str(tmp_path / "o.ckpt"),
+                  "--steps", "1", "--batch-size", "2", "--max-len", "16", "--quiet"],
+        "eval-ppl": ["eval-ppl", "--checkpoint", str(workspace / "upmlm.ckpt"), "--corpus", str(corpus)],
+    }[command]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: cannot read corpus file {corpus}: ") and captured.err.count("\n") == 1
+    assert "can't decode byte 0xff" in captured.err
+    assert list(tmp_path.iterdir()) == [corpus]
+
+
 def test_corpus_word_equal_to_a_special_token_is_a_one_line_error(tmp_path, capsys):
     from pmlm.training import preset
 

@@ -460,17 +460,21 @@ def test_masked_batch_loss_empty_pattern_contributes_zero():
             masked_batch_loss(m, batch, [patterns[0], wrong])
 
 
-def test_masked_batch_loss_graph_nodes_per_primitive():
+def test_masked_batch_loss_graph_nodes_per_primitive(monkeypatch):
     # each bias, layer-norm gain and bias, attention scale and mask is fused
     # into the matmul, layer_norm or softmax node that produces its input;
-    # splitting one out again adds an add or mul node here
+    # splitting one out again adds an add or mul node here. The batch is one
+    # shard, whose graph the join node over the parameters holds apart.
     cfg = TransformerConfig(vocab_size=20, **preset("upmlm", "corpus.txt", "m.ckpt").model)
     m = Transformer.init(cfg, seed=0)
     batch = np.random.default_rng(13).integers(3, 20, size=(4, 12))
     batch[2, 9:] = PAD_ID
     patterns = [MaskPattern.from_indices(12, idx) for idx in ([1, 5], [], [0, 8], [11])]
+    shards, shard_nll = [], objectives_mod._shard_nll
+    monkeypatch.setattr(objectives_mod, "_shard_nll", lambda *a, **kw: shards.append(shard_nll(*a, **kw)) or shards[-1])
     loss = masked_batch_loss(m, batch, patterns, rng=np.random.default_rng(1))
-    nodes, seen, stack = Counter(), set(), [loss]
+    assert loss._parents == tuple(m.params.values()) and len(shards) == 1
+    nodes, seen, stack = Counter(), set(), list(shards)
     while stack:
         t = stack.pop()
         if isinstance(t, Tensor) and t._vjp is not None and id(t) not in seen:
@@ -555,6 +559,10 @@ TRIM_BATCHES = {
         [3, 4, 5, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID],
         [6, 7, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID, PAD_ID],
     ],
+    # one shard at every shard size, joined over the parameters like any batch
+    "one_sequence": [
+        [3, 4, 5, 6, 7, PAD_ID, PAD_ID, PAD_ID],
+    ],
 }
 
 # rows whose mask pattern is empty in the masked-loss test: their sequence
@@ -574,6 +582,7 @@ def _full_width_reference(m, inputs, targets, weights):
 
 
 def _assert_matches_reference(m, loss, ref_value, ref_grads):
+    assert loss._parents == tuple(m.params.values())  # every batch, one shard or several, is one join node
     backward(loss)
     np.testing.assert_allclose(loss.item(), ref_value, rtol=1e-12, atol=0)
     for name, p in m.params.items():

@@ -1,13 +1,20 @@
 """Run-config validation, the shipped presets, and short training smoke runs."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
+from pmlm import tensor as T
 from pmlm.checkpoint import load_checkpoint
+from pmlm.data import PAD_ID
 from pmlm.masking import MaskingPrior
-from pmlm.training import RunConfig, TrainingSettings, preset, train
+from pmlm.objectives import masked_batch_loss, pmlm_exact_loss, pmlm_training_step
+from pmlm.training import RunConfig, TrainingSettings, _sample_patterns, preset, train
+
+from helpers import tiny_model
 
 
 def small_overrides(steps=40):
@@ -229,11 +236,58 @@ def test_non_finite_logits_in_a_later_shard_abort_and_retain_checkpoint(corpus_f
     assert all(np.all(np.isfinite(p.data)) for p in model.params.values())
 
 
-def test_all_unmasked_prior_trains_at_zero_loss(corpus_file, tmp_path):
-    # point mass at r=0 never masks anything; every step contributes zero
-    config = preset(
-        "upmlm", str(corpus_file), str(tmp_path / "m.ckpt"),
-        prior=MaskingPrior.point_mass(0.0), **small_overrides(3),
-    )
-    result = train(config, quiet=True)
-    assert result.losses == [0.0, 0.0, 0.0]
+def test_never_masking_prior_is_rejected():
+    """A point mass at r = 0 masks nothing, so no step would train anything."""
+    never = MaskingPrior.point_mass(0.0)
+    with pytest.raises(ValueError, match="never masks a position"):
+        RunConfig(corpus_path="c.txt", checkpoint_path="m.ckpt", model={}, prior=never)
+    with pytest.raises(ValueError, match="never masks a position"):
+        preset("upmlm", "c.txt", "m.ckpt", prior=never, **small_overrides(3))
+
+
+# ---------------------------------------------------------------------------
+# the loop's mask draws are the estimator pmlm_training_step draws
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("prior", [MaskingPrior.uniform(), MaskingPrior.truncated(0.2, 0.7)], ids=["uniform", "truncated"])
+def test_sampled_batch_loss_is_unbiased_for_the_enumerated_objective(prior):
+    """The mean batch loss over 4,000 draws of ``_sample_patterns`` lies within
+    three standard errors of the mean exact loss: an empty mask adds zero to
+    its row and is not drawn again."""
+    m = tiny_model(seed=43)
+    short, long = [3, 7, 5], [9, 4, 11, 6, 8, 10]
+    batch = np.array([short + [PAD_ID] * 3, long])
+    exact = (pmlm_exact_loss(m, short, prior).value + pmlm_exact_loss(m, long, prior).value) / 2
+    rng = np.random.default_rng(0)
+    with T.no_grad():
+        values = np.array([masked_batch_loss(m, batch, _sample_patterns(batch, prior, rng)).item()
+                           for _ in range(4_000)])
+    se = values.std(ddof=1) / math.sqrt(len(values))
+    assert abs(values.mean() - exact) < 3 * se, (values.mean(), exact, se)
+
+
+def test_sampled_mask_size_is_uniform_including_zero():
+    """Under the uniform prior K is uniform on 0..n for every row of length n."""
+    n, rows = 6, 10_000
+    patterns = _sample_patterns(np.full((rows, n), 3), MaskingPrior.uniform(), np.random.default_rng(1))
+    counts = np.bincount([p.k for p in patterns], minlength=n + 1)
+    assert chisquare(counts).pvalue > 0.001, counts
+
+
+def test_sample_patterns_draws_as_the_training_step_does():
+    """On one row, the loop's draw and ``pmlm_training_step`` use a generator
+    seeded alike the same way and score the same pattern, empty ones included."""
+    m = tiny_model(seed=44)
+    x = np.array([3, 8, 5])
+    prior, empty = MaskingPrior.uniform(), 0
+    for seed in range(20):
+        loop_rng, step_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        [pattern] = _sample_patterns(x[None, :], prior, loop_rng)
+        step = pmlm_training_step(m, x, prior, step_rng)
+        assert loop_rng.bit_generator.state == step_rng.bit_generator.state
+        assert step.token_count == pattern.k
+        with T.no_grad():
+            assert step.value == masked_batch_loss(m, x[None, :], [pattern]).item()
+        empty += pattern.k == 0
+    assert empty > 0
