@@ -11,6 +11,7 @@ parameter's name and shape (``parameter_shapes``), so the header lists none.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -43,9 +44,18 @@ def write_atomic(path, content: bytes) -> Path:
     try:
         tmp.write_bytes(content)
         os.replace(tmp, p)
+    except OSError as e:  # named by the path given, not the temporary file
+        raise e if e.filename is None else OSError(e.errno, e.strerror, os.fspath(path))
     finally:
         tmp.unlink(missing_ok=True)
     return p
+
+
+def check_output_paths(*paths) -> None:
+    """Fail on a path that is a directory as a write to it would, before any work."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
 
 
 def save_checkpoint(path, model: Transformer, extra_config: Optional[dict] = None) -> Path:

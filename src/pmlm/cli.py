@@ -15,8 +15,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, write_atomic
-from .data import TOKENIZER_KINDS, Vocabulary, detokenize, ingest, write_synthetic_corpus
+from .checkpoint import check_output_paths, load_checkpoint, write_atomic
+from .data import TOKENIZER_KINDS, Vocabulary, detokenize, ingest, read_text, write_synthetic_corpus
 from .evaluation import (
     PPL_MODES,
     bench_latency,
@@ -47,7 +47,7 @@ def _write_json(path: Optional[str], payload: dict) -> None:
 def parse_anchor_file(path: str, vocab: Vocabulary, tokenizer_kind: str, length: int) -> Dict[int, int]:
     """Lines of ``<position>:<token>`` with 1-based positions up to ``length``."""
     anchors: Dict[int, int] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path, "anchor file")
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -80,7 +80,7 @@ def parse_order_file(path: str, constraints: GenerationConstraints) -> list[int]
     """Whitespace-separated 1-based positions, each free position of
     ``constraints`` once, as 0-based ones."""
     length = constraints.target_length
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path, "order file")
     positions = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         for field in line.split():
@@ -154,6 +154,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    check_output_paths(args.trace, args.out)
     if args.order_file and args.order:
         raise ValueError(f"--order-file sets the order and excludes --order {args.order}")
     model, vocab, tokenizer_kind = _load_model(args.checkpoint)
@@ -200,18 +201,18 @@ def cmd_generate(args) -> int:
 
 
 def cmd_eval_ppl(args) -> int:
+    check_output_paths(args.out)
     model, vocab, tokenizer_kind = _load_model(args.checkpoint)
     if vocab is None:
         raise ValueError("checkpoint carries no vocabulary; cannot tokenize the corpus")
-    corpus = ingest(
-        args.corpus,
-        tokenizer_kind=tokenizer_kind,
-        max_len=model.config.max_len,
-        vocab=vocab,
-        split="test",
-    )
+    if model.is_causal and args.mode != "sequential":
+        raise ValueError(
+            "random-order perplexity is unsupported for causal models "
+            "(attention cannot reach later positions); use a bidirectional model"
+        )
+    corpus = ingest(args.corpus, tokenizer_kind=tokenizer_kind, max_len=model.config.max_len, vocab=vocab, split="test")
     if model.is_causal:
-        report = ppl_causal(model, corpus, mode=args.mode)
+        report = ppl_causal(model, corpus)
     else:
         report = ppl_bidirectional(model, corpus, mode=args.mode, seed=args.seed)
     name = Path(args.checkpoint).stem
@@ -222,6 +223,7 @@ def cmd_eval_ppl(args) -> int:
 
 
 def cmd_verify_equivalence(args) -> int:
+    check_output_paths(args.out)
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
     if args.models < 1:
@@ -263,6 +265,7 @@ def cmd_verify_equivalence(args) -> int:
 
 
 def cmd_bench_latency(args) -> int:
+    check_output_paths(args.out)
     base = dict(vocab_size=30, max_len=max(args.length, 64), dropout_rate=0.0)  # the other sizes are the presets'
     causal = Transformer.init(TransformerConfig(attention_mode="causal", **base), seed=args.seed)
     bidir = Transformer.init(TransformerConfig(attention_mode="bidirectional", **base), seed=args.seed)

@@ -131,6 +131,15 @@ def _chunk(ids: List[int], max_len: int) -> List[np.ndarray]:
     return out
 
 
+def read_text(path, what: str, parse=str):
+    """``parse`` of the UTF-8 text of the file at ``path``; a file that cannot
+    be read, decoded or parsed raises a ValueError that names ``what`` and the path."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as e:
+        raise ValueError(f"cannot read {what} {path}: {e}") from e
+
+
 def ingest(
     path,
     tokenizer_kind: str = "char",
@@ -148,10 +157,7 @@ def ingest(
     if max_len < 1:
         raise ValueError(f"max_len must be positive, got {max_len}")
     p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as e:
-        raise ValueError(f"cannot read corpus file {p}: {e}") from e
+    text = read_text(p, "corpus file")
     if any(special in text for special in SPECIAL_TOKENS):  # the lines are read only on a hit
         for lineno, line in enumerate(text.splitlines(), start=1):
             reserved = sorted(set(SPECIAL_TOKENS).intersection(tokenize(line, tokenizer_kind)))

@@ -77,7 +77,7 @@ def _batched_nll(
             out[sl, :w] = T.array_ops.cross_entropy_rows(logits, targets[sl, :w])
         else:
             r = rows[sl]
-            logits = model.forward(inputs[sl, :w], rows=r).data
+            logits = model.forward(inputs[sl, :w], rows=r + w * np.arange(len(r))).data
             out[sl] = T.array_ops.cross_entropy_rows(logits, targets[sl][np.arange(len(r)), r])
 
     _map_slices(score, model.config, inputs.shape[0], w)
@@ -134,25 +134,11 @@ def ppl_bidirectional(
     return _ppl_report(mode, seed, scored, total_nll)
 
 
-def ppl_causal(model: Transformer, corpus: Corpus, mode: str = "sequential") -> PplReport:
-    """Standard left-to-right teacher-forced perplexity.
-
-    Random reveal order is rejected: a causal model cannot condition on
-    later positions, so the random-order protocol has no defined value.
-    """
+def ppl_causal(model: Transformer, corpus: Corpus) -> PplReport:
+    """Left-to-right teacher-forced perplexity, the one order a causal model scores."""
     if not model.is_causal:
         raise ValueError("ppl_causal requires a causal model")
-    if mode != "sequential":
-        raise ValueError(
-            "random-order perplexity is unsupported for causal models "
-            "(attention cannot reach later positions); use a bidirectional model"
-        )
-    batch = np.stack(
-        [
-            np.pad(ids, (0, corpus.max_len - len(ids)), constant_values=PAD_ID)
-            for ids in corpus.sequences
-        ]
-    )
+    batch = np.stack([np.pad(ids, (0, corpus.max_len - len(ids)), constant_values=PAD_ID) for ids in corpus.sequences])
     pad = batch == PAD_ID
     nll = _batched_nll(model, causal_inputs(batch), batch)
     nll[pad] = 0.0

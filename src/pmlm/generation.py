@@ -239,7 +239,7 @@ def generate(
         if model.is_causal:
             row = model._extend(cache, inputs[: pos + 1])
         else:
-            row = model._run(ops, arrays, seq[None, :], rows=np.array([[pos]]))[0, 0]
+            row = model._run(ops, arrays, seq[None, :], rows=np.array([pos]))[0, 0]
         token = sample_token(row, sampler, rng)
         seq[pos] = token
         trace.steps.append(TraceStep(position=pos, token=token, snapshot=tuple(seq.tolist())))

@@ -304,26 +304,16 @@ class Transformer:
                 f"outside vocabulary of size {cfg.vocab_size}"
             )
 
-    def forward(
-        self,
-        tokens,
-        *,
-        rows=None,
-        flat_rows=None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> Tensor:
+    def forward(self, tokens, *, rows=None, rng: Optional[np.random.Generator] = None) -> Tensor:
         """Logits for every position: (N, vocab) or (B, N, vocab).
 
         Bidirectional mode lets every position see every non-pad position;
         causal mode restricts attention to positions <= the query. [PAD]
         keys are masked out of attention in both modes.
 
-        ``rows`` limits the logits to the positions it names, per sequence:
-        (r,) for one sequence, (B,) or (B, r) for a batch. The result has
-        shape ``rows.shape + (vocab,)`` and equals those rows of the full
-        forward up to rounding. ``flat_rows`` (R,) instead names positions
-        of the flattened (B·n) batch, any number per sequence, and gives
-        (R, vocab); training reads its loss rows this way.
+        ``rows`` (R,) limits the logits to those positions of the flattened
+        (B·n) batch, in any order and number per sequence: (R, vocab), equal
+        to those rows of the full forward up to rounding.
 
         A forward given ``rng`` trains, with dropout at ``config.dropout_rate``
         drawn from it; without ``rng`` no dropout runs.
@@ -336,29 +326,19 @@ class Transformer:
         cfg = self.config
         ids = np.asarray(tokens, dtype=np.int64)
         shape = ids.shape
-        single = ids.ndim == 1
-        if single:
+        if ids.ndim == 1:
             ids = ids[None, :]
         self._validate_tokens(ids)
         if rows is not None:
             rows = np.asarray(rows, dtype=np.int64)
-            if rows.ndim > len(shape) or (not single and rows.shape[:1] != shape[:1]):
-                raise ValueError(f"forward: rows of shape {rows.shape} do not fit tokens of shape {shape}")
-            if np.any((rows < 0) | (rows >= ids.shape[1])):
-                raise ValueError(f"forward: a row lies outside a sequence of length {ids.shape[1]}")
-            shape, rows = rows.shape, rows.reshape(ids.shape[0], -1)
-        if flat_rows is not None:
-            if rows is not None:
-                raise ValueError("forward: pass rows or flat_rows, not both")
-            flat_rows = np.asarray(flat_rows, dtype=np.int64)
-            if flat_rows.ndim != 1:
-                raise ValueError(f"forward: flat_rows must be one-dimensional, got shape {flat_rows.shape}")
-            if np.any((flat_rows < 0) | (flat_rows >= ids.size)):
-                raise ValueError(f"forward: a flat row lies outside the {ids.size} positions of the batch")
-            shape = flat_rows.shape
+            if rows.ndim != 1:
+                raise ValueError(f"forward: rows must be one-dimensional, got shape {rows.shape}")
+            if np.any((rows < 0) | (rows >= ids.size)):
+                raise ValueError(f"forward: a row lies outside the {ids.size} positions of the batch")
+            shape = rows.shape
         recording = T.grad_enabled()
         ops, p = (T, self.params) if recording else (_array_ops(cfg, ids.size, ids.shape[1]), self._arrays())
-        logits = self._run(ops, p, ids, rows=rows, flat_rows=flat_rows, rng=rng)
+        logits = self._run(ops, p, ids, rows=rows, rng=rng)
         if logits.shape != shape + (cfg.vocab_size,):
             logits = ops.reshape(logits, shape + (cfg.vocab_size,))
         return logits if recording else Tensor(logits)
@@ -395,17 +375,19 @@ class Transformer:
             bias = rel if bias is None else rel + bias
         return bias
 
-    def _run(self, ops, p, ids: np.ndarray, *, rows=None, flat_rows=None, rng=None):
+    def _run(self, ops, p, ids: np.ndarray, *, rows=None, rng=None):
         """The full forward, embedding, blocks and head over ``ops``: logits
-        (B, n, vocab) for every position of ``ids`` (B, n), (B, r, vocab) for
-        the positions ``rows`` (B, r) only, or (R, vocab) for the positions
-        ``flat_rows`` (R,) of the flattened (B·n) batch only. With ``rng``,
-        dropout runs at ``config.dropout_rate`` on masks drawn from it.
+        (B, n, vocab) for every position of ``ids`` (B, n), or for the
+        positions ``rows`` (R,) of the flattened (B·n) batch only, as
+        (B, r, vocab) when every sequence has r of them listed in sequence
+        order, else as (R, vocab). With ``rng``, dropout runs at
+        ``config.dropout_rate`` on masks drawn from it.
 
         Past the keys and values, the last block reads a position's own
-        residual only, so the rest of it runs on the selected rows: ``rows``
-        are gathered before the queries, ``flat_rows``, which may hold a
-        different count per sequence, after the attention context.
+        residual only, so the rest of it runs on the selected rows. Rows r per
+        sequence in sequence order are gathered before the queries, so the
+        queries and the attention run on r rows per sequence; rows in any
+        other layout, such as a training shard's, after the attention context.
 
         ``ops`` is ``pmlm.tensor`` with the parameter Tensors as ``p``, or
         ``tensor.array_ops`` or ``scratch_ops`` with their arrays, whose
@@ -422,7 +404,10 @@ class Transformer:
         h = ops.dropout(h, drop, rng)
         bias = self._attention_bias(ops, p, ids, queries)
 
-        flat = flat_rows if rows is None else rows + n * np.arange(batch)[:, None]
+        flat = rows
+        if rows is not None and batch and len(rows) % batch == 0:  # (B, r) if r per sequence, in sequence order
+            square = rows.reshape(batch, -1)
+            flat = square if (square // n == np.arange(batch)[:, None]).all() else rows
 
         def gather(t):
             return ops.take(ops.reshape(t, (batch * n, cfg.hidden_size)), flat, name="rows")
@@ -434,13 +419,13 @@ class Transformer:
             x = ops.layer_norm(h, p[pre + "ln1.gain"], p[pre + "ln1.bias"])
             k, v = [_split_heads(ops, ops.matmul(x, p[pre + f"attn.w{w}"], bias=p[pre + f"attn.b{w}"]), cfg.heads)
                     for w in "kv"]
-            if rows is not None and last:
+            if last and flat is not None and flat.ndim == 2:
                 h, x = gather(h), gather(x)
-                bias = self._attention_bias(ops, p, ids, rows)
+                bias = self._attention_bias(ops, p, ids, flat % n)
             q = _split_heads(ops, ops.matmul(x, p[pre + "attn.wq"], bias=p[pre + "attn.bq"]), cfg.heads)
             attn = ops.dropout(ops.softmax(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), scale, bias), drop, rng)
             ctx = ops.reshape(ops.transpose(ops.matmul(attn, v), (0, 2, 1, 3)), (batch, q.shape[2], cfg.hidden_size))
-            if flat_rows is not None and last:
+            if last and flat is not None and flat.ndim == 1:
                 h, ctx = gather(h), gather(ctx)
             h = ops.add(h, ops.dropout(ops.matmul(ctx, p[pre + "attn.wo"], bias=p[pre + "attn.bo"]), drop, rng))
 

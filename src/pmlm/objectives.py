@@ -289,7 +289,7 @@ def _shard_nll(model: Transformer, inputs, targets, weights, *, rng) -> Tensor:
     w = used_width(inputs, targets)
     weights = weights[:, :w].reshape(-1)
     rows = np.flatnonzero(weights)
-    logits = model.forward(inputs[:, :w], flat_rows=rows, rng=rng)
+    logits = model.forward(inputs[:, :w], rows=rows, rng=rng)
     nll = T.cross_entropy_rows(logits, targets[:, :w].reshape(-1)[rows])
     return T.sum_(nll * Tensor(weights[rows]))
 

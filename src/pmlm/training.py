@@ -22,8 +22,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .checkpoint import save_checkpoint
-from .data import TOKENIZER_KINDS, Corpus, PAD_ID, ingest, json_object
+from .checkpoint import check_output_paths, save_checkpoint
+from .data import TOKENIZER_KINDS, Corpus, PAD_ID, ingest, json_object, read_text
 from .masking import MaskPattern, MaskingPrior, sample_mask, sample_ratio
 from .model import Transformer, TransformerConfig, init_parameters
 from .objectives import causal_batch_loss, masked_batch_loss
@@ -105,7 +105,7 @@ class RunConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "RunConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_dict(read_text(path, "run config", json.loads))
 
 
 def preset(name: str, corpus_path: str, checkpoint_path: str, **overrides) -> RunConfig:
@@ -163,6 +163,7 @@ def train(config: RunConfig, quiet: bool = False) -> TrainResult:
     parameters is written to the checkpoint path before raising
     ``TrainingDiverged``, so a usable model is always retained.
     """
+    check_output_paths(config.checkpoint_path, config.loss_log_path)
     corpus = ingest(
         config.corpus_path,
         tokenizer_kind=config.tokenizer_kind,

@@ -910,6 +910,76 @@ def test_corpus_that_is_not_utf8_is_a_one_line_error_naming_the_file(command, wo
     assert list(tmp_path.iterdir()) == [corpus]
 
 
+@pytest.mark.parametrize("kind", ["anchor file", "order file", "run config"])
+def test_text_file_that_is_not_utf8_is_a_one_line_error_naming_the_file(kind, workspace, tmp_path, capsys):
+    path = tmp_path / "input"
+    path.write_bytes(b"\xff1:t\n")
+    generate = ["generate", "--checkpoint", str(workspace / "upmlm.ckpt"), "--length", "4"]
+    argv = {
+        "anchor file": [*generate, "--anchors", str(path)],
+        "order file": [*generate, "--order-file", str(path)],
+        "run config": ["train", "--config", str(path)],
+    }[kind]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: cannot read {kind} {path}: ") and captured.err.count("\n") == 1
+    assert "can't decode byte 0xff" in captured.err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_run_config_that_is_not_json_is_a_one_line_error_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text('{"corpus_path": }', encoding="utf-8")
+    assert main(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read run config {path}: Expecting value: line 1 column 17 (char 16)\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+_TRAIN_TO = ["train", "--preset", "upmlm", "--corpus", "{corpus}", "--steps", "1", "--batch-size", "2", "--max-len", "16"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*_TRAIN_TO, "--checkpoint", "{dir}"],
+        [*_TRAIN_TO, "--checkpoint", "{tmp}/o.ckpt", "--loss-log", "{dir}"],
+        ["eval-ppl", "--checkpoint", "{upmlm}", "--corpus", "{corpus}", "--out", "{dir}"],
+        ["generate", "--checkpoint", "{upmlm}", "--length", "4", "--out", "{dir}"],
+        ["generate", "--checkpoint", "{upmlm}", "--length", "4", "--trace", "{dir}"],
+        ["verify-equivalence", "--n", "3", "--out", "{dir}"],
+        ["bench-latency", "--count", "1", "--length", "2", "--out", "{dir}"],
+    ],
+    ids=["train_checkpoint", "train_loss_log", "eval_ppl_out", "generate_out", "generate_trace",
+         "verify_equivalence_out", "bench_latency_out"],
+)
+def test_output_path_that_is_a_directory_fails_before_any_work(argv, workspace, tmp_path, capsys):
+    out = tmp_path / "adir"
+    out.mkdir()
+    names = {"corpus": workspace / "corpus.txt", "upmlm": workspace / "upmlm.ckpt", "dir": out, "tmp": tmp_path}
+    code = main([a.format(**names) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""  # every command prints its first step or its results only after work
+    assert captured.err == f"error: [Errno 21] Is a directory: '{out}'\n"
+    assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
+
+
+def test_failed_replace_names_the_path_given(workspace, tmp_path, monkeypatch, capsys):
+    """A write that fails after the check, here as the temporary file is moved
+    into place, names the path the user gave and leaves no temporary file."""
+    out = tmp_path / "report.json"
+
+    def replace(src, dst):
+        raise IsADirectoryError(21, "Is a directory", str(src), str(dst))
+
+    monkeypatch.setattr("pmlm.checkpoint.os.replace", replace)
+    code = main(["generate", "--checkpoint", str(workspace / "upmlm.ckpt"), "--length", "4", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{out}'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_corpus_word_equal_to_a_special_token_is_a_one_line_error(tmp_path, capsys):
     from pmlm.training import preset
 

@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 import time
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -110,7 +111,7 @@ def test_no_grad_forward_has_the_bits_of_the_recording_forward(mode, positional)
     rng = np.random.default_rng(5)
     ids = rng.integers(3, 12, size=(3, 8))
     ids[2, 6:] = PAD_ID
-    for kwargs in ({}, {"rows": [[1, 6], [0, 0], [7, 3]]}, {"flat_rows": [0, 5, 9, 17, 23]}):
+    for kwargs in ({}, {"rows": [1, 6, 8, 8, 23, 19]}, {"rows": [0, 5, 9, 17, 23]}):
         recorded = m.forward(ids, **kwargs)
         assert recorded.requires_grad
         with T.no_grad():
@@ -136,7 +137,7 @@ def test_no_grad_forward_builds_no_graph_node(monkeypatch):
     monkeypatch.setattr(T, "_node", counted)
     ids = np.array([[3, 4, 5, 6], [7, 8, PAD_ID, PAD_ID]])
     with T.no_grad():
-        for kwargs in ({}, {"rows": [1, 0]}, {"flat_rows": [2, 4]}, {"rng": np.random.default_rng(0)}):
+        for kwargs in ({}, {"rows": [1, 4]}, {"rows": [2, 4]}, {"rows": [2, 4, 5]}, {"rng": np.random.default_rng(0)}):
             out = m.forward(ids, **kwargs)
             assert out._parents == () and out._vjp is None and not out.requires_grad
     assert calls == []
@@ -147,7 +148,7 @@ def test_no_grad_forward_builds_no_graph_node(monkeypatch):
 def test_no_grad_dropout_draws_the_recording_forwards_mask():
     m = tiny_model(seed=16, dropout_rate=0.3)
     ids = np.array([[3, 4, 5, 6, 7], [8, 9, 10, PAD_ID, PAD_ID]])
-    for kwargs in ({}, {"flat_rows": [0, 3, 6]}):
+    for kwargs in ({}, {"rows": [0, 3, 6]}):
         recorded = m.forward(ids, rng=np.random.default_rng(7), **kwargs).data
         with T.no_grad():
             plain = m.forward(ids, rng=np.random.default_rng(7), **kwargs).data
@@ -320,41 +321,78 @@ def test_selected_rows_match_the_full_forward(mode, positional):
         np.array([[6], [0], [7]]),
     ]
     for rows in cases:
-        selected = selected_rows(m, ids, rows)
-        assert selected.shape == rows.shape + (12,)
-        np.testing.assert_allclose(selected, full[batch, rows], rtol=0, atol=1e-12)
-    one_per_sequence = selected_rows(m, ids, [5, 2, 0])
+        selected = selected_rows(m, ids, (rows + 8 * batch).reshape(-1))
+        assert selected.shape == (rows.size, 12)
+        np.testing.assert_allclose(selected, full[batch, rows].reshape(-1, 12), rtol=0, atol=1e-12)
+    one_per_sequence = selected_rows(m, ids, [5, 10, 16])
     assert one_per_sequence.shape == (3, 12)
     np.testing.assert_allclose(one_per_sequence, full[batch[:, 0], [5, 2, 0]], rtol=0, atol=1e-12)
     single = m.logits(ids[0])
     for rows in ([6], [5, 0, 5], list(range(8))[::-1]):
         np.testing.assert_allclose(selected_rows(m, ids[0], rows), single[rows], rtol=0, atol=1e-12)
-    # flat rows of the (3 * 8) batch: ragged across sequences, every
-    # non-[PAD] row (skipping the tail of sequence 1), sequence 0 alone, none
-    for flat_rows in ([0, 7, 9, 12, 23], np.flatnonzero(ids != PAD_ID), np.arange(8), np.array([], dtype=int)):
-        with T.no_grad():
-            selected = m.forward(ids, flat_rows=flat_rows).data
-        assert selected.shape == (len(flat_rows), 12)
-        np.testing.assert_allclose(selected, full.reshape(-1, 12)[flat_rows], rtol=0, atol=1e-12)
+    # rows of the (3 * 8) batch: ragged across sequences, every non-[PAD]
+    # row (skipping the tail of sequence 1), sequence 0 alone, none
+    for rows in ([0, 7, 9, 12, 23], np.flatnonzero(ids != PAD_ID), np.arange(8), np.array([], dtype=int)):
+        selected = selected_rows(m, ids, rows)
+        assert selected.shape == (len(rows), 12)
+        np.testing.assert_allclose(selected, full.reshape(-1, 12)[rows], rtol=0, atol=1e-12)
+
+
+#: (sequences, rows of the flattened batch, queries per sequence the last block
+#: runs): r rows per sequence in sequence order are gathered before the queries,
+#: any other layout after the attention context, with all 8 queries run
+ROW_LAYOUTS = {
+    "rectangular r=1": (3, [2, 13, 17], 1),
+    "rectangular r=3": (3, [0, 7, 3, 12, 9, 9, 18, 22, 21], 3),
+    "rectangular r=8": (3, list(range(24)), 8),
+    "one sequence, unsorted and repeated": (1, [5, 0, 5, 7, 2], 5),
+    "ragged": (3, [0, 7, 9, 12, 23], 8),
+    "a sequence with no rows": (3, [1, 4, 17], 8),
+    "sequences out of order": (3, [16, 8, 0], 8),
+    "sequences out of order, rectangular counts": (3, [8, 9, 0, 1, 16, 17], 8),
+    "no rows at all": (3, [], 0),
+}
+
+
+@pytest.mark.parametrize("mode", ["bidirectional", "causal"])
+@pytest.mark.parametrize("positional", ["absolute", "relative"])
+@pytest.mark.parametrize("recording", [False, True])
+@pytest.mark.parametrize("layout", ROW_LAYOUTS)
+def test_every_row_layout_matches_the_full_forward(layout, recording, mode, positional, monkeypatch):
+    """Each selected row equals the full forward's row, and the layout alone
+    picks whether the last block runs its queries on r rows per sequence or on all n."""
+    m = tiny_model(seed=25, attention_mode=mode, positional_kind=positional)
+    if positional == "relative":
+        m.params["rel_bias"].data *= 50.0
+    sequences, rows, queries = ROW_LAYOUTS[layout]
+    ids = np.random.default_rng(26).integers(3, 12, size=(3, 8))[:sequences]
+    ids[-1, 6:] = PAD_ID
+    full = m.logits(ids).reshape(-1, 12)
+    shapes, split = [], model_mod._split_heads
+    monkeypatch.setattr(model_mod, "_split_heads", lambda ops, y, heads: shapes.append(y.shape) or split(ops, y, heads))
+    with nullcontext() if recording else T.no_grad():
+        selected = m.forward(ids, rows=rows)
+    assert selected.requires_grad == recording
+    assert selected.shape == (len(rows), 12)
+    np.testing.assert_allclose(selected.data, full[rows], rtol=0, atol=1e-12)
+    assert shapes[-1] == (sequences, queries, 16)  # the last block's queries
 
 
 def test_rows_must_fit_the_tokens():
     m = tiny_model(seed=13)
     ids = np.full((2, 4), 3)
-    with pytest.raises(ValueError, match="outside a sequence of length 4"):
-        selected_rows(m, ids, [[0], [4]])
+    with pytest.raises(ValueError, match="outside the 8 positions of the batch"):
+        selected_rows(m, ids, [0, 8])
+    with pytest.raises(ValueError, match="outside the 4 positions"):
+        selected_rows(m, ids[0], [4])
     with pytest.raises(ValueError, match="outside"):
         selected_rows(m, ids[0], [-1])
-    with pytest.raises(ValueError, match="do not fit"):
-        selected_rows(m, ids, [0, 1, 2])
-    with pytest.raises(ValueError, match="do not fit"):
-        selected_rows(m, ids[0], [[0]])
-    with pytest.raises(ValueError, match="rows or flat_rows, not both"):
-        m.forward(ids, rows=[0, 1], flat_rows=[0, 5])
-    with pytest.raises(ValueError, match="outside the 8 positions"):
-        m.forward(ids, flat_rows=[8])
-    with pytest.raises(ValueError, match="one-dimensional"):
-        m.forward(ids, flat_rows=[[0], [4]])
+    with pytest.raises(ValueError, match="outside"):
+        selected_rows(m, ids, [3, -1])
+    for rows in ([[0], [4]], [[0]], [[[1]]], 3):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            selected_rows(m, ids, rows)
+    assert selected_rows(m, ids, [0, 1, 2]).shape == (3, 12)  # three rows of sequence 0 fit a batch of 2
 
 
 @pytest.mark.parametrize("mode", ["bidirectional", "causal"])
@@ -451,10 +489,10 @@ def test_the_no_grad_path_writes_no_array_the_caller_can_see(mode, positional, m
     m = tiny_model(seed=18, attention_mode=mode, positional_kind=positional, dropout_rate=0.2)
     ids = _padded_batch(9)
     rng = np.random.default_rng(10)
-    rows, flat_rows = np.array([0, 5, 1, 2, 0, 3, 2]), np.array([0, 9, 17, 30, 55])
-    table = np.stack([rng.permutation(8)[:3] for _ in range(7)])
+    rows, ragged = np.array([0, 5, 1, 2, 0, 3, 2]), np.array([0, 9, 17, 30, 55])
+    table = (np.stack([rng.permutation(8)[:3] for _ in range(7)]) + 8 * np.arange(7)[:, None]).reshape(-1)
     arrays = [t.data for t in m.params.values()]
-    given = [ids, rows, table, flat_rows] + arrays
+    given = [ids, rows, table, ragged] + arrays
     kept = [a.copy() for a in given]
     monkeypatch.setattr(model_mod, "_SLICE_BYTES", 4 * 8 * 8 * m.config.intermediate_size)
 
@@ -465,7 +503,7 @@ def test_the_no_grad_path_writes_no_array_the_caller_can_see(mode, positional, m
             out += [m.logits(ids), _batched_nll(m, ids, ids, rows=rows)]
         with T.no_grad():
             out.append(m.forward(ids, rows=table).data)
-            out.append(m.forward(ids, flat_rows=flat_rows).data)
+            out.append(m.forward(ids, rows=ragged).data)
             out.append(m.forward(ids, rng=np.random.default_rng(11)).data)
         if m.is_causal:
             _, cache = m.forward_incremental(ids[1, :3])
@@ -509,7 +547,7 @@ def test_results_the_caller_holds_outlive_later_no_grad_calls(mode, positional, 
             monkeypatch.setattr(model_mod, "_workers", lambda parts: min(workers, parts))
             out += [m.logits(ids), _batched_nll(m, ids[::-1], ids[::-1], rows=np.arange(7) % 8)]
         with T.no_grad():
-            out.append(m.forward(ids, flat_rows=np.array([0, 9, 17, 30, 55])).data)
+            out.append(m.forward(ids, rows=np.array([0, 9, 17, 30, 55])).data)
             out.append(m.forward(ids, rng=np.random.default_rng(16)).data)
         if m.is_causal:
             row, cache = m.forward_incremental(ids[1, :4])
